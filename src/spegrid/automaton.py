@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -135,20 +136,14 @@ class _HullContext:
     # built lazily; only correlated certificates ever need it
     def __init__(self, C: CubeSet):
         self.C = C
-        self._verts = None
-        self._planes = None
 
-    @property
+    @cached_property
     def verts(self):
-        if self._verts is None:
-            self._verts = hull_vertices(self.C)
-        return self._verts
+        return hull_vertices(self.C)
 
-    @property
+    @cached_property
     def planes(self):
-        if self._planes is None:
-            self._planes = get_halfplanes(self.C)
-        return self._planes
+        return get_halfplanes(self.C)
 
 
 def _build_states(C: CubeSet, certificates: dict, game: StageGame,
@@ -199,9 +194,7 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
                 point = cert.continuation_point(profile)
                 target = locate(point, C, tol=_LOCATE_TOL)
                 if target is not None:
-                    tix = tuple(round((o - b) / C.side)
-                                for o, b in zip(target.origin, C.base))
-                    transitions[profile] = intern(tix)
+                    transitions[profile] = intern(C.index_of(target.origin))
                 else:
                     lottery = decompose_into_vertices(point, C,
                                                       _hull=hull)
@@ -211,9 +204,7 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
                         if vc is None:
                             raise RuntimeError(
                                 f"hull vertex {vertex} is outside the union")
-                        vix = tuple(round((o - b) / C.side)
-                                    for o, b in zip(vc.origin, C.base))
-                        entries.append((weight, intern(vix)))
+                        entries.append((weight, intern(C.index_of(vc.origin))))
                     transitions[profile] = tuple(entries)
             else:
                 # unilateral deviations are punished; simultaneous ones are
@@ -239,19 +230,18 @@ def _assemble(C: CubeSet, certificates: dict, game: StageGame,
             floors=tuple(floors)))
 
 
-def extract_automaton(C: CubeSet, certificates: dict, v, game: StageGame,
-                      mode: Optional[str] = None) -> Automaton:
+def extract_automaton(C: CubeSet, certificates: dict, v,
+                      game: StageGame) -> Automaton:
     """Construct the automaton that approximately induces payoff profile v.
 
     v must lie in the union; every reachable cube must hold a certificate.
     The stored certificates are reused rather than re-derived so extraction
-    is deterministic.  ``mode`` is accepted for symmetry with the solver but
-    is inferred from the certificates.
+    is deterministic.
     """
     start = locate(v, C, tol=1e-9)
     if start is None:
         raise ValueError(f"target payoff profile {tuple(v)} lies outside the union")
-    six = tuple(round((o - b) / C.side) for o, b in zip(start.origin, C.base))
+    six = C.index_of(start.origin)
     return _assemble(C, certificates, game, seeds=[six], everything=False,
                      initial_index=six)
 
@@ -268,14 +258,17 @@ def build_full_automaton(C: CubeSet, certificates: dict,
 # -- evaluation ---------------------------------------------------------------
 
 def _on_path_profiles(M: Automaton, state: int):
-    st = M.states[state]
-    supports = M.supports(state)
-    for profile in itertools.product(*supports):
-        p = 1.0
-        for i, a in enumerate(profile):
-            p *= float(st.mixed.probs[i][a])
+    mixed = M.states[state].mixed
+    for profile in itertools.product(*M.supports(state)):
+        p = mixed.outcome_probability(profile)
         if p > 0.0:
             yield profile, p
+
+
+def _weighted_targets(tr: Transition, p: float):
+    """(next state, probability) pairs of a transition taken with
+    probability p; a lottery splits p over its states."""
+    return ((tr, p),) if isinstance(tr, int) else [(t, p * w) for w, t in tr]
 
 
 def _transition_entries(M: Automaton):
@@ -286,16 +279,10 @@ def _transition_entries(M: Automaton):
         st = M.states[q]
         for profile, p in _on_path_profiles(M, q):
             R[q] += p * M.game.payoff(profile)
-            tr = st.transitions[profile]
-            if isinstance(tr, int):
+            for t, w in _weighted_targets(st.transitions[profile], p):
                 srcs.append(q)
-                dsts.append(tr)
-                wts.append(p)
-            else:
-                for weight, t in tr:
-                    srcs.append(q)
-                    dsts.append(t)
-                    wts.append(p * weight)
+                dsts.append(t)
+                wts.append(w)
     return (np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64),
             np.array(wts), R)
 
@@ -359,16 +346,10 @@ def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
                     profile[j] = b
                 profile = tuple(profile)
                 imm[q, a] += p * game.payoff_to(profile, player)
-                tr = st.transitions[profile]
-                if isinstance(tr, int):
+                for t, w in _weighted_targets(st.transitions[profile], p):
                     srcs.append(row)
-                    dsts.append(tr)
-                    wts.append(p)
-                else:
-                    for weight, t in tr:
-                        srcs.append(row)
-                        dsts.append(t)
-                        wts.append(p * weight)
+                    dsts.append(t)
+                    wts.append(w)
     srcs = np.array(srcs, dtype=np.int64)
     dsts = np.array(dsts, dtype=np.int64)
     wts = np.array(wts)
@@ -407,19 +388,10 @@ def decompose_into_vertices(point, C: CubeSet, _hull=None):
     for pl in hull.planes:
         if not pl.holds(x, y, tol=1e-9):
             raise ValueError(f"point {tuple(point)} lies outside the convex hull")
-    verts = hull.verts
+    verts = hull.verts  # at least four: every cube has positive side
     for v in verts:
         if abs(v[0] - x) <= 1e-9 and abs(v[1] - y) <= 1e-9:
             return [(1.0, v)]
-    if len(verts) == 1:
-        return [(1.0, verts[0])]
-    if len(verts) == 2:
-        (x0, y0), (x1, y1) = verts
-        span = max(abs(x1 - x0), abs(y1 - y0))
-        t = (x - x0) / (x1 - x0) if abs(x1 - x0) >= abs(y1 - y0) \
-            else (y - y0) / (y1 - y0)
-        t = min(max(t, 0.0), 1.0)
-        return [(1.0 - t, verts[0]), (t, verts[1])]
     anchor = verts[0]
     best = None
     for k in range(1, len(verts) - 1):

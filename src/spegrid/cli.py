@@ -4,12 +4,13 @@ A run reads a game file, drives the refinement loop, and writes a
 deterministic artifact directory: per-iteration cube snapshots, the final
 set with its certificates, a performance record, optional SVG renderings,
 and optional extracted automata for requested payoff targets.  Identical
-manifests (including the seed) produce byte-identical artifacts except for
-``timing.txt``, which records wall-clock time and is documented as the one
-non-deterministic file.
+manifests produce byte-identical artifacts except for ``timing.txt``, which
+records wall-clock time and is documented as the one non-deterministic
+file.
 
 Exit status: 0 converged, 2 empty final set, 3 generation guard hit,
-1 usage or input errors.
+1 usage or input errors, 4 numerical failure (an LP or a tolerance check
+that could not be completed).
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from .game import MixedProfile, StageGame, payoff_bounds
 from .gamefile import parse_game_file, resolve_game_path
 from .geometry import CubeSet
 from .solver import (SolveReport, SolveSnapshot, SolverConfig,
-                     SupportCertificate, _conditional_payoff_table,
-                     _pure_best_deviation, solve, verify_certificate)
+                     SupportCertificate, solve, verify_union)
+# Part of this module's namespace: perfbench/tracer.py hooks cli-level
+# certificate checks under this name.
+from .solver import verify_certificate  # noqa: F401
 from .svg import render_svg
 
 _MODE_FLAGS = {"pure": "pure", "mixed": "mixed-clusters",
@@ -46,7 +49,6 @@ class RunManifest:
     epsilon: float
     mode: str = "correlated"            # pure | mixed | correlated
     completion: str = "bound"
-    seed: int = 0
     out_dir: str = "out"
     snapshot_every: int = 1
     extract: tuple = ()                 # payoff targets, each an (x, y) pair
@@ -76,7 +78,7 @@ class RunManifest:
 def _manifest_text(m: RunManifest) -> str:
     lines = [f"game: {m.game}", f"gamma: {m.gamma!r}",
              f"epsilon: {m.epsilon!r}", f"mode: {m.mode}",
-             f"completion: {m.completion}", f"seed: {m.seed}",
+             f"completion: {m.completion}",
              f"snapshot_every: {m.snapshot_every}",
              f"max_generations: {m.max_generations}",
              f"frozen_passes: {m.frozen_passes}",
@@ -109,15 +111,21 @@ def _certificate_text(cert: SupportCertificate) -> list[str]:
                      + " ".join(repr(float(x)) for x in cert.continuation))
     else:
         sol = cert.solution
-        lines.append("pattern: " + " | ".join(
-            " ".join(str(a) for a in supp) for supp in sol.pattern.supports))
-        lines.append("alpha: " + " | ".join(
-            " ".join(repr(float(p)) for p in probs) for probs in sol.alpha.probs))
-        lines.append("w: " + " | ".join(
-            " ".join(repr(float(x)) for x in row) for row in sol.continuations))
-        lines.append("wp: " + " | ".join(
-            " ".join(repr(float(x)) for x in row) for row in sol.utilities))
+        lines.append("pattern: " + _rows_text(sol.pattern.supports, str))
+        lines.append("alpha: " + _rows_text(sol.alpha.probs))
+        lines.append("w: " + _rows_text(sol.continuations))
+        lines.append("wp: " + _rows_text(sol.utilities))
     return lines
+
+
+def _rows_text(rows, fmt=lambda x: repr(float(x))) -> str:
+    """One row per player, separated by ' | '."""
+    return " | ".join(" ".join(fmt(x) for x in row) for row in rows)
+
+
+def _parse_rows(text: str, conv=float) -> tuple:
+    return tuple(tuple(conv(t) for t in part.split())
+                 for part in text.split("|"))
 
 
 def write_final_set(path: Path, snap: SolveSnapshot, status: str,
@@ -155,16 +163,15 @@ def read_final_set(path) -> tuple[CubeSet, str, dict]:
                 section = "certs"
                 continue
             origins.append(_parse_vector(line))
-            if count is not None and len(origins) == count and section == "origins":
-                continue
         else:
             cert_lines.append(line)
-    side = float(meta["side"])
-    base = _parse_vector(meta["base"])
-    generation = int(meta.get("generation", 0))
-    indices = [tuple(round((o - b) / side) for o, b in zip(origin, base))
-               for origin in origins]
-    C = CubeSet(base, side, indices, generation=generation)
+    if len(origins) != count:
+        raise ValueError(f"final set lists {len(origins)} cubes but its "
+                         f"header declares {count}")
+    lattice = CubeSet(_parse_vector(meta["base"]), float(meta["side"]), ())
+    C = CubeSet(lattice.base, lattice.side,
+                [lattice.index_of(o) for o in origins],
+                generation=int(meta.get("generation", 0)))
     certs = _parse_certificates(cert_lines, C)
     return C, meta.get("status", "unknown"), certs
 
@@ -182,7 +189,7 @@ def _parse_certificates(lines: list[str], C: CubeSet) -> dict:
     certs = {}
     for block in blocks:
         origin = _parse_vector(block["cube"])
-        idx = tuple(round((o - b) / C.side) for o, b in zip(origin, C.base))
+        idx = C.index_of(origin)
         certs[idx] = _certificate_from_block(block, idx, origin, C)
     return certs
 
@@ -195,43 +202,18 @@ def _certificate_from_block(block: dict, idx, origin, C: CubeSet):
         return SupportCertificate(
             profile=tuple(int(t) for t in block["profile"].split()),
             continuation=_parse_vector(block["continuation"]), **common)
-    pattern = SupportPattern(tuple(
-        tuple(int(t) for t in part.split())
-        for part in block["pattern"].split("|")))
-    alpha = MixedProfile(tuple(
-        np.array([float(t) for t in part.split()])
-        for part in block["alpha"].split("|")))
-    conts = tuple(tuple(float(t) for t in part.split())
-                  for part in block["w"].split("|"))
-    utils = tuple(tuple(float(t) for t in part.split())
-                  for part in block["wp"].split("|"))
-    sol = SupportSolution(alpha, conts, utils, pattern)
+    alpha = MixedProfile(tuple(np.array(p) for p in _parse_rows(block["alpha"])))
+    sol = SupportSolution(alpha, _parse_rows(block["w"]),
+                          _parse_rows(block["wp"]),
+                          SupportPattern(_parse_rows(block["pattern"], int)))
     return SupportCertificate(solution=sol, **common)
 
 
-def _hydrate_certificate(cert: SupportCertificate,
-                         game: StageGame) -> SupportCertificate:
-    """Recompute the cached payoff tables a replay needs."""
-    from dataclasses import replace
-    if cert.kind == "pure":
-        r_vals = tuple(game.payoff_to(cert.profile, i)
-                       for i in range(game.player_count))
-        br = tuple(_pure_best_deviation(game, cert.profile, i)
-                   for i in range(game.player_count))
-        return replace(cert, conditional_payoffs=(r_vals,), br_values=br)
-    table = _conditional_payoff_table(game, cert.solution.alpha)
-    return replace(cert, conditional_payoffs=table)
-
-
 def verify_final_set(path, game: StageGame, gamma: float) -> bool:
-    """Replay every certificate stored in a final-set file against the cube
-    set stored alongside it."""
+    """Replay the certificates stored in a final-set file against the cube
+    set stored alongside it; every cube needs exactly one certificate."""
     C, _, certs = read_final_set(path)
-    for idx in sorted(certs):
-        cert = _hydrate_certificate(certs[idx], game)
-        if not verify_certificate(cert, game, gamma, C=C):
-            return False
-    return True
+    return verify_union(C, certs, game, gamma)
 
 
 def run(manifest: RunManifest) -> tuple[int, SolveReport]:
@@ -322,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cube-test back-end (default: correlated)")
     p.add_argument("--completion", choices=("bound", "exact"), default="bound",
                    help="stopping criterion (default: bound)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed recorded with the run")
     p.add_argument("--out", default="out", help="artifact directory")
     p.add_argument("--snapshot-every", type=int, default=1, metavar="N",
                    help="write every Nth iteration snapshot (0 disables)")
@@ -355,7 +335,7 @@ def main(argv=None) -> int:
             return 0 if ok else 1
         manifest = RunManifest(
             game=args.game, gamma=args.gamma, epsilon=args.epsilon,
-            mode=args.mode, completion=args.completion, seed=args.seed,
+            mode=args.mode, completion=args.completion,
             out_dir=args.out, snapshot_every=args.snapshot_every,
             extract=tuple(args.extract), svg=args.svg,
             max_generations=args.max_generations,
@@ -367,6 +347,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -403,7 +403,7 @@ def assemble_support_solution(assignment: dict, pattern: SupportPattern,
 
 
 def solve_support_program(
-    builder: Callable[[SupportPattern], Optional[LinearSystem]],
+    builder: Callable[[SupportPattern], LinearSystem],
     game: StageGame,
     patterns: Optional[Sequence[SupportPattern]] = None,
     shortcut: Optional[Callable[[SupportPattern], object]] = None,
@@ -411,11 +411,11 @@ def solve_support_program(
     """First feasible support pattern, searching in ascending cardinality.
 
     ``builder`` turns a pattern into the LinearSystem that fixes the
-    pattern's indicator variables (it may return None to skip a pattern it
-    can prove infeasible).  ``shortcut``, when given, may decide a pattern
-    without an LP: it returns a SupportSolution, None for proven-infeasible,
-    or UNDECIDED to fall through to the LP.  Shortcuts must agree with the
-    LP; they exist so cheap closed-form cases can skip the tableau.
+    pattern's indicator variables.  ``shortcut``, when given, may decide a
+    pattern without an LP: it returns a SupportSolution, None for
+    proven-infeasible, or UNDECIDED to fall through to the LP.  Shortcuts
+    must agree with the LP; they exist so cheap closed-form cases can skip
+    the tableau.
 
     Returns None after exhausting all patterns.
     """
@@ -429,10 +429,7 @@ def solve_support_program(
                 continue
             if res is not UNDECIDED:
                 return res
-        system = builder(pattern)
-        if system is None:
-            continue
-        assignment = solve_feasibility(system)
+        assignment = solve_feasibility(builder(pattern))
         if assignment is not None:
             return assemble_support_solution(assignment, pattern, game)
     return None

@@ -29,10 +29,6 @@ class Hypercube(NamedTuple):
     side: float
 
     @property
-    def upper(self) -> tuple[float, ...]:
-        return tuple(o + self.side for o in self.origin)
-
-    @property
     def center(self) -> tuple[float, ...]:
         return tuple(o + self.side / 2.0 for o in self.origin)
 
@@ -114,6 +110,12 @@ class CubeSet:
 
     def origin_of(self, index) -> tuple[float, ...]:
         return tuple(b + k * self.side for b, k in zip(self.base, index))
+
+    def index_of(self, origin) -> tuple[int, ...]:
+        """Lattice index of the cube with this origin (inverse of origin_of,
+        tolerant of the rounding in stored or parsed origins)."""
+        return tuple(round((o - b) / self.side)
+                     for o, b in zip(origin, self.base))
 
     def cube_at(self, index) -> Hypercube:
         return Hypercube(self.origin_of(index), self.side)

@@ -16,11 +16,14 @@ Three back-ends implement the cube test:
                      continuations may lie anywhere in the convex hull of
                      the union.
 
-The mixed back-ends emulate the associated mixed-integer programs exactly
-by support enumeration (see the feasibility module).  Singleton patterns
-and obviously hopeless patterns are decided in closed form before touching
-the LP; the closed forms are algebraically equivalent to the LP and are
-cross-checked against it in the test suite.
+The two mixed back-ends share one support-LP builder and one search
+driver; they differ only in the continuation region (a cluster box, or
+the payoff box cut by the hull's half-planes).  They emulate the
+associated mixed-integer programs exactly by support enumeration (see the
+feasibility module).  Singleton patterns and obviously hopeless patterns
+are decided in closed form before touching the LP; the closed forms are
+algebraically equivalent to the LP and are cross-checked against it in the
+test suite.
 
 The default loop recomputes the punishment floor and the union context
 before every cube test, matching the reference pseudocode exactly.  The
@@ -29,13 +32,16 @@ at the pass end; it can only delay removals by one pass (never removes
 more) and makes large runs much cheaper.  Between passes the previous
 certificate of a cube is replayed against the current context before any
 fresh search runs; a valid stored witness proves feasibility, so this is a
-pure optimisation.
+pure optimisation.  The loop, ``verify_certificate`` and ``verify_union``
+derive the union context from a cube set in one place; ``verify_union``
+builds it once per cube set.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,8 +52,7 @@ from .feasibility import (FEAS_TOL, UNDECIDED, LinearSystem, SupportPattern,
                           w_var, wp_var)
 from .game import MixedProfile, StageGame, payoff_bounds
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
-                       get_halfplanes, hull_vertices, initial_cube,
-                       min_origin, split_all)
+                       get_halfplanes, hull_vertices, initial_cube, split_all)
 
 MODES = ("pure", "mixed-clusters", "mixed-correlated")
 COMPLETIONS = ("bound", "exact")
@@ -182,24 +187,71 @@ class SolveReport:
 
 @dataclass
 class _Context:
-    version: int
     w_floor: tuple[float, ...]
     clusters: Optional[list[Cluster]] = None
     halfplanes: Optional[tuple[HalfPlane, ...]] = None
-    hull_lo: Optional[tuple[float, ...]] = None
-    hull_hi: Optional[tuple[float, ...]] = None
+    hull_box: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
 
 
-def _build_context(C: CubeSet, mode: str) -> _Context:
-    ctx = _Context(version=C.version, w_floor=C.min_origin())
-    if mode in ("pure", "mixed-clusters"):
-        ctx.clusters = get_clusters(C)
-    else:
+def _build_context(C: CubeSet, hull: bool) -> _Context:
+    """The floor and the continuation regions of the union C: its clusters,
+    or (``hull``, the correlated back-end) the hull's half-planes and
+    bounding box.  The only place the solver derives them from a cube set."""
+    ctx = _Context(w_floor=C.min_origin())
+    if hull:
         ctx.halfplanes = tuple(get_halfplanes(C))
         verts = hull_vertices(C)
-        ctx.hull_lo = (min(v[0] for v in verts), min(v[1] for v in verts))
-        ctx.hull_hi = (max(v[0] for v in verts), max(v[1] for v in verts))
+        ctx.hull_box = ((min(v[0] for v in verts), min(v[1] for v in verts)),
+                        (max(v[0] for v in verts), max(v[1] for v in verts)))
+    else:
+        ctx.clusters = get_clusters(C)
     return ctx
+
+
+# -- stage-payoff tables -------------------------------------------------------
+
+def _pure_best_deviation(game: StageGame, profile, player: int) -> float:
+    best = -np.inf
+    for a in range(game.action_count(player)):
+        p = tuple(a if j == player else profile[j]
+                  for j in range(game.player_count))
+        best = max(best, game.payoff_to(p, player))
+    return best
+
+
+def _pure_payoffs(game: StageGame, profile):
+    """Stage payoffs r_i(profile) and best-deviation payoffs, per player."""
+    n = game.player_count
+    return (tuple(game.payoff_to(profile, i) for i in range(n)),
+            tuple(_pure_best_deviation(game, profile, i) for i in range(n)))
+
+
+def _conditional_payoff_table(game: StageGame, alpha: MixedProfile):
+    """r_i(a_i | alpha) for every player and own action (two players)."""
+    table = []
+    for i in range(2):
+        opp = 1 - i
+        row = []
+        for a in range(game.action_count(i)):
+            val = 0.0
+            for b, pb in enumerate(alpha.probs[opp]):
+                if pb > 0.0:
+                    prof = (a, b) if i == 0 else (b, a)
+                    val += float(pb) * game.payoff_to(prof, i)
+            row.append(val)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _with_payoff_tables(cert: SupportCertificate,
+                        game: StageGame) -> SupportCertificate:
+    """The certificate with the stage-payoff tables its replay reads
+    recomputed from the game (certificates read from a file carry none)."""
+    if cert.kind == "pure":
+        r_vals, br_vals = _pure_payoffs(game, cert.profile)
+        return replace(cert, conditional_payoffs=(r_vals,), br_values=br_vals)
+    return replace(cert, conditional_payoffs=_conditional_payoff_table(
+        game, cert.solution.alpha))
 
 
 # -- constraint systems ---------------------------------------------------------
@@ -228,55 +280,17 @@ def pure_support_system(cube: Hypercube, cluster: Cluster, w_floor,
     return sys
 
 
-def _pure_best_deviation(game: StageGame, profile, player: int) -> float:
-    best = -np.inf
-    for a in range(game.action_count(player)):
-        p = tuple(a if j == player else profile[j]
-                  for j in range(game.player_count))
-        best = max(best, game.payoff_to(p, player))
-    return best
-
-
-def _conditional_payoff_table(game: StageGame, alpha: MixedProfile):
-    """r_i(a_i | alpha) for every player and own action (two players)."""
-    table = []
-    for i in range(2):
-        opp = 1 - i
-        row = []
-        for a in range(game.action_count(i)):
-            val = 0.0
-            for b, pb in enumerate(alpha.probs[opp]):
-                if pb > 0.0:
-                    prof = (a, b) if i == 0 else (b, a)
-                    val += float(pb) * game.payoff_to(prof, i)
-            row.append(val)
-        table.append(tuple(row))
-    return tuple(table)
+def _cluster_box(cluster: Cluster):
+    return cluster.origin, tuple(o + l for o, l in zip(cluster.origin,
+                                                      cluster.lengths))
 
 
 def mixed_cluster_system(cube: Hypercube, cluster: Cluster, w_floor,
                          game: StageGame, gamma: float,
                          pattern: SupportPattern) -> LinearSystem:
     """The support LP for one cluster and one support pattern."""
-    sys = LinearSystem()
-    side = cube.side
-    for i in range(2):
-        supp = set(pattern.supports[i])
-        for a in range(game.action_count(i)):
-            if a in supp:
-                sys.add_variable(alpha_var(i, a), low=0.0, high=1.0)
-                sys.add_variable(w_var(i, a), low=cluster.origin[i],
-                                 high=cluster.origin[i] + cluster.lengths[i])
-                sys.add_variable(wp_var(i, a), low=cube.origin[i],
-                                 high=cube.origin[i] + side)
-            else:
-                sys.add_variable(w_var(i, a), low=w_floor[i],
-                                 high=w_floor[i] + side)
-                sys.add_variable(wp_var(i, a), high=cube.origin[i])
-        sys.add_constraint({alpha_var(i, a): 1.0 for a in pattern.supports[i]},
-                           "=", 1.0)
-    _add_recursion_rows(sys, game, gamma, pattern)
-    return sys
+    return _support_system(cube, *_cluster_box(cluster), (), w_floor, game,
+                           gamma, pattern)
 
 
 def correlated_support_system(cube: Hypercube, halfplanes, w_floor, bounds,
@@ -285,6 +299,16 @@ def correlated_support_system(cube: Hypercube, halfplanes, w_floor, bounds,
     """Support LP for the public-correlation back-end: no cluster, instead
     every in-support continuation pair must satisfy the half-planes of the
     convex hull of the current union."""
+    return _support_system(cube, (bounds.low,) * 2, (bounds.high,) * 2,
+                           halfplanes, w_floor, game, gamma, pattern)
+
+
+def _support_system(cube: Hypercube, w_lo, w_hi, halfplanes, w_floor,
+                    game: StageGame, gamma: float,
+                    pattern: SupportPattern) -> LinearSystem:
+    """The support LP of both mixed back-ends, which differ only in the
+    region of the in-support continuations: the box [w_lo, w_hi] and, for
+    every in-support pair, the half-planes (none for a cluster)."""
     sys = LinearSystem()
     side = cube.side
     for i in range(2):
@@ -292,7 +316,7 @@ def correlated_support_system(cube: Hypercube, halfplanes, w_floor, bounds,
         for a in range(game.action_count(i)):
             if a in supp:
                 sys.add_variable(alpha_var(i, a), low=0.0, high=1.0)
-                sys.add_variable(w_var(i, a), low=bounds.low, high=bounds.high)
+                sys.add_variable(w_var(i, a), low=w_lo[i], high=w_hi[i])
                 sys.add_variable(wp_var(i, a), low=cube.origin[i],
                                  high=cube.origin[i] + side)
             else:
@@ -301,17 +325,6 @@ def correlated_support_system(cube: Hypercube, halfplanes, w_floor, bounds,
                 sys.add_variable(wp_var(i, a), high=cube.origin[i])
         sys.add_constraint({alpha_var(i, a): 1.0 for a in pattern.supports[i]},
                            "=", 1.0)
-    _add_recursion_rows(sys, game, gamma, pattern)
-    for a1 in pattern.supports[0]:
-        for a2 in pattern.supports[1]:
-            for pl in halfplanes:
-                sys.add_constraint({w_var(0, a1): pl.phi, w_var(1, a2): pl.psi},
-                                   "<=", pl.lam)
-    return sys
-
-
-def _add_recursion_rows(sys: LinearSystem, game: StageGame, gamma: float,
-                        pattern: SupportPattern) -> None:
     # w'_i(a) = (1-g) * sum_b alpha_opp(b) r_i(a, b) + g * w_i(a), all actions
     for i in range(2):
         opp = 1 - i
@@ -323,6 +336,12 @@ def _add_recursion_rows(sys: LinearSystem, game: StageGame, gamma: float,
                     coeffs.get(alpha_var(opp, b), 0.0) \
                     - (1.0 - gamma) * game.payoff_to(prof, i)
             sys.add_constraint(coeffs, "=", 0.0)
+    for a1 in pattern.supports[0]:
+        for a2 in pattern.supports[1]:
+            for pl in halfplanes:
+                sys.add_constraint({w_var(0, a1): pl.phi, w_var(1, a2): pl.psi},
+                                   "<=", pl.lam)
+    return sys
 
 
 # -- closed-form deciders --------------------------------------------------------
@@ -496,28 +515,50 @@ def cube_supported_pure(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
     order, so the result is deterministic.
     """
     if clusters is None:
-        clusters = get_clusters(C)
-    n = game.player_count
-    tables = []
-    for profile in game.profiles():
-        r_vals = tuple(game.payoff_to(profile, i) for i in range(n))
-        br_vals = tuple(_pure_best_deviation(game, profile, i) for i in range(n))
-        tables.append((profile, r_vals, br_vals))
+        clusters = _build_context(C, hull=False).clusters
+    tables = [(profile, *_pure_payoffs(game, profile))
+              for profile in game.profiles()]
     for cluster in clusters:
         for profile, r_vals, br_vals in tables:
             w = _pure_witness(cube.origin, cube.side, cluster, w_floor, game,
                               gamma, profile, r_vals, br_vals)
             if w is not None:
                 return SupportCertificate(
-                    cube_index=_index_of(C, cube), cube_origin=cube.origin,
+                    cube_index=C.index_of(cube.origin), cube_origin=cube.origin,
                     side=cube.side, kind="pure", w_floor=tuple(w_floor),
                     profile=profile, continuation=w, cluster=cluster,
                     conditional_payoffs=(r_vals,), br_values=br_vals)
     return None
 
 
-def _index_of(C: CubeSet, cube: Hypercube) -> tuple[int, ...]:
-    return tuple(round((o - b) / C.side) for o, b in zip(cube.origin, C.base))
+def _search_regions(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
+                    gamma: float, patterns, regions
+                    ) -> Optional[SupportCertificate]:
+    """The search driver of both mixed back-ends.  Each region is a
+    (singleton decider, support-LP builder, screen window, certificate
+    fields) tuple; the first region whose support program finds a pattern
+    yields the certificate, pure patterns first."""
+    if game.player_count != 2:
+        raise ValueError("mixed cube tests require exactly two players")
+    for singleton, builder, window, fields in regions:
+
+        def shortcut(pattern):
+            if pattern.is_pure():
+                return singleton(pattern)
+            if not _screen_pattern(cube.origin, cube.side, pattern, game,
+                                   gamma, w_floor, *window):
+                return None
+            return UNDECIDED
+
+        sol = solve_support_program(builder, game, patterns=patterns,
+                                    shortcut=shortcut)
+        if sol is not None:
+            return SupportCertificate(
+                cube_index=C.index_of(cube.origin), cube_origin=cube.origin,
+                side=cube.side, w_floor=tuple(w_floor), solution=sol,
+                conditional_payoffs=_conditional_payoff_table(game, sol.alpha),
+                **fields)
+    return None
 
 
 def cube_supported_mixed(cube: Hypercube, C: CubeSet, w_floor,
@@ -527,42 +568,17 @@ def cube_supported_mixed(cube: Hypercube, C: CubeSet, w_floor,
                          ) -> Optional[SupportCertificate]:
     """Mixed-strategy cube test over hyperrectangular clusters (2 players).
 
-    Per cluster, the support program runs with the cluster's constraint
-    builder; the minimum-support enumeration order means pure certificates
-    are found before any genuinely mixed one.
+    Each cluster, in construction order, is one region: the in-support
+    continuations stay inside its box.
     """
-    if game.player_count != 2:
-        raise ValueError("mixed cube tests require exactly two players")
     if clusters is None:
-        clusters = get_clusters(C)
-    if patterns is None:
-        patterns = enumerate_support_patterns(
-            [game.action_count(i) for i in range(2)])
-    for cluster in clusters:
-        win_lo = cluster.origin
-        win_hi = tuple(o + l for o, l in zip(cluster.origin, cluster.lengths))
-
-        def shortcut(pattern, _cl=cluster, _lo=win_lo, _hi=win_hi):
-            if pattern.is_pure():
-                return _singleton_cluster_solution(
-                    cube.origin, cube.side, _cl, w_floor, game, gamma, pattern)
-            if not _screen_pattern(cube.origin, cube.side, pattern, game,
-                                   gamma, w_floor, _lo, _hi):
-                return None
-            return UNDECIDED
-
-        def builder(pattern, _cl=cluster):
-            return mixed_cluster_system(cube, _cl, w_floor, game, gamma, pattern)
-
-        sol = solve_support_program(builder, game, patterns=patterns,
-                                    shortcut=shortcut)
-        if sol is not None:
-            return SupportCertificate(
-                cube_index=_index_of(C, cube), cube_origin=cube.origin,
-                side=cube.side, kind="mixed", w_floor=tuple(w_floor),
-                solution=sol, cluster=cluster,
-                conditional_payoffs=_conditional_payoff_table(game, sol.alpha))
-    return None
+        clusters = _build_context(C, hull=False).clusters
+    regions = ((partial(_singleton_cluster_solution, cube.origin, cube.side,
+                        cl, w_floor, game, gamma),
+                partial(mixed_cluster_system, cube, cl, w_floor, game, gamma),
+                _cluster_box(cl), {"kind": "mixed", "cluster": cl})
+               for cl in clusters)
+    return _search_regions(cube, C, w_floor, game, gamma, patterns, regions)
 
 
 def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
@@ -572,47 +588,22 @@ def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
                               patterns: Optional[Sequence[SupportPattern]] = None
                               ) -> Optional[SupportCertificate]:
     """Cube test with public correlation: continuations anywhere in the
-    convex hull of the union.  No cluster loop; the hull replaces clusters."""
-    if game.player_count != 2:
-        raise ValueError("the correlated cube test requires exactly two players")
-    if halfplanes is None:
-        halfplanes = tuple(get_halfplanes(C))
-    if w_floor is None:
-        w_floor = min_origin(C)
+    convex hull of the union.  The single region is the payoff box cut by
+    the hull's half-planes; the screen window is the hull's bounding box."""
+    if halfplanes is None or w_floor is None or hull_box is None:
+        ctx = _build_context(C, hull=True)
+        halfplanes = ctx.halfplanes if halfplanes is None else halfplanes
+        w_floor = ctx.w_floor if w_floor is None else w_floor
+        hull_box = hull_box or ctx.hull_box
     bounds = payoff_bounds(game)
-    if hull_box is None:
-        verts = hull_vertices(C)
-        hull_box = ((min(v[0] for v in verts), min(v[1] for v in verts)),
-                    (max(v[0] for v in verts), max(v[1] for v in verts)))
-    win_lo = tuple(max(lo, bounds.low) for lo in hull_box[0])
-    win_hi = tuple(min(hi, bounds.high) for hi in hull_box[1])
-    if patterns is None:
-        patterns = enumerate_support_patterns(
-            [game.action_count(i) for i in range(2)])
-
-    def shortcut(pattern):
-        if pattern.is_pure():
-            return _singleton_correlated_solution(
-                cube.origin, cube.side, halfplanes, w_floor, bounds, game,
-                gamma, pattern)
-        if not _screen_pattern(cube.origin, cube.side, pattern, game, gamma,
-                               w_floor, win_lo, win_hi):
-            return None
-        return UNDECIDED
-
-    def builder(pattern):
-        return correlated_support_system(cube, halfplanes, w_floor, bounds,
-                                         game, gamma, pattern)
-
-    sol = solve_support_program(builder, game, patterns=patterns,
-                                shortcut=shortcut)
-    if sol is None:
-        return None
-    return SupportCertificate(
-        cube_index=_index_of(C, cube), cube_origin=cube.origin,
-        side=cube.side, kind="correlated", w_floor=tuple(w_floor),
-        solution=sol, halfplanes=tuple(halfplanes),
-        conditional_payoffs=_conditional_payoff_table(game, sol.alpha))
+    region = (partial(_singleton_correlated_solution, cube.origin, cube.side,
+                      halfplanes, w_floor, bounds, game, gamma),
+              partial(correlated_support_system, cube, halfplanes, w_floor,
+                      bounds, game, gamma),
+              (tuple(max(lo, bounds.low) for lo in hull_box[0]),
+               tuple(min(hi, bounds.high) for hi in hull_box[1])),
+              {"kind": "correlated", "halfplanes": tuple(halfplanes)})
+    return _search_regions(cube, C, w_floor, game, gamma, patterns, [region])
 
 
 # -- certificate replay --------------------------------------------------------------
@@ -629,17 +620,11 @@ def certificate_residual(cert: SupportCertificate, game: StageGame,
     cube_origin = cert.cube_origin if cube_origin is None else cube_origin
     side = cert.side if side is None else side
     w_floor = cert.w_floor if w_floor is None else w_floor
-    worst = 0.0
+    pool = clusters if clusters is not None else [cert.cluster]
     if cert.kind == "pure":
         w = cert.continuation
         r_vals = cert.conditional_payoffs[0]
-        pool = clusters if clusters is not None else [cert.cluster]
-        best = np.inf
-        for s in pool:
-            viol = max(max(s.origin[i] - w[i], w[i] - s.origin[i] - s.lengths[i])
-                       for i in range(len(w)))
-            best = min(best, viol)
-        worst = max(worst, best)
+        worst = _cluster_violation(pool, [[x] for x in w])
         for i in range(len(w)):
             wp = (1.0 - gamma) * r_vals[i] + gamma * w[i]
             worst = max(worst, cube_origin[i] - wp, wp - cube_origin[i] - side)
@@ -650,18 +635,11 @@ def certificate_residual(cert: SupportCertificate, game: StageGame,
     sol = cert.solution
     cond = cert.conditional_payoffs
     supports = sol.pattern.supports
+    worst = 0.0
     if cert.kind == "mixed":
-        pool = clusters if clusters is not None else [cert.cluster]
-        best = np.inf
-        for s in pool:
-            viol = 0.0
-            for i in range(2):
-                for a in supports[i]:
-                    wv = sol.continuation(i, a)
-                    viol = max(viol, s.origin[i] - wv,
-                               wv - s.origin[i] - s.lengths[i])
-            best = min(best, viol)
-        worst = max(worst, best)
+        worst = _cluster_violation(pool, [[sol.continuation(i, a)
+                                           for a in supports[i]]
+                                          for i in range(2)])
     else:
         planes = halfplanes if halfplanes is not None else cert.halfplanes
         for a1 in supports[0]:
@@ -683,6 +661,20 @@ def certificate_residual(cert: SupportCertificate, game: StageGame,
     return worst
 
 
+def _cluster_violation(pool, values) -> float:
+    """How far the continuation values (one list per player) are from
+    fitting in one cluster of the pool: the least, over clusters, of the
+    largest box violation, and never below 0."""
+    best = np.inf
+    for s in pool:
+        viol = 0.0
+        for i, vals in enumerate(values):
+            for v in vals:
+                viol = max(viol, s.origin[i] - v, v - s.origin[i] - s.lengths[i])
+        best = min(best, viol)
+    return best
+
+
 def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
                        C: Optional[CubeSet] = None) -> bool:
     """Replay a certificate at the 1e-7 feasibility tolerance.
@@ -692,15 +684,29 @@ def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
     """
     if C is None:
         return certificate_residual(cert, game, gamma) <= FEAS_TOL
-    clusters = halfplanes = None
-    if cert.kind in ("pure", "mixed"):
-        clusters = get_clusters(C)
-    else:
-        halfplanes = get_halfplanes(C)
-    return certificate_residual(
-        cert, game, gamma, cube_origin=C.origin_of(cert.cube_index),
-        side=C.side, w_floor=C.min_origin(), clusters=clusters,
-        halfplanes=halfplanes) <= FEAS_TOL
+    ctx = _build_context(C, hull=cert.kind == "correlated")
+    return _replay_ok(cert, ctx, C.origin_of(cert.cube_index), C.side, game,
+                      gamma)
+
+
+def verify_union(C: CubeSet, certificates: dict, game: StageGame,
+                 gamma: float) -> bool:
+    """Replay one certificate per cube of C against C, building the union
+    context once.  Fails unless the certificates name exactly the cubes of
+    C.  Payoff tables come from the game, so certificates read from a file
+    need none."""
+    if sorted(certificates) != C.indices():
+        return False
+    contexts: dict = {}
+    for ix in C.indices():
+        cert = _with_payoff_tables(certificates[ix], game)
+        hull = cert.kind == "correlated"
+        if hull not in contexts:
+            contexts[hull] = _build_context(C, hull)
+        if not _replay_ok(cert, contexts[hull], C.origin_of(ix), C.side,
+                          game, gamma):
+            return False
+    return True
 
 
 def _refresh_certificate(cert: SupportCertificate, ctx: _Context, gamma: float,
@@ -816,13 +822,14 @@ def solve(game: StageGame, config: SolverConfig,
     certificates: dict = {}
     trace: list[IterationStats] = []
     iteration = 0
-    ctx_cache: dict = {"version": None, "ctx": None}
+    cached, cached_version = None, None
 
     def current_context() -> _Context:
-        if ctx_cache["version"] != C.version:
-            ctx_cache["ctx"] = _build_context(C, config.mode)
-            ctx_cache["version"] = C.version
-        return ctx_cache["ctx"]
+        nonlocal cached, cached_version
+        if cached_version != C.version:
+            cached, cached_version = _build_context(
+                C, config.mode == "mixed-correlated"), C.version
+        return cached
 
     def search(cube: Hypercube, ctx: _Context) -> Optional[SupportCertificate]:
         if config.mode == "pure":
@@ -834,12 +841,8 @@ def solve(game: StageGame, config: SolverConfig,
                                         patterns=patterns)
         return cube_supported_correlated(
             cube, C, game, config.gamma, halfplanes=ctx.halfplanes,
-            w_floor=ctx.w_floor, hull_box=(ctx.hull_lo, ctx.hull_hi),
+            w_floor=ctx.w_floor, hull_box=ctx.hull_box,
             patterns=patterns)
-
-    def finish(status: str) -> SolveReport:
-        return SolveReport(status=status, final=C, certificates=certificates,
-                           iterations=trace, config=config)
 
     while True:
         iteration += 1
@@ -869,49 +872,35 @@ def solve(game: StageGame, config: SolverConfig,
             else:
                 C.remove(idx)
                 if len(C) == 0:
-                    trace.append(IterationStats(
-                        iteration, C.generation, C.side, cubes_start, removed,
-                        False, time.perf_counter() - started))
-                    _emit(snapshot_callback, iteration, C)
-                    return finish("empty")
+                    break
         for idx in pending_removals:
             C.remove(idx)
-        if config.frozen_passes and len(C) == 0:
-            trace.append(IterationStats(
-                iteration, C.generation, C.side, cubes_start, removed, False,
-                time.perf_counter() - started))
-            _emit(snapshot_callback, iteration, C)
-            return finish("empty")
 
         split = False
-        done = False
         status = None
-        if removed == 0:
+        if len(C) == 0:
+            status = "empty"
+        elif removed == 0:
             if _all_completed(C, config, game, certificates):
-                done = True
                 status = "converged"
             elif C.generation + 1 > config.max_generations:
-                done = True
                 status = "generation_guard"
             else:
                 split = True
         trace.append(IterationStats(iteration, C.generation, C.side,
                                     cubes_start, removed, split,
                                     time.perf_counter() - started))
-        _emit(snapshot_callback, iteration, C)
-        if done:
-            return finish(status)
+        if snapshot_callback is not None:
+            snapshot_callback(SolveSnapshot(
+                iteration=iteration, generation=C.generation, side=C.side,
+                base=C.base, indices=tuple(C.indices())))
+        if status is not None:
+            return SolveReport(status=status, final=C, certificates=certificates,
+                               iterations=trace, config=config)
         if split:
             C = split_all(C)
             certificates = _inherit_certificates(certificates, C, game,
                                                  config.gamma)
-
-
-def _emit(callback, iteration: int, C: CubeSet) -> None:
-    if callback is not None:
-        callback(SolveSnapshot(iteration=iteration, generation=C.generation,
-                               side=C.side, base=C.base,
-                               indices=tuple(C.indices())))
 
 
 def _utility_values(cert: SupportCertificate, dim: int,

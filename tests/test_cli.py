@@ -148,7 +148,7 @@ class TestRun:
         outs = []
         for tag in ("a", "b"):
             manifest = RunManifest(game="battle_of_sexes", gamma=0.05,
-                                   epsilon=0.4, mode="mixed", seed=5,
+                                   epsilon=0.4, mode="mixed",
                                    out_dir=str(tmp_path / tag), svg=True,
                                    extract=((1.0, 2.0),))
             code, _ = run(manifest)
@@ -234,8 +234,84 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_numerical_failure_exit_status(self, tmp_path, capsys,
+                                           monkeypatch):
+        def failing(system):
+            raise RuntimeError("simplex iteration limit reached")
+
+        monkeypatch.setattr("spegrid.feasibility.solve_feasibility", failing)
+        code = main(["rock_paper_scissors", "--gamma", "0.5", "--epsilon",
+                     "3.0", "--out", str(tmp_path / "num")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: ")
+        assert "simplex iteration limit reached" in err
+
     def test_bundled_name_resolution(self):
         path = resolve_game_path("prisoners_dilemma")
         assert path.name == "prisoners_dilemma.game"
         with pytest.raises(FileNotFoundError):
             resolve_game_path("definitely_missing")
+
+
+# -- tampered final sets -------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["pure", "mixed", "correlated"])
+def pd_final_set(request, tmp_path_factory):
+    out = tmp_path_factory.mktemp(f"tamper_{request.param}")
+    code, report = run(RunManifest(game="prisoners_dilemma", gamma=0.7,
+                                   epsilon=3.2, mode=request.param,
+                                   snapshot_every=0, out_dir=str(out)))
+    assert code == 0 and len(report.final) == 216
+    return out / "final_set.txt"
+
+
+def _sections(path):
+    """Header lines (through ``cubes:``), cube lines, certificate blocks."""
+    lines = path.read_text().splitlines()
+    start = next(k for k, line in enumerate(lines)
+                 if line.startswith("cubes:")) + 1
+    stop = lines.index("certificates:")
+    blocks = []
+    for line in lines[stop + 1:]:
+        if line.startswith("cube:"):
+            blocks.append([])
+        blocks[-1].append(line)
+    return lines[:start], lines[start:stop], blocks
+
+
+def _write_sections(path, header, cubes, blocks):
+    lines = header + cubes + ["certificates:"]
+    for block in blocks:
+        lines.extend(block)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestTamperedFinalSet:
+    DROP = 37  # any cube of the 216
+
+    def test_untampered_set_verifies(self, pd_final_set, pd):
+        assert verify_final_set(pd_final_set, pd, 0.7)
+
+    def test_missing_certificate_fails(self, pd_final_set, pd, tmp_path):
+        header, cubes, blocks = _sections(pd_final_set)
+        del blocks[self.DROP]
+        _write_sections(tmp_path / "f.txt", header, cubes, blocks)
+        assert not verify_final_set(tmp_path / "f.txt", pd, 0.7)
+
+    def test_cube_count_below_header_fails(self, pd_final_set, pd, tmp_path):
+        header, cubes, blocks = _sections(pd_final_set)
+        assert header[-1] == "cubes: 216"
+        del cubes[self.DROP]
+        del blocks[self.DROP]
+        _write_sections(tmp_path / "f.txt", header, cubes, blocks)
+        with pytest.raises(ValueError, match="216"):
+            verify_final_set(tmp_path / "f.txt", pd, 0.7)
+
+    def test_certificate_outside_the_set_fails(self, pd_final_set, pd,
+                                               tmp_path):
+        header, cubes, blocks = _sections(pd_final_set)
+        header[-1] = "cubes: 215"
+        del cubes[self.DROP]
+        _write_sections(tmp_path / "f.txt", header, cubes, blocks)
+        assert not verify_final_set(tmp_path / "f.txt", pd, 0.7)

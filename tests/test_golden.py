@@ -1,0 +1,46 @@
+"""Golden bytes of small runs, one set per back-end and loop variant.
+
+Each case runs the CLI's artifact writer and compares the sha256 of
+``final_set.txt`` (cube set plus every certificate, floats in repr form)
+against a digest recorded before the mixed back-ends were merged into one
+LP builder and one search driver.  A refactor that claims "identical
+results" must keep these digests; a change that moves them on purpose must
+say why and record the new ones.  The cases cover all three back-ends,
+literal and frozen passes, singleton and genuinely mixed supports, and a
+3x3 game.  The digests were recorded with numpy 2.4 on x86-64.
+"""
+
+import hashlib
+
+import pytest
+
+from spegrid.cli import RunManifest, run
+
+CASES = [
+    # (game, gamma, epsilon, mode flag, frozen passes, final_set.txt sha256)
+    ("prisoners_dilemma", 0.3, 0.6, "pure", False,
+     "e2c1d5d84a7fe6fa16e9aef5dae547de90a0dfcbf486b3f70a5e06b18494c30c"),
+    ("prisoners_dilemma", 0.3, 0.6, "pure", True,
+     "e2c1d5d84a7fe6fa16e9aef5dae547de90a0dfcbf486b3f70a5e06b18494c30c"),
+    ("battle_of_sexes", 0.4, 0.5, "mixed", False,
+     "8c99bddd5080a8c7ce93a9a1ba5c0a8d803d1fd5ace8e5735269bf304acb875d"),
+    ("matching_pennies", 0.5, 0.8, "mixed", True,
+     "8e9c22c5388bc0610dab4a1c645867d4e35096d3f13eb94f8f909078989caa9c"),
+    ("prisoners_dilemma", 0.55, 0.7, "correlated", True,
+     "686e5e0dea22f1605450ed489d812f99ed6e926f6edd3a42e6476e2220db8d26"),
+    ("rock_paper_scissors", 0.5, 3.0, "correlated", False,
+     "d888bdcf6e6be5c3d63fb29afb51b4593fd963fd26d13b4a767610fd6e99d185"),
+]
+
+
+@pytest.mark.parametrize("game,gamma,epsilon,mode,frozen,digest", CASES,
+                         ids=[f"{c[0]}-{c[3]}-{'frozen' if c[4] else 'literal'}"
+                              for c in CASES])
+def test_final_set_bytes_unchanged(tmp_path, game, gamma, epsilon, mode,
+                                   frozen, digest):
+    code, _ = run(RunManifest(game=game, gamma=gamma, epsilon=epsilon,
+                              mode=mode, frozen_passes=frozen,
+                              snapshot_every=0, out_dir=str(tmp_path)))
+    assert code == 0
+    data = (tmp_path / "final_set.txt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
