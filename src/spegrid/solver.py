@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -697,14 +697,11 @@ def verify_union(C: CubeSet, certificates: dict, game: StageGame,
     need none."""
     if sorted(certificates) != C.indices():
         return False
-    contexts: dict = {}
+    context = cache(lambda hull: _build_context(C, hull))
     for ix in C.indices():
         cert = _with_payoff_tables(certificates[ix], game)
-        hull = cert.kind == "correlated"
-        if hull not in contexts:
-            contexts[hull] = _build_context(C, hull)
-        if not _replay_ok(cert, contexts[hull], C.origin_of(ix), C.side,
-                          game, gamma):
+        ctx = context(cert.kind == "correlated")
+        if not _replay_ok(cert, ctx, C.origin_of(ix), C.side, game, gamma):
             return False
     return True
 
