@@ -133,11 +133,12 @@ def _punishment_cubes(C: CubeSet) -> tuple[list[tuple[int, ...]], list[float]]:
 
 
 class _HullContext:
-    # built lazily; only correlated certificates ever need it
+    # built lazily; only correlated certificates ever need it.  The vertices
+    # are cached on the cube set itself, shared with the solver's context.
     def __init__(self, C: CubeSet):
         self.C = C
 
-    @cached_property
+    @property
     def verts(self):
         return hull_vertices(self.C)
 

@@ -59,10 +59,7 @@ class RunManifest:
     def validate(self) -> None:
         if self.mode not in _MODE_FLAGS:
             raise ValueError(f"mode must be one of {sorted(_MODE_FLAGS)}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        self.solver_config()  # gamma, epsilon, completion
         if self.snapshot_every < 0:
             raise ValueError("snapshot cadence must be non-negative")
         resolve_game_path(self.game)

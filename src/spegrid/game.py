@@ -5,6 +5,11 @@ payoff tensor mapping every pure action profile to a payoff vector.  This
 module provides mixed action profiles, expected payoffs, best responses,
 minmax values, payoff bounds, and discounted averaging of payoff streams.
 
+Quantities that depend only on the game (payoff bounds, point masses, the
+conditional payoffs of every pure profile and the screen bounds of every
+support pattern) live in ``StageGame.tables``: built on first use, then
+shared by every cube test of every solve on that game object.
+
 All values are immutable after construction and safe to share across
 threads.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +78,12 @@ class StageGame:
     def label_profile(self, profile) -> tuple[str, ...]:
         return tuple(self.actions[i][a] for i, a in enumerate(profile))
 
+    @cached_property
+    def tables(self) -> "PayoffTables":
+        """The game's stage-payoff tables.  The payoff tensor is read-only,
+        so they never go stale."""
+        return PayoffTables(self)
+
 
 @dataclass(frozen=True)
 class MixedProfile:
@@ -96,12 +108,8 @@ class MixedProfile:
 
     @classmethod
     def point_mass(cls, game: StageGame, profile) -> "MixedProfile":
-        vecs = []
-        for i, a in enumerate(profile):
-            v = np.zeros(game.action_count(i))
-            v[a] = 1.0
-            vecs.append(v)
-        return cls(tuple(vecs))
+        """The game's shared point mass on a pure profile."""
+        return game.tables.point_masses[tuple(profile)]
 
     @classmethod
     def uniform(cls, game: StageGame) -> "MixedProfile":
@@ -141,7 +149,109 @@ class PayoffBounds:
 
 def payoff_bounds(game: StageGame) -> PayoffBounds:
     """Min and max payoff across all profiles and players."""
-    return PayoffBounds(float(game.payoffs.min()), float(game.payoffs.max()))
+    return game.tables.bounds
+
+
+def _pure_best_deviation(game: StageGame, profile, player: int) -> float:
+    best = -np.inf
+    for a in range(game.action_count(player)):
+        p = tuple(a if j == player else profile[j]
+                  for j in range(game.player_count))
+        best = max(best, game.payoff_to(p, player))
+    return best
+
+
+def _pure_payoffs(game: StageGame, profile):
+    """Stage payoffs r_i(profile) and best-deviation payoffs, per player."""
+    n = game.player_count
+    return (tuple(game.payoff_to(profile, i) for i in range(n)),
+            tuple(_pure_best_deviation(game, profile, i) for i in range(n)))
+
+
+def conditional_payoff_table(game: StageGame, alpha: MixedProfile):
+    """r_i(a_i | alpha) for every player and own action (two players)."""
+    table = []
+    for i in range(2):
+        opp = 1 - i
+        row = []
+        for a in range(game.action_count(i)):
+            val = 0.0
+            for b, pb in enumerate(alpha.probs[opp]):
+                if pb > 0.0:
+                    prof = (a, b) if i == 0 else (b, a)
+                    val += float(pb) * game.payoff_to(prof, i)
+            row.append(val)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _screen_rows(game: StageGame, supports):
+    """Per player and own action: (in support, min and max payoff over the
+    opponent's support), two players."""
+    rows = []
+    for i in range(2):
+        opp = 1 - i
+        in_supp = set(supports[i])
+        row = []
+        for a in range(game.action_count(i)):
+            vals = [game.payoff_to((a, b) if i == 0 else (b, a), i)
+                    for b in supports[opp]]
+            row.append((a in in_supp, min(vals), max(vals)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+class PayoffTables:
+    """Stage-payoff quantities that depend only on the game.  Each table is
+    built on first use; the two-player ones are never built for other games.
+
+    * ``bounds``: the payoff bounds;
+    * ``point_masses``: pure profile -> its point-mass MixedProfile;
+    * ``pure``: pure profile -> ``_pure_payoffs`` (stage and best-deviation
+      payoffs per player);
+    * ``conditional``: pure profile -> ``conditional_payoff_table`` of its
+      point mass (two players);
+    * ``screens``: support pattern -> ``_screen_rows`` (two players).
+    """
+
+    def __init__(self, game: StageGame):
+        self._game = game
+
+    @cached_property
+    def bounds(self) -> PayoffBounds:
+        payoffs = self._game.payoffs
+        return PayoffBounds(float(payoffs.min()), float(payoffs.max()))
+
+    @cached_property
+    def point_masses(self) -> dict:
+        game = self._game
+        masses = {}
+        for profile in game.profiles():
+            vecs = []
+            for i, a in enumerate(profile):
+                v = np.zeros(game.action_count(i))
+                v[a] = 1.0
+                vecs.append(v)
+            masses[profile] = MixedProfile(tuple(vecs))
+        return masses
+
+    @cached_property
+    def pure(self) -> dict:
+        return {p: _pure_payoffs(self._game, p) for p in self._game.profiles()}
+
+    @cached_property
+    def conditional(self) -> dict:
+        return {p: conditional_payoff_table(self._game, mass)
+                for p, mass in self.point_masses.items()}
+
+    @cached_property
+    def screens(self) -> dict:
+        from .feasibility import enumerate_support_patterns
+
+        game = self._game
+        patterns = enumerate_support_patterns(
+            [game.action_count(i) for i in range(2)])
+        return {p.supports: _screen_rows(game, p.supports) for p in patterns}
 
 
 def expected_payoff(game: StageGame, mix: MixedProfile, player: int,

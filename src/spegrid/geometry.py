@@ -7,7 +7,9 @@ an index vector k and the set's base b and side l define the cube
 [b + k*l, b + (k+1)*l] exactly.
 
 CubeSet is mutated (removal, splitting) only between solver phases; the
-read-only queries here are safe to call concurrently on a fixed set.
+read-only queries here are safe to call concurrently on a fixed set.  The
+sorted indices and the hull vertices are cached on the set and dropped on
+every removal.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ class CubeSet:
         self._cells: set[tuple[int, ...]] = set(tuple(int(i) for i in ix)
                                                 for ix in indices)
         self._sorted: Optional[list[tuple[int, ...]]] = None
+        self._hull: Optional[tuple[tuple[float, float], ...]] = None
         self.version = 0  # bumped on every mutation; lets callers cache queries
         self._rebuild_min_counters()
 
@@ -124,6 +127,7 @@ class CubeSet:
         ix = tuple(index)
         self._cells.remove(ix)
         self._sorted = None
+        self._hull = None
         self.version += 1
         for d, k in enumerate(ix):
             self._counts[d][k] -= 1
@@ -256,16 +260,21 @@ def _monotone_chain(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return lower[:-1] + upper[:-1]
 
 
-def hull_vertices(cube_set: CubeSet) -> list[tuple[float, float]]:
+def hull_vertices(cube_set: CubeSet) -> tuple[tuple[float, float], ...]:
     """Vertices of the convex hull of all cube corners, counter-clockwise
-    starting at the lexicographically smallest vertex.  Two-player only."""
+    starting at the lexicographically smallest vertex.  Two-player only.
+
+    Derived once per version of the set (cached until the next removal)."""
     if cube_set.dimension != 2:
         raise ValueError("convex hulls are only supported in two dimensions")
     if len(cube_set) == 0:
         raise ValueError("empty cube set has no hull")
-    ipts = _monotone_chain(_corner_candidates(cube_set))
-    base, side = cube_set.base, cube_set.side
-    return [(base[0] + x * side, base[1] + y * side) for x, y in ipts]
+    if cube_set._hull is None:
+        ipts = _monotone_chain(_corner_candidates(cube_set))
+        base, side = cube_set.base, cube_set.side
+        cube_set._hull = tuple((base[0] + x * side, base[1] + y * side)
+                               for x, y in ipts)
+    return cube_set._hull
 
 
 def get_halfplanes(cube_set: CubeSet) -> list[HalfPlane]:

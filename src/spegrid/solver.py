@@ -23,7 +23,10 @@ associated mixed-integer programs exactly by support enumeration (see the
 feasibility module).  Singleton patterns and obviously hopeless patterns
 are decided in closed form before touching the LP; the closed forms are
 algebraically equivalent to the LP and are cross-checked against it in the
-test suite.
+test suite.  The stage payoffs they read (point masses, conditional and
+best-deviation payoffs, per-pattern screen bounds, payoff bounds) come
+from the game's ``tables``, built once per game object; the hull comes
+from the cube set's per-version cache.
 
 The default loop recomputes the punishment floor and the union context
 before every cube test, matching the reference pseudocode exactly.  The
@@ -39,6 +42,7 @@ builds it once per cube set.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
@@ -50,7 +54,7 @@ from .feasibility import (FEAS_TOL, UNDECIDED, LinearSystem, SupportPattern,
                           SupportSolution, alpha_var,
                           enumerate_support_patterns, solve_support_program,
                           w_var, wp_var)
-from .game import MixedProfile, StageGame, payoff_bounds
+from .game import MixedProfile, StageGame, conditional_payoff_table
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
                        get_halfplanes, hull_vertices, initial_cube, split_all)
 
@@ -71,10 +75,11 @@ class SolverConfig:
     frozen_passes: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
+        # NaN fails every comparison, so the finiteness checks come first
+        if not math.isfinite(self.gamma) or not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not math.isfinite(self.epsilon) or self.epsilon <= 0.0:
+            raise ValueError("epsilon must be positive and finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.completion not in COMPLETIONS:
@@ -113,7 +118,7 @@ class SupportCertificate:
     def mixed_profile(self, game: StageGame) -> MixedProfile:
         if self.solution is not None:
             return self.solution.alpha
-        return MixedProfile.point_mass(game, self.profile)
+        return game.tables.point_masses[self.profile]
 
     def supports(self, game: StageGame) -> tuple[tuple[int, ...], ...]:
         if self.solution is not None:
@@ -210,47 +215,14 @@ def _build_context(C: CubeSet, hull: bool) -> _Context:
 
 # -- stage-payoff tables -------------------------------------------------------
 
-def _pure_best_deviation(game: StageGame, profile, player: int) -> float:
-    best = -np.inf
-    for a in range(game.action_count(player)):
-        p = tuple(a if j == player else profile[j]
-                  for j in range(game.player_count))
-        best = max(best, game.payoff_to(p, player))
-    return best
-
-
-def _pure_payoffs(game: StageGame, profile):
-    """Stage payoffs r_i(profile) and best-deviation payoffs, per player."""
-    n = game.player_count
-    return (tuple(game.payoff_to(profile, i) for i in range(n)),
-            tuple(_pure_best_deviation(game, profile, i) for i in range(n)))
-
-
-def _conditional_payoff_table(game: StageGame, alpha: MixedProfile):
-    """r_i(a_i | alpha) for every player and own action (two players)."""
-    table = []
-    for i in range(2):
-        opp = 1 - i
-        row = []
-        for a in range(game.action_count(i)):
-            val = 0.0
-            for b, pb in enumerate(alpha.probs[opp]):
-                if pb > 0.0:
-                    prof = (a, b) if i == 0 else (b, a)
-                    val += float(pb) * game.payoff_to(prof, i)
-            row.append(val)
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def _with_payoff_tables(cert: SupportCertificate,
                         game: StageGame) -> SupportCertificate:
     """The certificate with the stage-payoff tables its replay reads
-    recomputed from the game (certificates read from a file carry none)."""
+    taken from the game (certificates read from a file carry none)."""
     if cert.kind == "pure":
-        r_vals, br_vals = _pure_payoffs(game, cert.profile)
+        r_vals, br_vals = game.tables.pure[cert.profile]
         return replace(cert, conditional_payoffs=(r_vals,), br_values=br_vals)
-    return replace(cert, conditional_payoffs=_conditional_payoff_table(
+    return replace(cert, conditional_payoffs=conditional_payoff_table(
         game, cert.solution.alpha))
 
 
@@ -264,6 +236,7 @@ def pure_support_system(cube: Hypercube, cluster: Cluster, w_floor,
     cube, the continuation stays in the cluster, and no player gains by
     deviating to a best response followed by the punishment floor."""
     n = game.player_count
+    r_vals, br_vals = game.tables.pure[tuple(profile)]
     sys = LinearSystem()
     for i in range(n):
         sys.add_variable(w_var(i, 0), low=cluster.origin[i],
@@ -271,12 +244,11 @@ def pure_support_system(cube: Hypercube, cluster: Cluster, w_floor,
         sys.add_variable(wp_var(i, 0), low=cube.origin[i],
                          high=cube.origin[i] + cube.side)
     for i in range(n):
-        r_i = game.payoff_to(profile, i)
-        br = _pure_best_deviation(game, profile, i)
         sys.add_constraint({wp_var(i, 0): 1.0, w_var(i, 0): -gamma},
-                           "=", (1.0 - gamma) * r_i)
+                           "=", (1.0 - gamma) * r_vals[i])
         sys.add_constraint({w_var(i, 0): gamma}, ">=",
-                           (1.0 - gamma) * (br - r_i) + gamma * w_floor[i])
+                           (1.0 - gamma) * (br_vals[i] - r_vals[i])
+                           + gamma * w_floor[i])
     return sys
 
 
@@ -393,14 +365,14 @@ def _point_mass_solution(game, gamma, pattern, w_floor, w_in, cond):
             urow.append((1.0 - gamma) * cond[i][a] + gamma * wv)
         conts.append(tuple(crow))
         utils.append(tuple(urow))
-    return SupportSolution(MixedProfile.point_mass(game, profile),
+    return SupportSolution(game.tables.point_masses[profile],
                            tuple(conts), tuple(utils), pattern)
 
 
 def _singleton_cluster_solution(cube_origin, side, cluster, w_floor, game,
                                 gamma, pattern):
     profile = tuple(s[0] for s in pattern.supports)
-    cond = _conditional_payoff_table(game, MixedProfile.point_mass(game, profile))
+    cond = game.tables.conditional[profile]
     if not _out_of_support_ok(cube_origin, w_floor, gamma, cond, pattern.supports):
         return None
     w_in = []
@@ -452,7 +424,7 @@ def _clip_box(lo, hi, planes, tol=FEAS_TOL):
 def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
                                    bounds, game, gamma, pattern):
     profile = tuple(s[0] for s in pattern.supports)
-    cond = _conditional_payoff_table(game, MixedProfile.point_mass(game, profile))
+    cond = game.tables.conditional[profile]
     if not _out_of_support_ok(cube_origin, w_floor, gamma, cond, pattern.supports):
         return None
     lo, hi = [], []
@@ -481,25 +453,17 @@ def _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor,
                     win_lo, win_hi):
     """Cheap necessary conditions for a pattern; False only when the pattern
     is certainly infeasible regardless of the mixture probabilities."""
-    for i in range(2):
-        opp = 1 - i
-        supp_opp = pattern.supports[opp]
-        in_supp = set(pattern.supports[i])
-        for a in range(game.action_count(i)):
-            vals = []
-            for b in supp_opp:
-                prof = (a, b) if i == 0 else (b, a)
-                vals.append(game.payoff_to(prof, i))
-            if a in in_supp:
-                lo = (1.0 - gamma) * min(vals) + gamma * win_lo[i]
-                hi = (1.0 - gamma) * max(vals) + gamma * win_hi[i]
+    for i, rows in enumerate(game.tables.screens[pattern.supports]):
+        for in_supp, v_min, v_max in rows:
+            if in_supp:
+                lo = (1.0 - gamma) * v_min + gamma * win_lo[i]
+                hi = (1.0 - gamma) * v_max + gamma * win_hi[i]
                 if hi < cube_origin[i] - FEAS_TOL \
                         or lo > cube_origin[i] + side + FEAS_TOL:
                     return False
-            else:
-                if (1.0 - gamma) * min(vals) + gamma * w_floor[i] \
-                        > cube_origin[i] + FEAS_TOL:
-                    return False
+            elif (1.0 - gamma) * v_min + gamma * w_floor[i] \
+                    > cube_origin[i] + FEAS_TOL:
+                return False
     return True
 
 
@@ -516,10 +480,9 @@ def cube_supported_pure(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
     """
     if clusters is None:
         clusters = _build_context(C, hull=False).clusters
-    tables = [(profile, *_pure_payoffs(game, profile))
-              for profile in game.profiles()]
+    tables = game.tables.pure.items()
     for cluster in clusters:
-        for profile, r_vals, br_vals in tables:
+        for profile, (r_vals, br_vals) in tables:
             w = _pure_witness(cube.origin, cube.side, cluster, w_floor, game,
                               gamma, profile, r_vals, br_vals)
             if w is not None:
@@ -553,11 +516,15 @@ def _search_regions(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
         sol = solve_support_program(builder, game, patterns=patterns,
                                     shortcut=shortcut)
         if sol is not None:
+            if sol.pattern.is_pure():
+                cond = game.tables.conditional[
+                    tuple(s[0] for s in sol.pattern.supports)]
+            else:
+                cond = conditional_payoff_table(game, sol.alpha)
             return SupportCertificate(
                 cube_index=C.index_of(cube.origin), cube_origin=cube.origin,
                 side=cube.side, w_floor=tuple(w_floor), solution=sol,
-                conditional_payoffs=_conditional_payoff_table(game, sol.alpha),
-                **fields)
+                conditional_payoffs=cond, **fields)
     return None
 
 
@@ -595,7 +562,7 @@ def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
         halfplanes = ctx.halfplanes if halfplanes is None else halfplanes
         w_floor = ctx.w_floor if w_floor is None else w_floor
         hull_box = hull_box or ctx.hull_box
-    bounds = payoff_bounds(game)
+    bounds = game.tables.bounds
     region = (partial(_singleton_correlated_solution, cube.origin, cube.side,
                       halfplanes, w_floor, bounds, game, gamma),
               partial(correlated_support_system, cube, halfplanes, w_floor,
@@ -810,8 +777,7 @@ def solve(game: StageGame, config: SolverConfig,
     """
     if config.mode != "pure" and game.player_count != 2:
         raise ValueError(f"mode {config.mode} requires exactly two players")
-    bounds = payoff_bounds(game)
-    C = initial_cube(bounds, game.player_count)
+    C = initial_cube(game.tables.bounds, game.player_count)
     patterns = None
     if config.mode != "pure":
         patterns = enumerate_support_patterns(

@@ -247,6 +247,31 @@ class TestMain:
         assert err.startswith("error: numerical failure: ")
         assert "simplex iteration limit reached" in err
 
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "nan"),
+                                            ("--epsilon", "inf"),
+                                            ("--gamma", "nan"),
+                                            ("--gamma", "inf")])
+    def test_non_finite_parameters_exit_before_solving(self, tmp_path, capsys,
+                                                       monkeypatch, flag,
+                                                       value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr("spegrid.cli.solve", no_solve)
+        args = {"--gamma": "0.7", "--epsilon": "0.5", flag: value}
+        code = main(["prisoners_dilemma", *sum(args.items(), ()),
+                     "--out", str(tmp_path / "bad")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:] in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_manifest_validation_is_the_solver_config_check(self):
+        manifest = RunManifest(game="prisoners_dilemma", gamma=0.7,
+                               epsilon=float("nan"))
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            manifest.validate()
+
     def test_bundled_name_resolution(self):
         path = resolve_game_path("prisoners_dilemma")
         assert path.name == "prisoners_dilemma.game"

@@ -184,6 +184,22 @@ class TestHalfplanes:
         with pytest.raises(ValueError):
             sg.get_halfplanes(C)
 
+    def test_hull_is_cached_per_version_and_immutable(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            cells = {tuple(rng.integers(0, 6, size=2))
+                     for _ in range(rng.integers(2, 15))}
+            C = sg.CubeSet((-1.0, -1.0), 0.5, cells)
+            while len(C) > 1:
+                verts = sg.hull_vertices(C)
+                assert sg.hull_vertices(C) is verts
+                assert isinstance(verts, tuple)
+                assert all(isinstance(v, tuple) for v in verts)
+                fresh = sg.CubeSet(C.base, C.side, C.indices())
+                assert verts == sg.hull_vertices(fresh)
+                assert sg.get_halfplanes(C) == sg.get_halfplanes(fresh)
+                C.remove(C.indices()[rng.integers(len(C))])
+
 
 class TestLocate:
     def test_interior_point(self):

@@ -1,0 +1,178 @@
+"""Property tests of the per-game payoff tables (``StageGame.tables``).
+
+Random 2x2, 2x3 and 3x3 games with payoffs on a 0.1 grid.  Every table
+entry must equal the value read directly off the payoff tensor; the
+closed-form deciders that read the tables must agree with the support LP
+they stand in for; and a solve must not depend on whether the tables were
+built before it started.  Examples are derandomised so the suite is
+reproducible.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import spegrid as sg  # noqa: E402
+from spegrid.cli import write_final_set  # noqa: E402
+from spegrid.feasibility import enumerate_support_patterns  # noqa: E402
+from spegrid.solver import (MODES, _screen_pattern,  # noqa: E402
+                            _singleton_cluster_solution,
+                            _singleton_correlated_solution)
+
+SHAPES = [(2, 2), (2, 3), (3, 3)]
+PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                    max_examples=100)
+
+
+def tenths(lo, hi):
+    """Floats on the 0.1 grid in [lo, hi]."""
+    return st.integers(round(lo * 10), round(hi * 10)).map(lambda k: k / 10.0)
+
+
+@st.composite
+def games(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    size = int(np.prod(shape)) * 2
+    values = draw(st.lists(tenths(-3.0, 3.0), min_size=size, max_size=size))
+    actions = tuple(tuple(f"a{k}" for k in range(m)) for m in shape)
+    return sg.StageGame(actions, np.array(values).reshape(shape + (2,)))
+
+
+def patterns_of(game):
+    return enumerate_support_patterns([game.action_count(i) for i in range(2)])
+
+
+def opp_profile(i, a, b):
+    return (a, b) if i == 0 else (b, a)
+
+
+@PROPERTY
+@given(games())
+def test_every_table_entry_matches_the_payoff_tensor(game):
+    P = game.payoffs
+    tables = game.tables
+    assert tables.bounds == sg.PayoffBounds(float(P.min()), float(P.max()))
+    profiles = list(itertools.product(*(range(m) for m in P.shape[:2])))
+    assert list(tables.point_masses) == profiles
+    assert list(tables.pure) == profiles
+    assert list(tables.conditional) == profiles
+    for p in profiles:
+        for i, probs in enumerate(tables.point_masses[p].probs):
+            assert probs.tolist() == [float(a == p[i])
+                                      for a in range(P.shape[i])]
+        r_vals, br_vals = tables.pure[p]
+        assert r_vals == (float(P[p][0]), float(P[p][1]))
+        assert br_vals == (float(P[:, p[1], 0].max()),
+                           float(P[p[0], :, 1].max()))
+        assert tables.conditional[p] == (
+            tuple(float(P[a, p[1], 0]) for a in range(P.shape[0])),
+            tuple(float(P[p[0], a, 1]) for a in range(P.shape[1])))
+    patterns = patterns_of(game)
+    assert len(tables.screens) == len(patterns)
+    for pattern in patterns:
+        rows = tables.screens[pattern.supports]
+        for i in range(2):
+            opp_supp = pattern.supports[1 - i]
+            for a, (in_supp, v_min, v_max) in enumerate(rows[i]):
+                vals = [float(P[opp_profile(i, a, b)][i]) for b in opp_supp]
+                assert in_supp == (a in pattern.supports[i])
+                assert (v_min, v_max) == (min(vals), max(vals))
+
+
+@st.composite
+def cluster_scenarios(draw):
+    game = draw(games())
+    side = draw(tenths(0.1, 1.0))
+    cube = sg.Hypercube((draw(tenths(-3.0, 3.0)), draw(tenths(-3.0, 3.0))),
+                        side)
+    cluster = sg.Cluster((draw(tenths(-3.0, 2.0)), draw(tenths(-3.0, 2.0))),
+                         (draw(tenths(0.1, 3.0)), draw(tenths(0.1, 3.0))))
+    floor = (draw(tenths(-3.0, 0.0)), draw(tenths(-3.0, 0.0)))
+    gamma = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9]))
+    return game, cube, cluster, floor, gamma
+
+
+@PROPERTY
+@given(cluster_scenarios())
+def test_cluster_deciders_agree_with_the_support_lp(scenario):
+    game, cube, cluster, floor, gamma = scenario
+    window = (cluster.origin, tuple(o + ln for o, ln in zip(cluster.origin,
+                                                              cluster.lengths)))
+    for pattern in patterns_of(game):
+        lp = sg.solve_feasibility(sg.mixed_cluster_system(
+            cube, cluster, floor, game, gamma, pattern))
+        if pattern.is_pure():
+            fast = _singleton_cluster_solution(cube.origin, cube.side, cluster,
+                                               floor, game, gamma, pattern)
+            assert (fast is not None) == (lp is not None)
+        elif not _screen_pattern(cube.origin, cube.side, pattern, game, gamma,
+                                 floor, *window):
+            assert lp is None
+
+
+@st.composite
+def hull_scenarios(draw):
+    game = draw(games())
+    bounds = game.tables.bounds
+    cells = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=6))
+    C = sg.CubeSet((bounds.low, bounds.low), max(bounds.spread, 0.5) / 4.0,
+                   cells)
+    ix = draw(st.sampled_from(sorted(cells)))
+    gamma = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9]))
+    return game, C, C.cube_at(ix), gamma
+
+
+@PROPERTY
+@given(hull_scenarios())
+def test_correlated_deciders_agree_with_the_support_lp(scenario):
+    game, C, cube, gamma = scenario
+    bounds = game.tables.bounds
+    planes = tuple(sg.get_halfplanes(C))
+    floor = C.min_origin()
+    verts = sg.hull_vertices(C)
+    window = (tuple(max(min(v[d] for v in verts), bounds.low)
+                    for d in range(2)),
+              tuple(min(max(v[d] for v in verts), bounds.high)
+                    for d in range(2)))
+    for pattern in patterns_of(game):
+        system = sg.correlated_support_system(cube, planes, floor, bounds,
+                                              game, gamma, pattern)
+        lp = sg.solve_feasibility(system)
+        if pattern.is_pure():
+            fast = _singleton_correlated_solution(
+                cube.origin, cube.side, planes, floor, bounds, game, gamma,
+                pattern)
+            if (fast is None) != (lp is None):
+                # only hairline cases on the feasibility boundary
+                assert fast is None and system.residual(lp) <= 1e-7
+        elif not _screen_pattern(cube.origin, cube.side, pattern, game, gamma,
+                                 floor, *window):
+            assert lp is None
+
+
+def _solve_bytes(game, config, path):
+    snaps = []
+    report = sg.solve(game, config, snapshot_callback=snaps.append)
+    write_final_set(path, snaps[-1], report.status, report.certificates)
+    return report.trace_key(), path.read_bytes()
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=12)
+@given(games(), st.sampled_from(MODES), st.sampled_from([0.2, 0.5]))
+def test_solve_does_not_depend_on_prebuilt_tables(tmp_path_factory, game,
+                                                  mode, gamma):
+    config = sg.SolverConfig(gamma=gamma, epsilon=3.0, mode=mode,
+                             max_generations=4)
+    warm = sg.StageGame(game.actions, game.payoffs)
+    tables = warm.tables
+    for name in ("bounds", "point_masses", "pure", "conditional", "screens"):
+        getattr(tables, name)
+    out = tmp_path_factory.mktemp("tables")
+    fresh = _solve_bytes(sg.StageGame(game.actions, game.payoffs), config,
+                         out / "fresh.txt")
+    assert fresh == _solve_bytes(warm, config, out / "warm.txt")

@@ -4,8 +4,7 @@ import pytest
 import spegrid as sg
 from spegrid.feasibility import enumerate_support_patterns
 from spegrid.solver import (_singleton_cluster_solution,
-                            _singleton_correlated_solution, _pure_witness,
-                            _pure_best_deviation)
+                            _singleton_correlated_solution, _pure_witness)
 from conftest import random_game, stage_equilibria
 
 
@@ -65,9 +64,7 @@ class TestCubeSupportedPure:
                 cube = C.cube_at(ix)
                 for cluster in sg.get_clusters(C):
                     for profile in game.profiles():
-                        r_vals = tuple(game.payoff_to(profile, i) for i in range(2))
-                        br = tuple(_pure_best_deviation(game, profile, i)
-                                   for i in range(2))
+                        r_vals, br = game.tables.pure[profile]
                         witness = _pure_witness(cube.origin, cube.side, cluster,
                                                 floor, game, gamma, profile,
                                                 r_vals, br)
@@ -201,6 +198,20 @@ class TestCubeSupportedCorrelated:
                         cube, planes, floor, bounds, game, gamma, pattern)
                     assert fast is None and lp is not None
                     assert sys2.residual(lp) <= 1e-7
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
+                                         float("-inf"), 0.0, -0.1])
+    def test_rejects_epsilon_that_is_not_positive_and_finite(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            sg.SolverConfig(gamma=0.7, epsilon=epsilon)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"),
+                                       float("-inf"), 1.0, -0.1])
+    def test_rejects_gamma_outside_the_unit_interval(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            sg.SolverConfig(gamma=gamma, epsilon=0.5)
 
 
 class TestCubeCompleted:
