@@ -332,10 +332,10 @@ class SupportPattern(NamedTuple):
 
     @property
     def cardinality(self) -> int:
-        return sum(len(s) for s in self.supports)
+        return sum(map(len, self.supports))
 
     def is_pure(self) -> bool:
-        return all(len(s) == 1 for s in self.supports)
+        return max(map(len, self.supports)) == 1
 
 
 def enumerate_support_patterns(action_counts: Sequence[int]) -> list[SupportPattern]:

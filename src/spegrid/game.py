@@ -6,9 +6,10 @@ module provides mixed action profiles, expected payoffs, best responses,
 minmax values, payoff bounds, and discounted averaging of payoff streams.
 
 Quantities that depend only on the game (payoff bounds, point masses, the
-conditional payoffs of every pure profile and the screen bounds of every
-support pattern) live in ``StageGame.tables``: built on first use, then
-shared by every cube test of every solve on that game object.
+conditional payoffs of every pure profile, the screen rows of every support
+pattern and the screens' margin) live in ``StageGame.tables``: built on
+first use, then shared by every cube test of every solve on that game
+object.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -187,16 +188,17 @@ def conditional_payoff_table(game: StageGame, alpha: MixedProfile):
 
 def _screen_rows(game: StageGame, supports):
     """Per player and own action: (in support, min and max payoff over the
-    opponent's support), two players."""
+    opponent's support, the payoffs against each action of that support),
+    two players."""
     rows = []
     for i in range(2):
         opp = 1 - i
         in_supp = set(supports[i])
         row = []
         for a in range(game.action_count(i)):
-            vals = [game.payoff_to((a, b) if i == 0 else (b, a), i)
-                    for b in supports[opp]]
-            row.append((a in in_supp, min(vals), max(vals)))
+            vals = tuple(game.payoff_to((a, b) if i == 0 else (b, a), i)
+                         for b in supports[opp])
+            row.append((a in in_supp, min(vals), max(vals), vals))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -211,7 +213,8 @@ class PayoffTables:
       payoffs per player);
     * ``conditional``: pure profile -> ``conditional_payoff_table`` of its
       point mass (two players);
-    * ``screens``: support pattern -> ``_screen_rows`` (two players).
+    * ``screens``: support pattern -> ``_screen_rows`` (two players);
+    * ``screen_margin``: the tolerance of the solver's pattern screens.
     """
 
     def __init__(self, game: StageGame):
@@ -221,6 +224,23 @@ class PayoffTables:
     def bounds(self) -> PayoffBounds:
         payoffs = self._game.payoffs
         return PayoffBounds(float(payoffs.min()), float(payoffs.max()))
+
+    @cached_property
+    def screen_margin(self) -> float:
+        # Phase 1 of the simplex accepts a support LP whose artificials sum
+        # to at most FEAS_TOL.  One artificial is the slack eta of the
+        # sum(alpha) = 1 row, the others the slacks of the utility rows; the
+        # variable bounds hold exactly.  Renormalising alpha moves
+        # (1-g) * E[r] by at most (1-g) * eta * max|r|, and a hull half-plane
+        # (unit normal; the hull's extreme edges are axis-parallel) moves a
+        # continuation past the hull's bounding box by at most its slack.  So
+        # every accepted LP has a true mixture whose rows hold to within
+        # FEAS_TOL * max(1, max|r|): a screen that rejects only beyond this
+        # margin never rejects a pattern the LP accepts.
+        from .feasibility import FEAS_TOL
+
+        bounds = self.bounds
+        return FEAS_TOL * (1.0 + max(abs(bounds.low), abs(bounds.high)))
 
     @cached_property
     def point_masses(self) -> dict:

@@ -20,13 +20,20 @@ The two mixed back-ends share one support-LP builder and one search
 driver; they differ only in the continuation region (a cluster box, or
 the payoff box cut by the hull's half-planes).  They emulate the
 associated mixed-integer programs exactly by support enumeration (see the
-feasibility module).  Singleton patterns and obviously hopeless patterns
-are decided in closed form before touching the LP; the closed forms are
-algebraically equivalent to the LP and are cross-checked against it in the
-test suite.  The stage payoffs they read (point masses, conditional and
-best-deviation payoffs, per-pattern screen bounds, payoff bounds) come
-from the game's ``tables``, built once per game object; the hull comes
-from the cube set's per-version cache.
+feasibility module).  Singleton patterns are decided in closed form before
+touching the LP, and two screens reject hopeless patterns: a box screen on
+per-action payoff ranges, then a mixture screen that clips each player's
+simplex of opponent mixtures (a segment or a triangle) by that player's
+utility rows.  Without hull rows the support LP splits into
+exactly these per-player problems, so the mixture screen decides the
+cluster LP and relaxes the hull LP.  Both screens reject only beyond one
+margin, ``FEAS_TOL * (1 + max|payoff|)``, which covers the slack the
+simplex accepts (derived at ``PayoffTables.screen_margin``), so they skip
+only LPs that would fail.  The closed forms are cross-checked against the
+LP in the test suite.  The stage payoffs they read (point masses,
+conditional and best-deviation payoffs, per-pattern screen rows, payoff
+bounds, the margin) come from the game's ``tables``, built once per game
+object; the hull comes from the cube set's per-version cache.
 
 The default loop recomputes the punishment floor and the union context
 before every cube test, matching the reference pseudocode exactly.  The
@@ -54,7 +61,8 @@ from .feasibility import (FEAS_TOL, UNDECIDED, LinearSystem, SupportPattern,
                           SupportSolution, alpha_var,
                           enumerate_support_patterns, solve_support_program,
                           w_var, wp_var)
-from .game import MixedProfile, StageGame, conditional_payoff_table
+from .game import (PROB_TOL, MixedProfile, StageGame,
+                   conditional_payoff_table)
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
                        get_halfplanes, hull_vertices, initial_cube, split_all)
 
@@ -396,14 +404,22 @@ def _singleton_cluster_solution(cube_origin, side, cluster, w_floor, game,
     return _point_mass_solution(game, gamma, pattern, w_floor, w_in, cond)
 
 
-def _clip_box(lo, hi, planes, tol=FEAS_TOL):
-    """Intersection polygon of the box [lo, hi] with the half-planes
-    (Sutherland-Hodgman clipping; tolerant of degenerate boxes)."""
-    poly = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
-    for pl in planes:
+def _clip(poly, rows, tol=FEAS_TOL):
+    """Sutherland-Hodgman clipping of a convex polygon (a list of points of
+    any length, in cyclic order; a segment or a single point works too) by
+    the constraints ``sum_k row[k] * x[k] <= row[-1]``.  A vertex within
+    ``tol`` of a constraint is kept; crossings are cut where the constraint
+    is tight.  Returns the clipped vertex list, empty when nothing is left."""
+    dim = len(poly[0])
+    for row in rows:
         if not poly:
             return []
-        vals = [pl.phi * x + pl.psi * y - pl.lam for x, y in poly]
+        vals = []
+        for p in poly:
+            v = row[0] * p[0]
+            for k in range(1, dim):
+                v += row[k] * p[k]
+            vals.append(v - row[dim])
         out = []
         k = len(poly)
         for idx in range(k):
@@ -415,8 +431,8 @@ def _clip_box(lo, hi, planes, tol=FEAS_TOL):
                 denom = vc - vn
                 if abs(denom) > 1e-15:
                     t = vc / denom
-                    out.append((cur[0] + t * (nxt[0] - cur[0]),
-                                cur[1] + t * (nxt[1] - cur[1])))
+                    out.append(tuple([c + t * (n - c)
+                                      for c, n in zip(cur, nxt)]))
         poly = out
     return poly
 
@@ -442,7 +458,8 @@ def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
             return None
         lo.append(wlo)
         hi.append(max(whi, wlo))
-    poly = _clip_box(tuple(lo), tuple(hi), halfplanes)
+    poly = _clip([(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]),
+                  (lo[0], hi[1])], halfplanes)
     if not poly:
         return None
     w_in = min(poly)
@@ -452,18 +469,63 @@ def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
 def _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor,
                     win_lo, win_hi):
     """Cheap necessary conditions for a pattern; False only when the pattern
-    is certainly infeasible regardless of the mixture probabilities."""
+    is certainly infeasible regardless of the mixture probabilities: some
+    utility row misses by more than the screens' margin at every mixture."""
+    margin = game.tables.screen_margin
     for i, rows in enumerate(game.tables.screens[pattern.supports]):
-        for in_supp, v_min, v_max in rows:
+        for in_supp, v_min, v_max, _ in rows:
             if in_supp:
                 lo = (1.0 - gamma) * v_min + gamma * win_lo[i]
                 hi = (1.0 - gamma) * v_max + gamma * win_hi[i]
-                if hi < cube_origin[i] - FEAS_TOL \
-                        or lo > cube_origin[i] + side + FEAS_TOL:
+                if hi < cube_origin[i] - margin \
+                        or lo > cube_origin[i] + side + margin:
                     return False
             elif (1.0 - gamma) * v_min + gamma * w_floor[i] \
-                    > cube_origin[i] + FEAS_TOL:
+                    > cube_origin[i] + margin:
                 return False
+    return True
+
+
+# The simplex of mixtures over k actions, as a segment or a triangle of
+# probability vectors.  Against a single action the mixture is a point, and
+# the box screen has already decided that case exactly.
+_SIMPLICES = {k: [tuple(float(b == a) for b in range(k)) for a in range(k)]
+              for k in (2, 3)}
+
+
+def _screen_mixtures(cube_origin, side, pattern, game, gamma, w_floor,
+                     win_lo, win_hi):
+    """The support LP without hull rows, decided per player: False when no
+    mixture of the opponent over its support (two or three actions) lets
+    every utility row of the player hold with continuations in the window
+    [win_lo, win_hi] (in support) or at the floor (out of support).
+
+    Without hull rows a player's rows involve only the opponent's mixture,
+    so this is the cluster LP's own question, up to the screens' margin; the
+    hull LP adds rows, so for it this is a relaxation.  Either way only
+    patterns the LP rejects are rejected."""
+    margin = game.tables.screen_margin
+    g1 = 1.0 - gamma
+    for i, rows in enumerate(game.tables.screens[pattern.supports]):
+        simplex = _SIMPLICES.get(len(pattern.supports[1 - i]))
+        if simplex is None:
+            continue
+        o = cube_origin[i]
+        # (1-g) E[r] + g win_hi >= o, (1-g) E[r] + g win_lo <= o + side in
+        # support, (1-g) E[r] + g floor <= o out of it
+        reach = gamma * win_hi[i] - o + margin
+        stay = o + side - gamma * win_lo[i] + margin
+        deviate = o - gamma * w_floor[i] + margin
+        planes = []
+        for in_supp, _, _, vals in rows:
+            up = [g1 * v for v in vals]
+            if in_supp:
+                planes.append([-u for u in up] + [reach])
+                planes.append(up + [stay])
+            else:
+                planes.append(up + [deviate])
+        if not _clip(simplex, planes, tol=0.0):
+            return False
     return True
 
 
@@ -508,8 +570,11 @@ def _search_regions(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
         def shortcut(pattern):
             if pattern.is_pure():
                 return singleton(pattern)
-            if not _screen_pattern(cube.origin, cube.side, pattern, game,
-                                   gamma, w_floor, *window):
+            args = (cube.origin, cube.side, pattern, game, gamma, w_floor,
+                    *window)
+            # the box screen reads precomputed bounds and rejects most
+            # hopeless patterns before the clipper runs
+            if not _screen_pattern(*args) or not _screen_mixtures(*args):
                 return None
             return UNDECIDED
 
@@ -665,10 +730,40 @@ def verify_union(C: CubeSet, certificates: dict, game: StageGame,
     if sorted(certificates) != C.indices():
         return False
     context = cache(lambda hull: _build_context(C, hull))
+    counts = [game.action_count(i) for i in range(game.player_count)]
     for ix in C.indices():
+        if not _fits_game(certificates[ix], counts):
+            return False
         cert = _with_payoff_tables(certificates[ix], game)
         ctx = context(cert.kind == "correlated")
         if not _replay_ok(cert, ctx, C.origin_of(ix), C.side, game, gamma):
+            return False
+    return True
+
+
+def _fits_game(cert: SupportCertificate, counts) -> bool:
+    """Whether a certificate (read from a file, so unchecked) fits a game
+    with ``counts[i]`` actions for player i: a known kind, one row per
+    player, actions in range, one entry per action in every row, and no
+    alpha mass on an action outside the pattern."""
+    if cert.kind == "pure":
+        return (len(cert.profile) == len(cert.continuation) == len(counts)
+                and all(0 <= a < m for a, m in zip(cert.profile, counts)))
+    if cert.kind not in ("mixed", "correlated"):
+        return False
+    sol = cert.solution
+    rows = (sol.pattern.supports, sol.alpha.probs, sol.continuations,
+            sol.utilities)
+    if list(map(len, rows)) != [len(counts)] * len(rows):
+        return False
+    for supp, probs, w, wp, m in zip(*rows, counts):
+        if not supp or min(supp) < 0 or max(supp) >= m \
+                or not len(probs) == len(w) == len(wp) == m:
+            return False
+        outside = probs.tolist()
+        for a in supp:
+            outside[a] = 0.0
+        if max(outside) > PROB_TOL:
             return False
     return True
 

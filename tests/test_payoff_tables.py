@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import spegrid as sg  # noqa: E402
 from spegrid.cli import write_final_set  # noqa: E402
 from spegrid.feasibility import enumerate_support_patterns  # noqa: E402
-from spegrid.solver import (MODES, _screen_pattern,  # noqa: E402
-                            _singleton_cluster_solution,
+from spegrid.solver import (MODES, _screen_mixtures,  # noqa: E402
+                            _screen_pattern, _singleton_cluster_solution,
                             _singleton_correlated_solution)
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
@@ -34,10 +34,11 @@ def tenths(lo, hi):
 
 
 @st.composite
-def games(draw):
+def games(draw, scale=3.0):
     shape = draw(st.sampled_from(SHAPES))
     size = int(np.prod(shape)) * 2
-    values = draw(st.lists(tenths(-3.0, 3.0), min_size=size, max_size=size))
+    values = draw(st.lists(tenths(-scale, scale), min_size=size,
+                           max_size=size))
     actions = tuple(tuple(f"a{k}" for k in range(m)) for m in shape)
     return sg.StageGame(actions, np.array(values).reshape(shape + (2,)))
 
@@ -48,6 +49,11 @@ def patterns_of(game):
 
 def opp_profile(i, a, b):
     return (a, b) if i == 0 else (b, a)
+
+
+def screens_reject(cube, pattern, game, gamma, floor, window):
+    args = (cube.origin, cube.side, pattern, game, gamma, floor, *window)
+    return not _screen_pattern(*args), not _screen_mixtures(*args)
 
 
 @PROPERTY
@@ -77,10 +83,12 @@ def test_every_table_entry_matches_the_payoff_tensor(game):
         rows = tables.screens[pattern.supports]
         for i in range(2):
             opp_supp = pattern.supports[1 - i]
-            for a, (in_supp, v_min, v_max) in enumerate(rows[i]):
-                vals = [float(P[opp_profile(i, a, b)][i]) for b in opp_supp]
+            for a, (in_supp, v_min, v_max, vals) in enumerate(rows[i]):
+                assert vals == tuple(float(P[opp_profile(i, a, b)][i])
+                                     for b in opp_supp)
                 assert in_supp == (a in pattern.supports[i])
                 assert (v_min, v_max) == (min(vals), max(vals))
+    assert tables.screen_margin == 1e-7 * (1.0 + float(np.abs(P).max()))
 
 
 @st.composite
@@ -100,8 +108,7 @@ def cluster_scenarios(draw):
 @given(cluster_scenarios())
 def test_cluster_deciders_agree_with_the_support_lp(scenario):
     game, cube, cluster, floor, gamma = scenario
-    window = (cluster.origin, tuple(o + ln for o, ln in zip(cluster.origin,
-                                                              cluster.lengths)))
+    window = _cluster_window(cluster)
     for pattern in patterns_of(game):
         lp = sg.solve_feasibility(sg.mixed_cluster_system(
             cube, cluster, floor, game, gamma, pattern))
@@ -109,9 +116,11 @@ def test_cluster_deciders_agree_with_the_support_lp(scenario):
             fast = _singleton_cluster_solution(cube.origin, cube.side, cluster,
                                                floor, game, gamma, pattern)
             assert (fast is not None) == (lp is not None)
-        elif not _screen_pattern(cube.origin, cube.side, pattern, game, gamma,
-                                 floor, *window):
-            assert lp is None
+            continue
+        # without hull rows the two screens decide the LP itself: the box
+        # screen a player facing one action, the mixture screen the rest
+        assert any(screens_reject(cube, pattern, game, gamma, floor,
+                                  window)) == (lp is None)
 
 
 @st.composite
@@ -134,11 +143,7 @@ def test_correlated_deciders_agree_with_the_support_lp(scenario):
     bounds = game.tables.bounds
     planes = tuple(sg.get_halfplanes(C))
     floor = C.min_origin()
-    verts = sg.hull_vertices(C)
-    window = (tuple(max(min(v[d] for v in verts), bounds.low)
-                    for d in range(2)),
-              tuple(min(max(v[d] for v in verts), bounds.high)
-                    for d in range(2)))
+    window = _hull_window(C, bounds)
     for pattern in patterns_of(game):
         system = sg.correlated_support_system(cube, planes, floor, bounds,
                                               game, gamma, pattern)
@@ -150,9 +155,100 @@ def test_correlated_deciders_agree_with_the_support_lp(scenario):
             if (fast is None) != (lp is None):
                 # only hairline cases on the feasibility boundary
                 assert fast is None and system.residual(lp) <= 1e-7
-        elif not _screen_pattern(cube.origin, cube.side, pattern, game, gamma,
-                                 floor, *window):
+        elif any(screens_reject(cube, pattern, game, gamma, floor, window)):
             assert lp is None
+
+
+# Offsets that put a scenario just inside or just outside one utility row,
+# around the simplex's 1e-7 feasibility tolerance.
+JITTERS = [sign * k * 1e-7 for k in (0.5, 1.0, 1.5, 3.0) for sign in (-1, 1)]
+
+
+@st.composite
+def boundary_scenarios(draw):
+    """A non-pure pattern, a mixture over it and a cube placed so that one
+    utility row of one player is tight at that mixture, up to a jitter.
+
+    The region is a cluster box or the hull of a few cubes; the row is the
+    upper or lower in-support row or an out-of-support row.  Payoffs reach
+    +-20, so the slack the simplex allows in sum(alpha) = 1 weighs up to
+    twenty times the tolerance in a utility row."""
+    game = draw(games(scale=20.0))
+    pattern = draw(st.sampled_from([p for p in patterns_of(game)
+                                    if not p.is_pure()]))
+    gamma = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9]))
+    mixture = []
+    for supp in pattern.supports:
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(supp),
+                                max_size=len(supp)).filter(any))
+        mixture.append({a: w / sum(weights) for a, w in zip(supp, weights)})
+    bounds = game.tables.bounds
+    if draw(st.booleans()):
+        cluster = sg.Cluster((draw(tenths(-20.0, 15.0)),
+                              draw(tenths(-20.0, 15.0))),
+                             (draw(tenths(0.1, 5.0)), draw(tenths(0.1, 5.0))))
+        window = _cluster_window(cluster)
+        region = ("cluster", cluster)
+    else:
+        cells = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             min_size=1, max_size=6))
+        C = sg.CubeSet((bounds.low, bounds.low),
+                       max(bounds.spread, 0.5) / 4.0, cells)
+        window = _hull_window(C, bounds)
+        region = ("hull", tuple(sg.get_halfplanes(C)))
+    floor = tuple(lo - draw(tenths(0.0, 5.0)) for lo in window[0])
+    side = draw(tenths(0.1, 5.0))
+    target = draw(st.integers(0, 1))
+    row = draw(st.sampled_from(["upper", "lower", "out"]))
+    jitter = draw(st.sampled_from(JITTERS))
+    origin = []
+    for i in range(2):
+        supp = pattern.supports[i]
+        own = [(1.0 - gamma) * sum(q * game.payoff_to(opp_profile(i, a, b), i)
+                                   for b, q in mixture[1 - i].items())
+               for a in range(game.action_count(i))]
+        upper = min(own[a] + gamma * window[1][i] for a in supp)
+        lower = max(own[a] + gamma * window[0][i] for a in supp) - side
+        out = max((own[a] + gamma * floor[i]
+                   for a in range(len(own)) if a not in supp), default=None)
+        if out is not None:
+            lower = max(lower, out)
+        if i != target:
+            origin.append((lower + upper) / 2.0 if lower <= upper else upper)
+        elif row == "out" and out is not None:
+            origin.append(out - jitter)
+        elif row == "lower":
+            origin.append(lower - jitter)
+        else:
+            origin.append(upper + jitter)
+    return game, pattern, gamma, sg.Hypercube(tuple(origin), side), floor, \
+        window, region
+
+
+def _cluster_window(cluster):
+    return cluster.origin, tuple(o + ln for o, ln in zip(cluster.origin,
+                                                          cluster.lengths))
+
+
+def _hull_window(C, bounds):
+    verts = sg.hull_vertices(C)
+    return (tuple(max(min(v[d] for v in verts), bounds.low) for d in range(2)),
+            tuple(min(max(v[d] for v in verts), bounds.high) for d in range(2)))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=1500)
+@given(boundary_scenarios())
+def test_screens_never_reject_a_pattern_the_lp_accepts(scenario):
+    game, pattern, gamma, cube, floor, window, (kind, region) = scenario
+    if kind == "cluster":
+        system = sg.mixed_cluster_system(cube, region, floor, game, gamma,
+                                         pattern)
+    else:
+        system = sg.correlated_support_system(cube, region, floor,
+                                              game.tables.bounds, game, gamma,
+                                              pattern)
+    if any(screens_reject(cube, pattern, game, gamma, floor, window)):
+        assert sg.solve_feasibility(system) is None
 
 
 def _solve_bytes(game, config, path):
