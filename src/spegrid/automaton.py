@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -132,21 +131,6 @@ def _punishment_cubes(C: CubeSet) -> tuple[list[tuple[int, ...]], list[float]]:
     return cubes, floors
 
 
-class _HullContext:
-    # built lazily; only correlated certificates ever need it.  The vertices
-    # are cached on the cube set itself, shared with the solver's context.
-    def __init__(self, C: CubeSet):
-        self.C = C
-
-    @property
-    def verts(self):
-        return hull_vertices(self.C)
-
-    @cached_property
-    def planes(self):
-        return get_halfplanes(self.C)
-
-
 def _build_states(C: CubeSet, certificates: dict, game: StageGame,
                   seeds: Sequence[tuple[int, ...]],
                   everything: bool) -> tuple[list, dict]:
@@ -157,7 +141,6 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
     become states regardless of reachability.
     """
     punish_cubes, _ = _punishment_cubes(C)
-    hull = _HullContext(C)
     state_of: dict = {}
     order: list[tuple[int, ...]] = []
 
@@ -197,8 +180,7 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
                 if target is not None:
                     transitions[profile] = intern(C.index_of(target.origin))
                 else:
-                    lottery = decompose_into_vertices(point, C,
-                                                      _hull=hull)
+                    lottery = decompose_into_vertices(point, C)
                     entries = []
                     for weight, vertex in lottery:
                         vc = locate(vertex, C, tol=1e-9)
@@ -375,21 +357,21 @@ def best_deviation(M: Automaton, player: int, gamma: float) -> float:
 
 # -- public correlation -----------------------------------------------------------
 
-def decompose_into_vertices(point, C: CubeSet, _hull=None):
+def decompose_into_vertices(point, C: CubeSet):
     """Write a point of the convex hull of the union as a lottery over at
     most three hull vertices (each of which is a cube vertex, hence lies
     inside a cube of the set).
 
     Fan triangulation anchored at the lexicographically smallest hull
     vertex; weights are non-negative, sum to one, and reconstruct the point
-    to within 1e-9.  Raises ValueError for points outside the hull.
+    to within 1e-9.  Raises ValueError for points outside the hull.  The
+    hull comes from the cube set's cache.
     """
-    hull = _hull if _hull is not None else _HullContext(C)
     x, y = float(point[0]), float(point[1])
-    for pl in hull.planes:
+    for pl in get_halfplanes(C):
         if not pl.holds(x, y, tol=1e-9):
             raise ValueError(f"point {tuple(point)} lies outside the convex hull")
-    verts = hull.verts  # at least four: every cube has positive side
+    verts = hull_vertices(C)  # at least four: every cube has positive side
     for v in verts:
         if abs(v[0] - x) <= 1e-9 and abs(v[1] - y) <= 1e-9:
             return [(1.0, v)]

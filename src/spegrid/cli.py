@@ -99,8 +99,8 @@ def _snapshot_text(snap: SolveSnapshot, status: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _certificate_text(cert: SupportCertificate) -> list[str]:
-    lines = [f"cube: {' '.join(repr(x) for x in cert.cube_origin)}",
+def _certificate_text(origin, cert: SupportCertificate) -> list[str]:
+    lines = [f"cube: {' '.join(repr(x) for x in origin)}",
              f"kind: {cert.kind}"]
     if cert.kind == "pure":
         lines.append(f"profile: {' '.join(str(a) for a in cert.profile)}")
@@ -129,7 +129,7 @@ def write_final_set(path: Path, snap: SolveSnapshot, status: str,
                     certificates: dict) -> None:
     lines = [_snapshot_text(snap, status=status).rstrip("\n"), "certificates:"]
     for idx in sorted(certificates):
-        lines.extend(_certificate_text(certificates[idx]))
+        lines.extend(_certificate_text(snap.origin_of(idx), certificates[idx]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -183,18 +183,13 @@ def _parse_certificates(lines: list[str], C: CubeSet) -> dict:
         if not blocks:
             raise ValueError("certificate fields before any 'cube:' line")
         blocks[-1][key] = value
-    certs = {}
-    for block in blocks:
-        origin = _parse_vector(block["cube"])
-        idx = C.index_of(origin)
-        certs[idx] = _certificate_from_block(block, idx, origin, C)
-    return certs
+    return {C.index_of(_parse_vector(block["cube"])):
+            _certificate_from_block(block, C) for block in blocks}
 
 
-def _certificate_from_block(block: dict, idx, origin, C: CubeSet):
+def _certificate_from_block(block: dict, C: CubeSet):
     kind = block["kind"]
-    common = dict(cube_index=idx, cube_origin=tuple(origin), side=C.side,
-                  kind=kind, w_floor=C.min_origin())
+    common = dict(kind=kind, w_floor=C.min_origin())
     if kind == "pure":
         return SupportCertificate(
             profile=tuple(int(t) for t in block["profile"].split()),

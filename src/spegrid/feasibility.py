@@ -263,61 +263,74 @@ def solve_feasibility(system: LinearSystem) -> Optional[dict]:
     if -sx.z[-1] > FEAS_TOL:
         return None
 
-    # drive remaining artificials out of the basis, drop redundant rows
     art_set = set(art_cols)
-    keep = []
-    for i in range(m):
-        if basis[i] in art_set:
-            piv = None
-            for j in range(ncols + nslack):
-                if abs(T[i, j]) > PIVOT_TOL:
-                    piv = j
-                    break
-            if piv is None:
-                continue  # redundant row
-            sx.pivot(i, piv)
-        keep.append(i)
-    T = T[keep]
-    basis = [basis[i] for i in keep]
-    live = [j for j in range(width) if j not in art_set] + [width]
-    T = T[:, live]
-    remap = {old: new for new, old in enumerate(live[:-1])}
-    basis = [remap[bk] for bk in basis]
-    width = ncols + nslack
 
-    if system.objective is not None:
-        crow, _ = to_row(system.objective)
-        costs = np.zeros(width)
-        costs[:ncols] = crow
-        z2 = np.zeros(width + 1)
-        z2[:width] = costs
-        for i in range(len(basis)):
-            if costs[basis[i]] != 0.0:
-                z2 -= costs[basis[i]] * T[i]
-        sx2 = _Simplex(T, z2, basis)
-        if not sx2.run():
-            raise UnboundedError("objective is unbounded below")
-        T, basis = sx2.T, sx2.basis
+    def recover(sx: _Simplex, largest: bool):
+        """Phase 2 from the phase-1 tableau: drive the artificials left in
+        the basis out (pivoting on each row's first usable entry, or on its
+        largest one), drop redundant rows, then read off the point."""
+        T, basis = sx.T, sx.basis
+        keep = []
+        for i in range(m):
+            if basis[i] in art_set:
+                cand = np.abs(T[i, :ncols + nslack])
+                piv = int(np.argmax(cand if largest else cand > PIVOT_TOL))
+                if cand[piv] <= PIVOT_TOL:
+                    continue  # redundant row
+                sx.pivot(i, piv)
+            keep.append(i)
+        T = T[keep]
+        basis = [basis[i] for i in keep]
+        live = [j for j in range(width) if j not in art_set] + [width]
+        T = T[:, live]
+        remap = {old: new for new, old in enumerate(live[:-1])}
+        basis = [remap[bk] for bk in basis]
+        n = ncols + nslack
 
-    values = np.zeros(width)
-    for i, bk in enumerate(basis):
-        values[bk] = T[i, -1]
-    assignment = {}
-    for v in system.variables:
-        kind = col_kind[v.name]
-        if kind[0] == "low":
-            x = kind[2] + values[kind[1]]
-        elif kind[0] == "high":
-            x = kind[2] - values[kind[1]]
-        else:
-            x = values[kind[1]] - values[kind[2]]
-        # clean up float dust against the bounds
-        if np.isfinite(v.low):
-            x = max(x, v.low)
-        if np.isfinite(v.high):
-            x = min(x, v.high)
-        assignment[v.name] = float(x)
-    worst = system.residual(assignment)
+        if system.objective is not None:
+            crow, _ = to_row(system.objective)
+            costs = np.zeros(n)
+            costs[:ncols] = crow
+            z2 = np.zeros(n + 1)
+            z2[:n] = costs
+            for i in range(len(basis)):
+                if costs[basis[i]] != 0.0:
+                    z2 -= costs[basis[i]] * T[i]
+            sx2 = _Simplex(T, z2, basis)
+            if not sx2.run():
+                raise UnboundedError("objective is unbounded below")
+            T, basis = sx2.T, sx2.basis
+
+        values = np.zeros(n)
+        for i, bk in enumerate(basis):
+            values[bk] = T[i, -1]
+        assignment = {}
+        for v in system.variables:
+            kind = col_kind[v.name]
+            if kind[0] == "low":
+                x = kind[2] + values[kind[1]]
+            elif kind[0] == "high":
+                x = kind[2] - values[kind[1]]
+            else:
+                x = values[kind[1]] - values[kind[2]]
+            # clean up float dust against the bounds
+            if np.isfinite(v.low):
+                x = max(x, v.low)
+            if np.isfinite(v.high):
+                x = min(x, v.high)
+            assignment[v.name] = float(x)
+        return assignment, system.residual(assignment)
+
+    # The first-entry drive-out can leave a phase-1 slack of up to FEAS_TOL
+    # amplified past the residual check; the largest-entry drive-out keeps
+    # it small, so it is redone that way from a copy of the phase-1 tableau.
+    # It is only a fallback: the two can return different feasible points.
+    phase1 = None
+    if any(bk in art_set for bk in basis):
+        phase1 = _Simplex(T.copy(), sx.z.copy(), list(basis))
+    assignment, worst = recover(sx, largest=False)
+    if worst > 10 * FEAS_TOL and phase1 is not None:
+        assignment, worst = recover(phase1, largest=True)
     if worst > 10 * FEAS_TOL:
         raise RuntimeError(f"simplex returned a point with residual {worst}")
     return assignment

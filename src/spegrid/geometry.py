@@ -8,8 +8,9 @@ an index vector k and the set's base b and side l define the cube
 
 CubeSet is mutated (removal, splitting) only between solver phases; the
 read-only queries here are safe to call concurrently on a fixed set.  The
-sorted indices and the hull vertices are cached on the set and dropped on
-every removal.
+sorted indices and the hull (vertices and half-planes) are cached on the set
+and dropped on every removal, so the set is the one owner of its derived
+geometry.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ class CubeSet:
                                                 for ix in indices)
         self._sorted: Optional[list[tuple[int, ...]]] = None
         self._hull: Optional[tuple[tuple[float, float], ...]] = None
+        self._halfplanes: Optional[tuple[HalfPlane, ...]] = None
         self.version = 0  # bumped on every mutation; lets callers cache queries
         self._rebuild_min_counters()
 
@@ -127,7 +129,7 @@ class CubeSet:
         ix = tuple(index)
         self._cells.remove(ix)
         self._sorted = None
-        self._hull = None
+        self._hull = self._halfplanes = None
         self.version += 1
         for d, k in enumerate(ix):
             self._counts[d][k] -= 1
@@ -277,26 +279,29 @@ def hull_vertices(cube_set: CubeSet) -> tuple[tuple[float, float], ...]:
     return cube_set._hull
 
 
-def get_halfplanes(cube_set: CubeSet) -> list[HalfPlane]:
+def get_halfplanes(cube_set: CubeSet) -> tuple[HalfPlane, ...]:
     """Half-plane representation of the convex hull of the cube union.
 
     Every cube vertex satisfies every returned half-plane to within 1e-9.
     Degenerate single-point hulls cannot occur because cubes have positive
-    side, so the hull always has at least four edges.
+    side, so the hull always has at least four edges.  Cached beside the
+    hull vertices until the next removal.
     """
-    verts = hull_vertices(cube_set)
-    planes = []
-    m = len(verts)
-    for i in range(m):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % m]
-        dx, dy = x2 - x1, y2 - y1
-        norm = math.hypot(dx, dy)
-        if norm == 0.0:
-            continue
-        phi, psi = dy / norm, -dx / norm  # outward normal of a CCW edge
-        planes.append(HalfPlane(phi, psi, phi * x1 + psi * y1))
-    return planes
+    if cube_set._halfplanes is None:
+        verts = hull_vertices(cube_set)
+        planes = []
+        m = len(verts)
+        for i in range(m):
+            x1, y1 = verts[i]
+            x2, y2 = verts[(i + 1) % m]
+            dx, dy = x2 - x1, y2 - y1
+            norm = math.hypot(dx, dy)
+            if norm == 0.0:
+                continue
+            phi, psi = dy / norm, -dx / norm  # outward normal of a CCW edge
+            planes.append(HalfPlane(phi, psi, phi * x1 + psi * y1))
+        cube_set._halfplanes = tuple(planes)
+    return cube_set._halfplanes
 
 
 def locate(point, cube_set: CubeSet, tol: float = 0.0) -> Optional[Hypercube]:

@@ -42,9 +42,13 @@ at the pass end; it can only delay removals by one pass (never removes
 more) and makes large runs much cheaper.  Between passes the previous
 certificate of a cube is replayed against the current context before any
 fresh search runs; a valid stored witness proves feasibility, so this is a
-pure optimisation.  The loop, ``verify_certificate`` and ``verify_union``
-derive the union context from a cube set in one place; ``verify_union``
-builds it once per cube set.
+pure optimisation.  A certificate carries only its witness and the floor
+its out-of-support continuations sit at: every replay takes the cube's
+position, the floor and the continuation region from the cube set, so a
+certificate passes unchanged through a replay at an unmoved floor and down
+a split.  The loop, ``verify_certificate`` and ``verify_union`` derive that
+context from a cube set in one place; ``verify_union`` builds it once per
+cube set.
 """
 
 from __future__ import annotations
@@ -101,27 +105,23 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SupportCertificate:
-    """A feasible witness for one cube, with the context it was checked in.
+    """A feasible witness for one cube: nothing but the witness.
 
     Pure certificates hold the action profile and the continuation payoff
-    point; mixed and correlated certificates carry a full SupportSolution.
-    ``conditional_payoffs`` and ``br_values`` cache the stage payoffs the
-    replay checks need, and ``halfplanes`` is a shared reference to the
-    hull the certificate was verified against (correlated only).
+    point; mixed and correlated certificates carry a full SupportSolution
+    and cache its ``conditional_payoffs`` (pure stage payoffs come from
+    ``game.tables``).  ``w_floor`` is the floor the out-of-support
+    continuations are anchored at.  Which cube the witness is for, and the
+    continuation region it was checked in, are not recorded: the dict key
+    and the cube set supply them at every replay.
     """
 
-    cube_index: tuple[int, ...]
-    cube_origin: tuple[float, ...]
-    side: float
     kind: str                                    # pure | mixed | correlated
     w_floor: tuple[float, ...]
     profile: Optional[tuple[int, ...]] = None
     continuation: Optional[tuple[float, ...]] = None
     solution: Optional[SupportSolution] = None
-    cluster: Optional[Cluster] = None
-    halfplanes: Optional[tuple[HalfPlane, ...]] = None
     conditional_payoffs: Optional[tuple[tuple[float, ...], ...]] = None
-    br_values: Optional[tuple[float, ...]] = None
 
     def mixed_profile(self, game: StageGame) -> MixedProfile:
         if self.solution is not None:
@@ -163,9 +163,11 @@ class SolveSnapshot:
     base: tuple[float, ...]
     indices: tuple[tuple[int, ...], ...]
 
+    def origin_of(self, ix) -> tuple[float, ...]:
+        return tuple(b + k * self.side for b, k in zip(self.base, ix))
+
     def origins(self) -> list[tuple[float, ...]]:
-        return [tuple(b + k * self.side for b, k in zip(self.base, ix))
-                for ix in self.indices]
+        return [self.origin_of(ix) for ix in self.indices]
 
 
 @dataclass
@@ -212,7 +214,7 @@ def _build_context(C: CubeSet, hull: bool) -> _Context:
     bounding box.  The only place the solver derives them from a cube set."""
     ctx = _Context(w_floor=C.min_origin())
     if hull:
-        ctx.halfplanes = tuple(get_halfplanes(C))
+        ctx.halfplanes = get_halfplanes(C)
         verts = hull_vertices(C)
         ctx.hull_box = ((min(v[0] for v in verts), min(v[1] for v in verts)),
                         (max(v[0] for v in verts), max(v[1] for v in verts)))
@@ -225,11 +227,11 @@ def _build_context(C: CubeSet, hull: bool) -> _Context:
 
 def _with_payoff_tables(cert: SupportCertificate,
                         game: StageGame) -> SupportCertificate:
-    """The certificate with the stage-payoff tables its replay reads
-    taken from the game (certificates read from a file carry none)."""
+    """A mixed certificate with the conditional payoffs its replay reads
+    taken from the game (certificates read from a file carry none); a pure
+    one reads ``game.tables`` directly."""
     if cert.kind == "pure":
-        r_vals, br_vals = game.tables.pure[cert.profile]
-        return replace(cert, conditional_payoffs=(r_vals,), br_values=br_vals)
+        return cert
     return replace(cert, conditional_payoffs=conditional_payoff_table(
         game, cert.solution.alpha))
 
@@ -548,24 +550,21 @@ def cube_supported_pure(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
             w = _pure_witness(cube.origin, cube.side, cluster, w_floor, game,
                               gamma, profile, r_vals, br_vals)
             if w is not None:
-                return SupportCertificate(
-                    cube_index=C.index_of(cube.origin), cube_origin=cube.origin,
-                    side=cube.side, kind="pure", w_floor=tuple(w_floor),
-                    profile=profile, continuation=w, cluster=cluster,
-                    conditional_payoffs=(r_vals,), br_values=br_vals)
+                return SupportCertificate(kind="pure", w_floor=tuple(w_floor),
+                                          profile=profile, continuation=w)
     return None
 
 
-def _search_regions(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
-                    gamma: float, patterns, regions
+def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
+                    patterns, kind: str, regions
                     ) -> Optional[SupportCertificate]:
     """The search driver of both mixed back-ends.  Each region is a
-    (singleton decider, support-LP builder, screen window, certificate
-    fields) tuple; the first region whose support program finds a pattern
-    yields the certificate, pure patterns first."""
+    (singleton decider, support-LP builder, screen window) tuple; the first
+    region whose support program finds a pattern yields the certificate,
+    pure patterns first."""
     if game.player_count != 2:
         raise ValueError("mixed cube tests require exactly two players")
-    for singleton, builder, window, fields in regions:
+    for singleton, builder, window in regions:
 
         def shortcut(pattern):
             if pattern.is_pure():
@@ -586,10 +585,8 @@ def _search_regions(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
                     tuple(s[0] for s in sol.pattern.supports)]
             else:
                 cond = conditional_payoff_table(game, sol.alpha)
-            return SupportCertificate(
-                cube_index=C.index_of(cube.origin), cube_origin=cube.origin,
-                side=cube.side, w_floor=tuple(w_floor), solution=sol,
-                conditional_payoffs=cond, **fields)
+            return SupportCertificate(kind=kind, w_floor=tuple(w_floor),
+                                      solution=sol, conditional_payoffs=cond)
     return None
 
 
@@ -608,9 +605,10 @@ def cube_supported_mixed(cube: Hypercube, C: CubeSet, w_floor,
     regions = ((partial(_singleton_cluster_solution, cube.origin, cube.side,
                         cl, w_floor, game, gamma),
                 partial(mixed_cluster_system, cube, cl, w_floor, game, gamma),
-                _cluster_box(cl), {"kind": "mixed", "cluster": cl})
+                _cluster_box(cl))
                for cl in clusters)
-    return _search_regions(cube, C, w_floor, game, gamma, patterns, regions)
+    return _search_regions(cube, w_floor, game, gamma, patterns, "mixed",
+                           regions)
 
 
 def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
@@ -633,34 +631,33 @@ def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
               partial(correlated_support_system, cube, halfplanes, w_floor,
                       bounds, game, gamma),
               (tuple(max(lo, bounds.low) for lo in hull_box[0]),
-               tuple(min(hi, bounds.high) for hi in hull_box[1])),
-              {"kind": "correlated", "halfplanes": tuple(halfplanes)})
-    return _search_regions(cube, C, w_floor, game, gamma, patterns, [region])
+               tuple(min(hi, bounds.high) for hi in hull_box[1])))
+    return _search_regions(cube, w_floor, game, gamma, patterns, "correlated",
+                           [region])
 
 
 # -- certificate replay --------------------------------------------------------------
 
 def certificate_residual(cert: SupportCertificate, game: StageGame,
-                         gamma: float, cube_origin=None, side=None,
-                         w_floor=None, clusters=None, halfplanes=None) -> float:
-    """Largest constraint violation of a certificate against a context.
+                         gamma: float, cube_origin, side, w_floor,
+                         region) -> float:
+    """Largest constraint violation of a certificate in the cube at
+    ``cube_origin`` with ``side``, against the floor ``w_floor`` and the
+    continuation ``region``: the union's clusters (pure and mixed), or its
+    hull's half-planes (correlated).
 
-    Defaults to the certificate's recorded context.  Out-of-support
-    continuations are re-anchored at the punishment floor (always allowed),
-    so only the floor-dependent inequality is checked for them.
+    Out-of-support continuations are re-anchored at the punishment floor
+    (always allowed), so only the floor-dependent inequality is checked for
+    them.
     """
-    cube_origin = cert.cube_origin if cube_origin is None else cube_origin
-    side = cert.side if side is None else side
-    w_floor = cert.w_floor if w_floor is None else w_floor
-    pool = clusters if clusters is not None else [cert.cluster]
     if cert.kind == "pure":
         w = cert.continuation
-        r_vals = cert.conditional_payoffs[0]
-        worst = _cluster_violation(pool, [[x] for x in w])
+        r_vals, br_vals = game.tables.pure[cert.profile]
+        worst = _cluster_violation(region, [[x] for x in w])
         for i in range(len(w)):
             wp = (1.0 - gamma) * r_vals[i] + gamma * w[i]
             worst = max(worst, cube_origin[i] - wp, wp - cube_origin[i] - side)
-            worst = max(worst, (1.0 - gamma) * (cert.br_values[i] - r_vals[i])
+            worst = max(worst, (1.0 - gamma) * (br_vals[i] - r_vals[i])
                         + gamma * (w_floor[i] - w[i]))
         return worst
 
@@ -669,16 +666,15 @@ def certificate_residual(cert: SupportCertificate, game: StageGame,
     supports = sol.pattern.supports
     worst = 0.0
     if cert.kind == "mixed":
-        worst = _cluster_violation(pool, [[sol.continuation(i, a)
-                                           for a in supports[i]]
-                                          for i in range(2)])
+        worst = _cluster_violation(region, [[sol.continuation(i, a)
+                                             for a in supports[i]]
+                                            for i in range(2)])
     else:
-        planes = halfplanes if halfplanes is not None else cert.halfplanes
         for a1 in supports[0]:
             w1 = sol.continuation(0, a1)
             for a2 in supports[1]:
                 w2 = sol.continuation(1, a2)
-                for pl in planes:
+                for pl in region:
                     worst = max(worst, pl.phi * w1 + pl.psi * w2 - pl.lam)
     for i in range(2):
         in_supp = set(supports[i])
@@ -708,17 +704,14 @@ def _cluster_violation(pool, values) -> float:
 
 
 def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
-                       C: Optional[CubeSet] = None) -> bool:
-    """Replay a certificate at the 1e-7 feasibility tolerance.
-
-    With no cube set the recorded context is used; with `C` the certificate
-    is checked against the current union (floor, clusters or hull).
-    """
-    if C is None:
-        return certificate_residual(cert, game, gamma) <= FEAS_TOL
+                       C: CubeSet, index) -> bool:
+    """Replay a certificate for the cube ``index`` of C against the union C
+    (floor, clusters or hull) at the 1e-7 feasibility tolerance.  False
+    when C has no such cube."""
+    if index not in C:
+        return False
     ctx = _build_context(C, hull=cert.kind == "correlated")
-    return _replay_ok(cert, ctx, C.origin_of(cert.cube_index), C.side, game,
-                      gamma)
+    return _replay_ok(cert, ctx, C.origin_of(index), C.side, game, gamma)
 
 
 def verify_union(C: CubeSet, certificates: dict, game: StageGame,
@@ -770,14 +763,11 @@ def _fits_game(cert: SupportCertificate, counts) -> bool:
 
 def _refresh_certificate(cert: SupportCertificate, ctx: _Context, gamma: float,
                          game: StageGame) -> SupportCertificate:
-    """Record the current context on a replayed certificate, re-anchoring
-    out-of-support continuations at the current floor."""
-    if cert.w_floor == ctx.w_floor:
-        if cert.kind == "correlated" and cert.halfplanes is not ctx.halfplanes:
-            return replace(cert, halfplanes=ctx.halfplanes)
+    """A replayed certificate, with a mixed one's out-of-support
+    continuations re-anchored at the current floor when the floor moved.
+    A pure certificate has no out-of-support continuations to move."""
+    if cert.kind == "pure" or cert.w_floor == ctx.w_floor:
         return cert
-    if cert.kind == "pure":
-        return replace(cert, w_floor=ctx.w_floor)
     sol = cert.solution
     cond = cert.conditional_payoffs
     conts, utils = [], []
@@ -792,16 +782,14 @@ def _refresh_certificate(cert: SupportCertificate, ctx: _Context, gamma: float,
         conts.append(tuple(crow))
         utils.append(tuple(urow))
     new_sol = SupportSolution(sol.alpha, tuple(conts), tuple(utils), sol.pattern)
-    extra = {"halfplanes": ctx.halfplanes} if cert.kind == "correlated" else {}
-    return replace(cert, w_floor=ctx.w_floor, solution=new_sol, **extra)
+    return replace(cert, w_floor=ctx.w_floor, solution=new_sol)
 
 
 def _replay_ok(cert: SupportCertificate, ctx: _Context, cube_origin, side,
                game: StageGame, gamma: float) -> bool:
-    return certificate_residual(
-        cert, game, gamma, cube_origin=cube_origin, side=side,
-        w_floor=ctx.w_floor, clusters=ctx.clusters,
-        halfplanes=ctx.halfplanes) <= FEAS_TOL
+    region = ctx.halfplanes if cert.kind == "correlated" else ctx.clusters
+    return certificate_residual(cert, game, gamma, cube_origin, side,
+                                ctx.w_floor, region) <= FEAS_TOL
 
 
 # -- stopping criterion ----------------------------------------------------------------
@@ -956,34 +944,36 @@ def solve(game: StageGame, config: SolverConfig,
             return SolveReport(status=status, final=C, certificates=certificates,
                                iterations=trace, config=config)
         if split:
-            C = split_all(C)
-            certificates = _inherit_certificates(certificates, C, game,
-                                                 config.gamma)
+            parent, C = C, split_all(C)
+            certificates = _inherit_certificates(certificates, parent, C,
+                                                 game, config.gamma)
 
 
-def _utility_values(cert: SupportCertificate, dim: int,
+def _utility_values(cert: SupportCertificate, dim: int, game: StageGame,
                     gamma: float) -> list[float]:
     """The in-cube utility values of a certificate along one dimension."""
     if cert.kind == "pure":
-        r = cert.conditional_payoffs[0][dim]
+        r = game.tables.pure[cert.profile][0][dim]
         return [(1.0 - gamma) * r + gamma * cert.continuation[dim]]
     sol = cert.solution
     return [sol.utility(dim, a) for a in sol.pattern.supports[dim]]
 
 
-def _inherit_certificates(certificates: dict, C: CubeSet, game: StageGame,
-                          gamma: float) -> dict:
-    """After a split, hand each certificate down to the child cube that
-    contains all its in-cube utilities.  Inherited certificates are replayed
-    against the new context before being trusted, so this only saves the
-    fresh searches that would reproduce them."""
+def _inherit_certificates(certificates: dict, parent: CubeSet, C: CubeSet,
+                          game: StageGame, gamma: float) -> dict:
+    """After ``parent`` is split into C, hand each certificate down, as it
+    is, to the child cube that contains all its in-cube utilities.
+    Inherited certificates are replayed against the new context before
+    being trusted, so this only saves the fresh searches that would
+    reproduce them."""
     inherited = {}
     for idx, cert in certificates.items():
+        origin = parent.origin_of(idx)
         child = []
         ok = True
         for i in range(len(idx)):
-            values = _utility_values(cert, i, gamma)
-            mid = cert.cube_origin[i] + cert.side / 2.0
+            values = _utility_values(cert, i, game, gamma)
+            mid = origin[i] + parent.side / 2.0
             if all(v <= mid for v in values):
                 child.append(2 * idx[i])
             elif all(v >= mid for v in values):
@@ -995,7 +985,5 @@ def _inherit_certificates(certificates: dict, C: CubeSet, game: StageGame,
             continue
         child = tuple(child)
         if child in C:
-            inherited[child] = replace(
-                cert, cube_index=child, cube_origin=C.origin_of(child),
-                side=C.side)
+            inherited[child] = cert
     return inherited

@@ -5,30 +5,18 @@ import spegrid as sg
 from spegrid.solver import SupportCertificate
 
 
-def pure_cert(idx, origin, side, profile, continuation, floor, game):
-    cluster = sg.Cluster(tuple(continuation), (side, side))
-    r_vals = tuple(game.payoff_to(profile, i) for i in range(2))
-    br = []
-    for i in range(2):
-        best = max(game.payoff_to(tuple(a if j == i else profile[j]
-                                        for j in range(2)), i)
-                   for a in range(game.action_count(i)))
-        br.append(best)
-    return SupportCertificate(
-        cube_index=idx, cube_origin=origin, side=side, kind="pure",
-        w_floor=floor, profile=profile, continuation=tuple(continuation),
-        cluster=cluster, conditional_payoffs=(r_vals,), br_values=tuple(br))
+def pure_cert(profile, continuation, floor):
+    return SupportCertificate(kind="pure", w_floor=floor, profile=profile,
+                              continuation=tuple(continuation))
 
 
 @pytest.fixture()
-def grim(pd):
+def grim():
     """Two-cube grim-trigger scenario: cooperate at (2,2), punish at (0,0)."""
     C = sg.CubeSet((-1.0, -1.0), 0.5, [(6, 6), (2, 2)])
     certs = {
-        (6, 6): pure_cert((6, 6), (2.0, 2.0), 0.5, (0, 0), (2.0, 2.0),
-                          (0.0, 0.0), pd),
-        (2, 2): pure_cert((2, 2), (0.0, 0.0), 0.5, (1, 1), (0.0, 0.0),
-                          (0.0, 0.0), pd),
+        (6, 6): pure_cert((0, 0), (2.0, 2.0), (0.0, 0.0)),
+        (2, 2): pure_cert((1, 1), (0.0, 0.0), (0.0, 0.0)),
     }
     return C, certs
 
@@ -77,8 +65,7 @@ class TestExtraction:
 class TestAutomatonValue:
     def test_stationary_defection_is_zero(self, pd):
         C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
-        cert = pure_cert((2, 2), (0.0, 0.0), 0.5, (1, 1), (0.0, 0.0),
-                         (0.0, 0.0), pd)
+        cert = pure_cert((1, 1), (0.0, 0.0), (0.0, 0.0))
         M = sg.extract_automaton(C, {(2, 2): cert}, (0.0, 0.0), pd)
         for gamma in (0.0, 0.5, 0.95):
             assert sg.automaton_value(M, gamma)[M.initial] == pytest.approx(
@@ -196,8 +183,7 @@ class TestDecompose:
 class TestSimulate:
     def test_stationary_defection_is_exact(self, pd):
         C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
-        cert = pure_cert((2, 2), (0.0, 0.0), 0.5, (1, 1), (0.0, 0.0),
-                         (0.0, 0.0), pd)
+        cert = pure_cert((1, 1), (0.0, 0.0), (0.0, 0.0))
         M = sg.extract_automaton(C, {(2, 2): cert}, (0.0, 0.0), pd)
         result = sg.simulate(M, 0.6, seed=123, episodes=500)
         assert result.mean == pytest.approx([0.0, 0.0])

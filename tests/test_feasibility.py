@@ -105,6 +105,25 @@ class TestSolveFeasibility:
             sys.add_constraint(coeffs, ">=", cut + 0.5)
             assert sg.solve_feasibility(sys) is None
 
+    def test_phase_one_slack_at_tolerance_still_yields_a_point(self):
+        # phase 1 ends with an artificial in the basis at a value just under
+        # the feasibility tolerance; driving it out on the first usable
+        # entry lands at residual 1e-6, past the 10 * 1e-7 check
+        game = sg.StageGame((("a0", "a1"), ("b0", "b1")),
+                            np.array([[(0.0, 0.0), (0.0, 0.0)],
+                                      [(-0.1, 1.1), (0.0, 1.2)]]))
+        # the hull of the box [-0.1, 0.225] x [0.225, 0.55]
+        planes = (sg.HalfPlane(0.0, -1.0, -0.225), sg.HalfPlane(1.0, 0.0, 0.225),
+                  sg.HalfPlane(0.0, 1.0, 0.55), sg.HalfPlane(-1.0, 0.0, 0.1))
+        cube = sg.Hypercube((0.00625, 1.0024998999999999), 0.1)
+        sys = sg.correlated_support_system(
+            cube, planes, (-0.1, 0.225), sg.payoff_bounds(game), game, 0.1,
+            sg.SupportPattern(((1,), (0, 1))))
+        point = sg.solve_feasibility(sys)
+        assert point is not None
+        # the largest-entry drive-out keeps the slack at the tolerance
+        assert sys.residual(point) <= 2e-7
+
 
 class TestRationalCrossCheck:
     def test_verdicts_match_exact_arithmetic(self):

@@ -113,7 +113,7 @@ def test_three_player_pure_mode():
     # every certificate replays and the union stays 3-dimensional lattice
     for idx in report.final.indices():
         assert sg.verify_certificate(report.certificates[idx], game,
-                                     config.gamma, C=report.final)
+                                     config.gamma, report.final, idx)
 
 
 def test_constant_game_degenerate_guard():

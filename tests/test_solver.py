@@ -4,7 +4,8 @@ import pytest
 import spegrid as sg
 from spegrid.feasibility import enumerate_support_patterns
 from spegrid.solver import (_singleton_cluster_solution,
-                            _singleton_correlated_solution, _pure_witness)
+                            _singleton_correlated_solution, _pure_witness,
+                            certificate_residual)
 from conftest import random_game, stage_equilibria
 
 
@@ -16,7 +17,7 @@ class TestCubeSupportedPure:
             cert = sg.cube_supported_pure(C.cube_at((2, 2)), C,
                                           C.min_origin(), pd, gamma)
             assert cert is not None
-            assert sg.verify_certificate(cert, pd, gamma, C=C)
+            assert sg.verify_certificate(cert, pd, gamma, C, (2, 2))
             if gamma <= 0.3:
                 # low discounting leaves defect/defect as the only witness;
                 # at high gamma the lexicographically earlier (C,C) also
@@ -86,7 +87,7 @@ class TestCubeSupportedMixed:
         assert sol.pattern.supports == ((0, 1, 2), (0, 1, 2))
         for i in range(2):
             assert sol.alpha.probs[i] == pytest.approx([1 / 3] * 3, abs=1e-4)
-        assert sg.verify_certificate(cert, rpc, 0.5, C=C)
+        assert sg.verify_certificate(cert, rpc, 0.5, C, (0, 0))
 
     def test_pure_supportable_cube_agrees_with_pure_backend(self, pd):
         C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
@@ -152,7 +153,7 @@ class TestCubeSupportedCorrelated:
         assert cube.contains((1.5, 1.5))
         cert = sg.cube_supported_correlated(cube, C, bos, 0.45)
         assert cert is not None
-        assert sg.verify_certificate(cert, bos, 0.45, C=C)
+        assert sg.verify_certificate(cert, bos, 0.45, C, (2, 2))
         planes = sg.get_halfplanes(C)
         sol = cert.solution
         for a1 in sol.pattern.supports[0]:
@@ -233,6 +234,12 @@ class TestCubeCompleted:
         cube = sg.locate((0.0, 0.0), report.final)
         assert sg.cube_completed(cube, report.final, exact_cfg, pd,
                                  report.certificates)
+
+
+@pytest.fixture(scope="module")
+def pd_correlated(pd):
+    return sg.solve(pd, sg.SolverConfig(gamma=0.4, epsilon=0.4,
+                                        mode="mixed-correlated"))
 
 
 class TestSolve:
@@ -364,10 +371,23 @@ class TestSolve:
             dev = sg.deviation_values(M, i, 0.3)
             assert np.all(dev - u[:, i] <= 0.6 + 1e-9)
 
-    def test_certificates_replay_against_final_set(self, pd):
-        report = sg.solve(pd, sg.SolverConfig(gamma=0.4, epsilon=0.4,
-                                              mode="mixed-correlated"))
+    def test_certificates_replay_against_final_set(self, pd, pd_correlated):
+        report = pd_correlated
         for idx in report.final.indices():
             assert sg.verify_certificate(report.certificates[idx], pd, 0.4,
-                                         C=report.final)
-            assert sg.verify_certificate(report.certificates[idx], pd, 0.4)
+                                         report.final, idx)
+
+    def test_certificate_of_a_missing_cube_fails(self, pd, pd_correlated):
+        # a withdrawn cube's witness mostly still fits the rest of the union
+        # at the cube's position, so only the membership check rejects it
+        C = pd_correlated.final
+        fits = 0
+        for idx in C.indices()[::100]:
+            cert = pd_correlated.certificates[idx]
+            rest = C.copy()
+            rest.remove(idx)
+            fits += certificate_residual(cert, pd, 0.4, C.origin_of(idx),
+                                         C.side, rest.min_origin(),
+                                         sg.get_halfplanes(rest)) <= 1e-7
+            assert not sg.verify_certificate(cert, pd, 0.4, rest, idx)
+        assert fits >= 10
