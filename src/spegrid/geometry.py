@@ -8,9 +8,12 @@ an index vector k and the set's base b and side l define the cube
 
 CubeSet is mutated (removal, splitting) only between solver phases; the
 read-only queries here are safe to call concurrently on a fixed set.  The
-sorted indices and the hull (vertices and half-planes) are cached on the set
-and dropped on every removal, so the set is the one owner of its derived
-geometry.
+set is the one owner of its derived geometry.  It caches its sorted indices
+until the next removal.  A planar set also keeps, per lattice column (first
+index), its lowest and highest row; the hull (vertices, half-planes and
+bounding box) is built from those column extremes and cached until a
+removal moves one of them.  A removal inside a column leaves every hull
+candidate, and so the hull, unchanged.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import itertools
 import math
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional
-
-import numpy as np
 
 from .game import PayoffBounds
 
@@ -79,10 +80,10 @@ class CubeSet:
         self._cells: set[tuple[int, ...]] = set(tuple(int(i) for i in ix)
                                                 for ix in indices)
         self._sorted: Optional[list[tuple[int, ...]]] = None
-        self._hull: Optional[tuple[tuple[float, float], ...]] = None
-        self._halfplanes: Optional[tuple[HalfPlane, ...]] = None
+        self._drop_hull()
         self.version = 0  # bumped on every mutation; lets callers cache queries
         self._rebuild_min_counters()
+        self._rebuild_columns()
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -90,6 +91,25 @@ class CubeSet:
         n = self.dimension
         self._counts = [Counter(ix[d] for ix in self._cells) for d in range(n)]
         self._mins = [min(c.keys()) if c else 0 for c in self._counts]
+
+    def _rebuild_columns(self):
+        # Planar sets only: column x -> [lowest row, highest row] of its cells.
+        self._columns: Optional[dict[int, list[int]]] = None
+        if self.dimension != 2:
+            return
+        self._columns = {}
+        for x, y in self._cells:
+            col = self._columns.get(x)
+            if col is None:
+                self._columns[x] = [y, y]
+            elif y < col[0]:
+                col[0] = y
+            elif y > col[1]:
+                col[1] = y
+
+    def _drop_hull(self):
+        # vertices, half-planes and bounding box, each derived on first use
+        self._hull = self._halfplanes = self._hull_box = None
 
     @property
     def dimension(self) -> int:
@@ -129,8 +149,9 @@ class CubeSet:
         ix = tuple(index)
         self._cells.remove(ix)
         self._sorted = None
-        self._hull = self._halfplanes = None
         self.version += 1
+        if self._columns is not None and self._column_extreme_moved(ix):
+            self._drop_hull()
         for d, k in enumerate(ix):
             self._counts[d][k] -= 1
             if self._counts[d][k] <= 0:
@@ -140,6 +161,28 @@ class CubeSet:
                     while m not in self._counts[d]:
                         m += 1
                     self._mins[d] = m
+
+    def _column_extreme_moved(self, removed) -> bool:
+        # Update the extremes of the removed cell's column; rescan the column
+        # only when its lowest or highest cell went, drop it once empty.
+        x, y = removed
+        col = self._columns[x]
+        lo, hi = col
+        if lo < y < hi:
+            return False
+        if lo == hi:
+            del self._columns[x]
+        elif y == lo:
+            lo += 1
+            while (x, lo) not in self._cells:
+                lo += 1
+            col[0] = lo
+        else:
+            hi -= 1
+            while (x, hi) not in self._cells:
+                hi -= 1
+            col[1] = hi
+        return True
 
     def min_origin(self) -> tuple[float, ...]:
         """Per-dimension minimum of cube origins (the punishment floor)."""
@@ -222,23 +265,16 @@ def get_clusters(cube_set: CubeSet) -> list[Cluster]:
 
 
 def _corner_candidates(cube_set: CubeSet) -> list[tuple[int, int]]:
-    # Hull candidates: per x-column extreme corner lattice points.
-    cells = np.array(cube_set.indices(), dtype=np.int64)
-    xs = np.concatenate([cells[:, 0], cells[:, 0] + 1,
-                         cells[:, 0], cells[:, 0] + 1])
-    ys = np.concatenate([cells[:, 1], cells[:, 1],
-                         cells[:, 1] + 1, cells[:, 1] + 1])
-    order = np.lexsort((ys, xs))
-    xs, ys = xs[order], ys[order]
-    uniq, starts = np.unique(xs, return_index=True)
+    # Hull candidates, sorted: the lowest and highest cube corner on each
+    # lattice line x = X.  Those corners belong to the cells of columns X-1
+    # and X, so they follow from the two columns' extremes.
+    cols = cube_set._columns
     pts = []
-    for i, x in enumerate(uniq):
-        lo = starts[i]
-        hi = starts[i + 1] if i + 1 < len(starts) else len(xs)
-        pts.append((int(x), int(ys[lo])))
-        if ys[hi - 1] != ys[lo]:
-            pts.append((int(x), int(ys[hi - 1])))
-    return sorted(set(pts))
+    for X in sorted({*cols, *(x + 1 for x in cols)}):
+        ext = [cols[x] for x in (X - 1, X) if x in cols]
+        pts.append((X, min(lo for lo, _ in ext)))
+        pts.append((X, max(hi for _, hi in ext) + 1))
+    return pts
 
 
 def _monotone_chain(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -266,7 +302,7 @@ def hull_vertices(cube_set: CubeSet) -> tuple[tuple[float, float], ...]:
     """Vertices of the convex hull of all cube corners, counter-clockwise
     starting at the lexicographically smallest vertex.  Two-player only.
 
-    Derived once per version of the set (cached until the next removal)."""
+    Cached on the set until a removal moves a column extreme."""
     if cube_set.dimension != 2:
         raise ValueError("convex hulls are only supported in two dimensions")
     if len(cube_set) == 0:
@@ -279,13 +315,23 @@ def hull_vertices(cube_set: CubeSet) -> tuple[tuple[float, float], ...]:
     return cube_set._hull
 
 
+def hull_box(cube_set: CubeSet) -> tuple[tuple[float, float],
+                                          tuple[float, float]]:
+    """Bounding box (lower corner, upper corner) of the hull vertices,
+    cached beside them."""
+    if cube_set._hull_box is None:
+        xs, ys = zip(*hull_vertices(cube_set))
+        cube_set._hull_box = ((min(xs), min(ys)), (max(xs), max(ys)))
+    return cube_set._hull_box
+
+
 def get_halfplanes(cube_set: CubeSet) -> tuple[HalfPlane, ...]:
     """Half-plane representation of the convex hull of the cube union.
 
     Every cube vertex satisfies every returned half-plane to within 1e-9.
     Degenerate single-point hulls cannot occur because cubes have positive
     side, so the hull always has at least four edges.  Cached beside the
-    hull vertices until the next removal.
+    hull vertices.
     """
     if cube_set._halfplanes is None:
         verts = hull_vertices(cube_set)

@@ -33,10 +33,13 @@ only LPs that would fail.  The closed forms are cross-checked against the
 LP in the test suite.  The stage payoffs they read (point masses,
 conditional and best-deviation payoffs, per-pattern screen rows, payoff
 bounds, the margin) come from the game's ``tables``, built once per game
-object; the hull comes from the cube set's per-version cache.
+object; the hull comes from the cube set's cache, which a withdrawal keeps
+unless it moves the lowest or highest cell of a lattice column.
 
 The default loop recomputes the punishment floor and the union context
-before every cube test, matching the reference pseudocode exactly.  The
+before every cube test, matching the reference pseudocode exactly; the
+rebuild after a withdrawal re-derives the hull only when the withdrawn
+cube was the lowest or highest of its lattice column.  The
 opt-in ``frozen_passes`` variant freezes both per pass and applies removals
 at the pass end; it can only delay removals by one pass (never removes
 more) and makes large runs much cheaper.  Between passes the previous
@@ -68,7 +71,8 @@ from .feasibility import (FEAS_TOL, UNDECIDED, LinearSystem, SupportPattern,
 from .game import (PROB_TOL, MixedProfile, StageGame,
                    conditional_payoff_table)
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
-                       get_halfplanes, hull_vertices, initial_cube, split_all)
+                       get_halfplanes, hull_box, hull_vertices, initial_cube,
+                       split_all)
 
 MODES = ("pure", "mixed-clusters", "mixed-correlated")
 COMPLETIONS = ("bound", "exact")
@@ -110,10 +114,11 @@ class SupportCertificate:
     Pure certificates hold the action profile and the continuation payoff
     point; mixed and correlated certificates carry a full SupportSolution
     and cache its ``conditional_payoffs`` (pure stage payoffs come from
-    ``game.tables``).  ``w_floor`` is the floor the out-of-support
-    continuations are anchored at.  Which cube the witness is for, and the
-    continuation region it was checked in, are not recorded: the dict key
-    and the cube set supply them at every replay.
+    ``game.tables``; a certificate read from a file has no cached table, and
+    its replay takes one from the game).  ``w_floor`` is the floor the
+    out-of-support continuations are anchored at.  Which cube the witness
+    is for, and the continuation region it was checked in, are not
+    recorded: the dict key and the cube set supply them at every replay.
     """
 
     kind: str                                    # pure | mixed | correlated
@@ -214,10 +219,11 @@ def _build_context(C: CubeSet, hull: bool) -> _Context:
     bounding box.  The only place the solver derives them from a cube set."""
     ctx = _Context(w_floor=C.min_origin())
     if hull:
+        # All three read the set's hull cache; the vertices are looked up
+        # here only so that perfbench's tracer records each build's hull.
+        hull_vertices(C)
         ctx.halfplanes = get_halfplanes(C)
-        verts = hull_vertices(C)
-        ctx.hull_box = ((min(v[0] for v in verts), min(v[1] for v in verts)),
-                        (max(v[0] for v in verts), max(v[1] for v in verts)))
+        ctx.hull_box = hull_box(C)
     else:
         ctx.clusters = get_clusters(C)
     return ctx
@@ -225,15 +231,22 @@ def _build_context(C: CubeSet, hull: bool) -> _Context:
 
 # -- stage-payoff tables -------------------------------------------------------
 
-def _with_payoff_tables(cert: SupportCertificate,
-                        game: StageGame) -> SupportCertificate:
-    """A mixed certificate with the conditional payoffs its replay reads
-    taken from the game (certificates read from a file carry none); a pure
-    one reads ``game.tables`` directly."""
-    if cert.kind == "pure":
-        return cert
-    return replace(cert, conditional_payoffs=conditional_payoff_table(
-        game, cert.solution.alpha))
+def _conditional_payoffs(cert: SupportCertificate, game: StageGame):
+    """The conditional payoffs a mixed certificate's replay reads: its own
+    table, or for a certificate read from a file (which carries none) the
+    game's table when its alpha is exactly a point mass, else a table
+    computed from its alpha."""
+    if cert.conditional_payoffs is not None:
+        return cert.conditional_payoffs
+    alpha = cert.solution.alpha
+    supports = cert.solution.pattern.supports
+    if all(len(s) == 1 for s in supports):
+        profile = tuple(s[0] for s in supports)
+        mass = game.tables.point_masses.get(profile)
+        if mass is not None and all(map(np.array_equal, alpha.probs,
+                                        mass.probs)):
+            return game.tables.conditional[profile]
+    return conditional_payoff_table(game, alpha)
 
 
 # -- constraint systems ---------------------------------------------------------
@@ -662,7 +675,7 @@ def certificate_residual(cert: SupportCertificate, game: StageGame,
         return worst
 
     sol = cert.solution
-    cond = cert.conditional_payoffs
+    cond = _conditional_payoffs(cert, game)
     supports = sol.pattern.supports
     worst = 0.0
     if cert.kind == "mixed":
@@ -725,9 +738,9 @@ def verify_union(C: CubeSet, certificates: dict, game: StageGame,
     context = cache(lambda hull: _build_context(C, hull))
     counts = [game.action_count(i) for i in range(game.player_count)]
     for ix in C.indices():
-        if not _fits_game(certificates[ix], counts):
+        cert = certificates[ix]
+        if not _fits_game(cert, counts):
             return False
-        cert = _with_payoff_tables(certificates[ix], game)
         ctx = context(cert.kind == "correlated")
         if not _replay_ok(cert, ctx, C.origin_of(ix), C.side, game, gamma):
             return False

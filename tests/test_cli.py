@@ -4,7 +4,9 @@ import pytest
 import spegrid as sg
 from spegrid.cli import (RunManifest, main, read_final_set, run,
                          verify_final_set)
+from spegrid.game import conditional_payoff_table
 from spegrid.gamefile import resolve_game_path
+from spegrid.solver import _conditional_payoffs
 
 
 class TestGameFormat:
@@ -371,3 +373,39 @@ class TestTamperedFinalSet:
                      "3.2", "--verify", str(path)])
         assert code == 1
         assert "verification FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pd_final_set", ["mixed", "correlated"],
+                             indirect=True)
+    def test_near_point_mass_alpha_is_replayed_with_its_own_table(
+            self, pd_final_set, pd, tmp_path):
+        # A size-1 pattern whose alpha puts 5e-10 off the action still fits
+        # the game (the mass outside the pattern is below PROB_TOL).  Only an
+        # exact point mass may take the game's shared table; this one is
+        # replayed with a table computed from its alpha, and verifies as
+        # before.
+        header, cubes, blocks = _sections(pd_final_set)
+        k, block = next((k, b) for k, b in enumerate(blocks)
+                        if len(b[2].split()) == 4)  # "pattern: a | b"
+        profile = tuple(map(int, block[2][len("pattern: "):].split(" | ")))
+        rows = []
+        for a in profile:
+            row = [5e-10, 5e-10]
+            row[a] = 1.0 - 5e-10
+            rows.append(" ".join(map(repr, row)))
+        exact = tmp_path / "exact.txt"
+        _write_sections(exact, header, cubes, blocks)
+        blocks[k] = [f"alpha: {' | '.join(rows)}" if line.startswith("alpha:")
+                     else line for line in block]
+        near = tmp_path / "near.txt"
+        _write_sections(near, header, cubes, blocks)
+        assert verify_final_set(near, pd, 0.7)
+
+        C, _, certs = read_final_set(near)
+        index = C.index_of(map(float, block[0][len("cube: "):].split()))
+        shared = pd.tables.conditional[profile]
+        assert _conditional_payoffs(read_final_set(exact)[2][index],
+                                    pd) is shared
+        cert = certs[index]
+        table = _conditional_payoffs(cert, pd)
+        assert table == conditional_payoff_table(pd, cert.solution.alpha)
+        assert table != shared

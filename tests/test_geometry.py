@@ -3,6 +3,7 @@ import pytest
 
 import spegrid as sg
 from conftest import hull_oracle
+from spegrid.geometry import _corner_candidates, hull_box
 
 
 class TestInitialCube:
@@ -199,6 +200,101 @@ class TestHalfplanes:
                 assert verts == sg.hull_vertices(fresh)
                 assert sg.get_halfplanes(C) == sg.get_halfplanes(fresh)
                 C.remove(C.indices()[rng.integers(len(C))])
+
+
+def _oracle_corner_candidates(cube_set):
+    # Per lattice line x = X, the lowest and highest cube corner, found by
+    # sorting every corner of every cell (the candidate rule the column
+    # extremes replace).
+    cells = np.array(cube_set.indices(), dtype=np.int64)
+    xs = np.concatenate([cells[:, 0], cells[:, 0] + 1,
+                         cells[:, 0], cells[:, 0] + 1])
+    ys = np.concatenate([cells[:, 1], cells[:, 1],
+                         cells[:, 1] + 1, cells[:, 1] + 1])
+    order = np.lexsort((ys, xs))
+    xs, ys = xs[order], ys[order]
+    uniq, starts = np.unique(xs, return_index=True)
+    pts = []
+    for i, x in enumerate(uniq):
+        lo = starts[i]
+        hi = starts[i + 1] if i + 1 < len(starts) else len(xs)
+        pts.append((int(x), int(ys[lo])))
+        if ys[hi - 1] != ys[lo]:
+            pts.append((int(x), int(ys[hi - 1])))
+    return sorted(set(pts))
+
+
+def _oracle_columns(cube_set):
+    cols = {}
+    for x, y in cube_set.indices():
+        cols.setdefault(x, []).append(y)
+    return {x: [min(ys), max(ys)] for x, ys in cols.items()}
+
+
+def _removal_orders(cells, rng):
+    """A shuffled order, and one that empties whole columns first."""
+    shuffled = sorted(cells)
+    rng.shuffle(shuffled)
+    by_column = sorted(cells)
+    columns = sorted({x for x, _ in cells})
+    rng.shuffle(columns)
+    rank = {x: r for r, x in enumerate(columns)}
+    by_column.sort(key=lambda c: (rank[c[0]], rng.random()))
+    return [shuffled, by_column]
+
+
+class TestColumnExtremes:
+    """The column extremes and the hull cached from them, checked after every
+    removal against a fresh set and the corner-sorting oracle."""
+
+    @staticmethod
+    def _sets(rng):
+        yield sg.CubeSet((0.0, 0.0), 1.0, [(3, y) for y in range(-2, 9)])
+        yield sg.CubeSet((0.0, 0.0), 1.0, [(x, 5) for x in range(-4, 7)])
+        yield sg.CubeSet((-1.0, 2.0), 0.5, [(2, 0), (2, 3), (2, 7), (2, 8)])
+        for _ in range(6):
+            cells = {tuple(int(k) for k in rng.integers(-3, 7, size=2))
+                     for _ in range(rng.integers(2, 40))}
+            C = sg.CubeSet((-1.0, -1.0), 0.25, cells)
+            split = sg.split_all(C)
+            for ix in split.indices()[::3][:len(split) - 1]:
+                split.remove(ix)
+            yield from (C, split.copy(), sg.split_all(split))
+
+    def _check(self, C):
+        fresh = sg.CubeSet(C.base, C.side, C.indices())
+        assert C._columns == fresh._columns == _oracle_columns(C)
+        assert _corner_candidates(C) == _oracle_corner_candidates(C) \
+            == _corner_candidates(fresh)
+        assert sg.hull_vertices(C) == sg.hull_vertices(fresh)
+        assert sg.get_halfplanes(C) == sg.get_halfplanes(fresh)
+        assert hull_box(C) == hull_box(fresh)
+
+    def test_random_removals_match_a_fresh_set_and_the_oracle(self):
+        rng = np.random.default_rng(20)
+        kept = moved = 0
+        for C in self._sets(rng):
+            # the first order runs on a copy, the second on the set itself
+            for D, order in zip((C.copy(), C),
+                                _removal_orders(C.indices(), rng)):
+                self._check(D)
+                for ix in order[:-1]:
+                    before = {x: tuple(c) for x, c in D._columns.items()}
+                    verts = sg.hull_vertices(D)
+                    D.remove(ix)
+                    after = {x: tuple(c) for x, c in D._columns.items()}
+                    # the hull is kept exactly when no column extreme moved
+                    assert (sg.hull_vertices(D) is verts) == (before == after)
+                    kept += before == after
+                    moved += before != after
+                    self._check(D)
+        assert kept > 500 and moved > 500
+
+    def test_other_dimensions_keep_no_columns(self):
+        C = sg.CubeSet((0.0, 0.0, 0.0), 1.0, [(0, 0, 0), (0, 0, 1)])
+        C.remove((0, 0, 1))
+        assert C._columns is None
+        assert sg.CubeSet((0.0,), 1.0, [(0,), (1,)])._columns is None
 
 
 class TestLocate:
