@@ -237,6 +237,27 @@ class PayoffTables:
         # every accepted LP has a true mixture whose rows hold to within
         # FEAS_TOL * max(1, max|r|): a screen that rejects only beyond this
         # margin never rejects a pattern the LP accepts.
+        #
+        # The hull-slice cut (``solver._slice_window``) widens its slabs and
+        # slices so that it, too, keeps every accepted pattern.  At the
+        # phase-1 point of an accepted LP:
+        # * the opponent's row for an in-support action b holds to within
+        #   this margin at the renormalised mixture, so w_opp(b) lies in the
+        #   box screen's interval J(b) widened by margin / gamma;
+        # * each hull row holds to within its artificial, at most FEAS_TOL.
+        #   With unit normals, the polygon whose edges are pushed out by
+        #   FEAS_TOL has each vertex FEAS_TOL / sin(theta / 2) from the
+        #   hull's, theta the interior angle.  A hull vertex is a corner of a
+        #   square the hull contains, so theta >= 90 degrees, and every
+        #   continuation pair lies within sqrt(2) * FEAS_TOL of a hull
+        #   point q.
+        # So q's opponent coordinate lies in J(b) widened by margin / gamma
+        # + sqrt(2) * FEAS_TOL, and the player's continuation within
+        # sqrt(2) * FEAS_TOL of q's: the slab is widened by the former and
+        # the slice's extent by sqrt(2) * FEAS_TOL (``solver._HULL_SLACK``).
+        # Where the cut window keeps an edge of the bounding box, the
+        # continuation may pass it by its hull row's slack, which this
+        # margin already covers.
         from .feasibility import FEAS_TOL
 
         bounds = self.bounds

@@ -11,9 +11,10 @@ read-only queries here are safe to call concurrently on a fixed set.  The
 set is the one owner of its derived geometry.  It caches its sorted indices
 until the next removal.  A planar set also keeps, per lattice column (first
 index), its lowest and highest row; the hull (vertices, half-planes and
-bounding box) is built from those column extremes and cached until a
-removal moves one of them.  A removal inside a column leaves every hull
-candidate, and so the hull, unchanged.
+bounding box) is built from the corner candidates those column extremes
+give, and cached until a removal changes a candidate.  A removal inside a
+column, or one whose moved extreme a neighbouring column overrides, leaves
+every candidate, and so the hull, unchanged.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class CubeSet:
         self._cells.remove(ix)
         self._sorted = None
         self.version += 1
-        if self._columns is not None and self._column_extreme_moved(ix):
+        if self._columns is not None and self._hull_candidates_moved(ix):
             self._drop_hull()
         for d, k in enumerate(ix):
             self._counts[d][k] -= 1
@@ -162,14 +163,17 @@ class CubeSet:
                         m += 1
                     self._mins[d] = m
 
-    def _column_extreme_moved(self, removed) -> bool:
+    def _hull_candidates_moved(self, removed) -> bool:
         # Update the extremes of the removed cell's column; rescan the column
         # only when its lowest or highest cell went, drop it once empty.
+        # Only the corner candidates on the column's two lines can move.
         x, y = removed
         col = self._columns[x]
         lo, hi = col
         if lo < y < hi:
             return False
+        lines = (_line_corners(self._columns, x),
+                 _line_corners(self._columns, x + 1))
         if lo == hi:
             del self._columns[x]
         elif y == lo:
@@ -182,7 +186,8 @@ class CubeSet:
             while (x, hi) not in self._cells:
                 hi -= 1
             col[1] = hi
-        return True
+        return lines != (_line_corners(self._columns, x),
+                         _line_corners(self._columns, x + 1))
 
     def min_origin(self) -> tuple[float, ...]:
         """Per-dimension minimum of cube origins (the punishment floor)."""
@@ -264,16 +269,24 @@ def get_clusters(cube_set: CubeSet) -> list[Cluster]:
     return clusters
 
 
+def _line_corners(cols, X) -> Optional[tuple[int, int]]:
+    # The lowest and highest cube corner on the lattice line x = X, or None
+    # when no cube touches it.  Those corners belong to the cells of columns
+    # X-1 and X, so they follow from the two columns' extremes.
+    ext = [cols[x] for x in (X - 1, X) if x in cols]
+    if not ext:
+        return None
+    return min(lo for lo, _ in ext), max(hi for _, hi in ext) + 1
+
+
 def _corner_candidates(cube_set: CubeSet) -> list[tuple[int, int]]:
-    # Hull candidates, sorted: the lowest and highest cube corner on each
-    # lattice line x = X.  Those corners belong to the cells of columns X-1
-    # and X, so they follow from the two columns' extremes.
+    # Hull candidates, sorted: the lowest and highest corner on each line.
     cols = cube_set._columns
     pts = []
     for X in sorted({*cols, *(x + 1 for x in cols)}):
-        ext = [cols[x] for x in (X - 1, X) if x in cols]
-        pts.append((X, min(lo for lo, _ in ext)))
-        pts.append((X, max(hi for _, hi in ext) + 1))
+        lo, hi = _line_corners(cols, X)
+        pts.append((X, lo))
+        pts.append((X, hi))
     return pts
 
 
@@ -302,7 +315,7 @@ def hull_vertices(cube_set: CubeSet) -> tuple[tuple[float, float], ...]:
     """Vertices of the convex hull of all cube corners, counter-clockwise
     starting at the lexicographically smallest vertex.  Two-player only.
 
-    Cached on the set until a removal moves a column extreme."""
+    Cached on the set until a removal changes a corner candidate."""
     if cube_set.dimension != 2:
         raise ValueError("convex hulls are only supported in two dimensions")
     if len(cube_set) == 0:

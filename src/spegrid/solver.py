@@ -24,22 +24,25 @@ feasibility module).  Singleton patterns are decided in closed form before
 touching the LP, and two screens reject hopeless patterns: a box screen on
 per-action payoff ranges, then a mixture screen that clips each player's
 simplex of opponent mixtures (a segment or a triangle) by that player's
-utility rows.  Without hull rows the support LP splits into
-exactly these per-player problems, so the mixture screen decides the
-cluster LP and relaxes the hull LP.  Both screens reject only beyond one
-margin, ``FEAS_TOL * (1 + max|payoff|)``, which covers the slack the
-simplex accepts (derived at ``PayoffTables.screen_margin``), so they skip
-only LPs that would fail.  The closed forms are cross-checked against the
-LP in the test suite.  The stage payoffs they read (point masses,
-conditional and best-deviation payoffs, per-pattern screen rows, payoff
-bounds, the margin) come from the game's ``tables``, built once per game
-object; the hull comes from the cube set's cache, which a withdrawal keeps
-unless it moves the lowest or highest cell of a lattice column.
+utility rows.  Without hull rows the support LP splits into exactly these
+per-player problems, so the two screens decide the cluster LP.  For the
+hull, a pattern that passes both is screened again with each player's
+window cut to the hull slices the opponent's in-support continuations can
+reach; that makes the screens decide the hull LP when one player is pure,
+and relax it when both mix.  The screens reject only beyond one margin,
+``FEAS_TOL * (1 + max|payoff|)``, and the cut widens its slices, to cover
+the slack the simplex accepts (derived at ``PayoffTables.screen_margin``),
+so they skip only LPs that would fail.  The test suite cross-checks the
+closed forms and the screens against the LP.  The stage payoffs they read
+(point masses, conditional and best-deviation payoffs, per-pattern screen
+rows, payoff bounds, the margin) come from the game's ``tables``, built
+once per game object; the hull comes from the cube set's cache, which a
+withdrawal keeps unless it changes a corner candidate of the hull.
 
 The default loop recomputes the punishment floor and the union context
 before every cube test, matching the reference pseudocode exactly; the
-rebuild after a withdrawal re-derives the hull only when the withdrawn
-cube was the lowest or highest of its lattice column.  The
+rebuild after a withdrawal re-derives the hull only when the withdrawal
+changed a corner candidate.  The
 opt-in ``frozen_passes`` variant freezes both per pass and applies removals
 at the pass end; it can only delay removals by one pass (never removes
 more) and makes large runs much cheaper.  Between passes the previous
@@ -209,19 +212,21 @@ class SolveReport:
 class _Context:
     w_floor: tuple[float, ...]
     clusters: Optional[list[Cluster]] = None
+    vertices: Optional[tuple[tuple[float, float], ...]] = None
     halfplanes: Optional[tuple[HalfPlane, ...]] = None
     hull_box: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
 
 
 def _build_context(C: CubeSet, hull: bool) -> _Context:
     """The floor and the continuation regions of the union C: its clusters,
-    or (``hull``, the correlated back-end) the hull's half-planes and
-    bounding box.  The only place the solver derives them from a cube set."""
+    or (``hull``, the correlated back-end) the hull's vertices, half-planes
+    and bounding box.  The only place the solver derives them from a cube
+    set."""
     ctx = _Context(w_floor=C.min_origin())
     if hull:
-        # All three read the set's hull cache; the vertices are looked up
-        # here only so that perfbench's tracer records each build's hull.
-        hull_vertices(C)
+        # All three read the set's hull cache, looked up by name here so
+        # that perfbench's tracer records each build's hull.
+        ctx.vertices = hull_vertices(C)
         ctx.halfplanes = get_halfplanes(C)
         ctx.hull_box = hull_box(C)
     else:
@@ -544,6 +549,101 @@ def _screen_mixtures(cube_origin, side, pattern, game, gamma, w_floor,
     return True
 
 
+# How far from the hull an accepted LP may put a pair of in-support
+# continuations (derived at ``PayoffTables.screen_margin``).
+_HULL_SLACK = math.sqrt(2.0) * FEAS_TOL
+
+
+def _slab_extent(vertices, axis, lo, hi):
+    """The range along the other axis of the convex polygon ``vertices``
+    (cyclic order) cut by the slab lo <= x[axis] <= hi, in one walk over
+    its edges: the vertices inside the slab and the edges' crossings of its
+    two lines.  None when the slab misses the polygon."""
+    # The comparisons are written out: this walk runs once per slab of every
+    # pattern the plain screens pass, and min/max calls double its cost.
+    other = 1 - axis
+    low, high = math.inf, -math.inf
+    pu, pv = vertices[-1][axis], vertices[-1][other]
+    for vert in vertices:
+        u, v = vert[axis], vert[other]
+        if lo <= u <= hi:
+            if v < low:
+                low = v
+            if v > high:
+                high = v
+        # an edge ending on a line yields its end point, counted above
+        if (pu < lo) != (u < lo):
+            x = pv + (lo - pu) / (u - pu) * (v - pv)
+            if x < low:
+                low = x
+            if x > high:
+                high = x
+        if (pu < hi) != (u < hi):
+            x = pv + (hi - pu) / (u - pu) * (v - pv)
+            if x < low:
+                low = x
+            if x > high:
+                high = x
+        pu, pv = u, v
+    return (low, high) if low <= high else None
+
+
+def _slice_window(cube_origin, side, pattern, game, gamma, window, vertices):
+    """The screen window [lo, hi] cut, per player, to the part of the hull
+    the opponent's in-support continuations can reach (gamma > 0); None
+    when a cut leaves nothing.
+
+    The opponent's utility row for an in-support action b confines its
+    continuation w_opp(b) to the box screen's interval J(b), a slab of the
+    plane.  Player i's in-support continuations are paired with w_opp(b) in
+    the hull, so each lies in the projection onto axis i of the hull cut by
+    that slab, for every b.  Both are widened so that no pattern the LP
+    accepts is cut (see ``_HULL_SLACK``).  When one player is pure and the
+    other mixes over two or three actions (the mixture screen's reach), the
+    screens with this window decide the support LP: the pure player's rows see
+    only the opponent's mixture and their single continuation, and the
+    opponent's rows only the opponent's own continuations, which the slabs
+    carry into the pure player's window.  With both players mixing it is a
+    relaxation."""
+    margin = game.tables.screen_margin
+    g1 = 1.0 - gamma
+    lo, hi = list(window[0]), list(window[1])
+    for j, rows in enumerate(game.tables.screens[pattern.supports]):
+        i = 1 - j
+        o = cube_origin[j]
+        for in_supp, v_min, v_max, _ in rows:
+            if not in_supp:
+                continue
+            s_lo = (o - g1 * v_max - margin) / gamma - _HULL_SLACK
+            s_hi = (o + side - g1 * v_min + margin) / gamma + _HULL_SLACK
+            if s_lo <= window[0][j] and s_hi >= window[1][j]:
+                continue
+            extent = _slab_extent(vertices, j, s_lo, s_hi)
+            if extent is None:
+                return None
+            lo[i] = max(lo[i], extent[0] - _HULL_SLACK)
+            hi[i] = min(hi[i], extent[1] + _HULL_SLACK)
+        if lo[i] > hi[i]:
+            return None
+    return tuple(lo), tuple(hi)
+
+
+def _screen_hull_slices(cube_origin, side, pattern, game, gamma, w_floor,
+                        window, vertices) -> bool:
+    """For the hull region (``vertices``, the hull's) with gamma > 0: the
+    box and mixture screens run again with the window cut to the hull
+    slices, for a pattern the plain screens passed.  False only when the
+    support LP certainly fails."""
+    cut = _slice_window(cube_origin, side, pattern, game, gamma, window,
+                        vertices)
+    if cut is None:
+        return False
+    if cut == window:
+        return True
+    args = (cube_origin, side, pattern, game, gamma, w_floor, *cut)
+    return _screen_pattern(*args) and _screen_mixtures(*args)
+
+
 # -- cube tests -------------------------------------------------------------------
 
 def cube_supported_pure(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
@@ -572,12 +672,12 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
                     patterns, kind: str, regions
                     ) -> Optional[SupportCertificate]:
     """The search driver of both mixed back-ends.  Each region is a
-    (singleton decider, support-LP builder, screen window) tuple; the first
-    region whose support program finds a pattern yields the certificate,
-    pure patterns first."""
+    (singleton decider, support-LP builder, screen window, hull vertices or
+    None) tuple; the first region whose support program finds a pattern
+    yields the certificate, pure patterns first."""
     if game.player_count != 2:
         raise ValueError("mixed cube tests require exactly two players")
-    for singleton, builder, window in regions:
+    for singleton, builder, window, vertices in regions:
 
         def shortcut(pattern):
             if pattern.is_pure():
@@ -585,8 +685,14 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
             args = (cube.origin, cube.side, pattern, game, gamma, w_floor,
                     *window)
             # the box screen reads precomputed bounds and rejects most
-            # hopeless patterns before the clipper runs
+            # hopeless patterns before the clipper runs, and the hull cut
+            # runs only after both
             if not _screen_pattern(*args) or not _screen_mixtures(*args):
+                return None
+            if vertices is not None and gamma > 0.0 and \
+                    not _screen_hull_slices(cube.origin, cube.side, pattern,
+                                            game, gamma, w_floor, window,
+                                            vertices):
                 return None
             return UNDECIDED
 
@@ -618,35 +724,33 @@ def cube_supported_mixed(cube: Hypercube, C: CubeSet, w_floor,
     regions = ((partial(_singleton_cluster_solution, cube.origin, cube.side,
                         cl, w_floor, game, gamma),
                 partial(mixed_cluster_system, cube, cl, w_floor, game, gamma),
-                _cluster_box(cl))
+                _cluster_box(cl), None)
                for cl in clusters)
     return _search_regions(cube, w_floor, game, gamma, patterns, "mixed",
                            regions)
 
 
 def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
-                              gamma: float,
-                              halfplanes: Optional[Sequence[HalfPlane]] = None,
-                              w_floor=None, hull_box=None,
+                              gamma: float, ctx: Optional[_Context] = None,
                               patterns: Optional[Sequence[SupportPattern]] = None
                               ) -> Optional[SupportCertificate]:
     """Cube test with public correlation: continuations anywhere in the
     convex hull of the union.  The single region is the payoff box cut by
-    the hull's half-planes; the screen window is the hull's bounding box."""
-    if halfplanes is None or w_floor is None or hull_box is None:
+    the hull's half-planes; the screen window is the hull's bounding box,
+    cut per pattern to the hull slices.  ``ctx`` is C's context, built here
+    when not given."""
+    if ctx is None:
         ctx = _build_context(C, hull=True)
-        halfplanes = ctx.halfplanes if halfplanes is None else halfplanes
-        w_floor = ctx.w_floor if w_floor is None else w_floor
-        hull_box = hull_box or ctx.hull_box
     bounds = game.tables.bounds
     region = (partial(_singleton_correlated_solution, cube.origin, cube.side,
-                      halfplanes, w_floor, bounds, game, gamma),
-              partial(correlated_support_system, cube, halfplanes, w_floor,
-                      bounds, game, gamma),
-              (tuple(max(lo, bounds.low) for lo in hull_box[0]),
-               tuple(min(hi, bounds.high) for hi in hull_box[1])))
-    return _search_regions(cube, w_floor, game, gamma, patterns, "correlated",
-                           [region])
+                      ctx.halfplanes, ctx.w_floor, bounds, game, gamma),
+              partial(correlated_support_system, cube, ctx.halfplanes,
+                      ctx.w_floor, bounds, game, gamma),
+              (tuple(max(lo, bounds.low) for lo in ctx.hull_box[0]),
+               tuple(min(hi, bounds.high) for hi in ctx.hull_box[1])),
+              ctx.vertices)
+    return _search_regions(cube, ctx.w_floor, game, gamma, patterns,
+                           "correlated", [region])
 
 
 # -- certificate replay --------------------------------------------------------------
@@ -898,10 +1002,8 @@ def solve(game: StageGame, config: SolverConfig,
             return cube_supported_mixed(cube, C, ctx.w_floor, game,
                                         config.gamma, clusters=ctx.clusters,
                                         patterns=patterns)
-        return cube_supported_correlated(
-            cube, C, game, config.gamma, halfplanes=ctx.halfplanes,
-            w_floor=ctx.w_floor, hull_box=ctx.hull_box,
-            patterns=patterns)
+        return cube_supported_correlated(cube, C, game, config.gamma,
+                                         ctx=ctx, patterns=patterns)
 
     while True:
         iteration += 1

@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import spegrid as sg  # noqa: E402
 from spegrid.cli import write_final_set  # noqa: E402
 from spegrid.feasibility import enumerate_support_patterns  # noqa: E402
-from spegrid.solver import (MODES, _screen_mixtures,  # noqa: E402
-                            _screen_pattern, _singleton_cluster_solution,
+from spegrid.solver import (MODES, _clip, _screen_hull_slices,  # noqa: E402
+                            _screen_mixtures, _screen_pattern,
+                            _singleton_cluster_solution,
                             _singleton_correlated_solution)
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
@@ -51,9 +52,16 @@ def opp_profile(i, a, b):
     return (a, b) if i == 0 else (b, a)
 
 
-def screens_reject(cube, pattern, game, gamma, floor, window):
-    args = (cube.origin, cube.side, pattern, game, gamma, floor, *window)
-    return not _screen_pattern(*args), not _screen_mixtures(*args)
+def screens_reject(cube, pattern, game, gamma, floor, window, vertices=None):
+    """Whether the search's screens reject a non-pure pattern; with the
+    hull's ``vertices`` (and gamma > 0) they run again with the window cut
+    to the hull slices."""
+    args = (cube.origin, cube.side, pattern, game, gamma, floor)
+    if not _screen_pattern(*args, *window) \
+            or not _screen_mixtures(*args, *window):
+        return True
+    return vertices is not None and gamma > 0.0 \
+        and not _screen_hull_slices(*args, window, vertices)
 
 
 @PROPERTY
@@ -119,8 +127,8 @@ def test_cluster_deciders_agree_with_the_support_lp(scenario):
             continue
         # without hull rows the two screens decide the LP itself: the box
         # screen a player facing one action, the mixture screen the rest
-        assert any(screens_reject(cube, pattern, game, gamma, floor,
-                                  window)) == (lp is None)
+        assert screens_reject(cube, pattern, game, gamma, floor,
+                              window) == (lp is None)
 
 
 @st.composite
@@ -142,6 +150,7 @@ def test_correlated_deciders_agree_with_the_support_lp(scenario):
     game, C, cube, gamma = scenario
     bounds = game.tables.bounds
     planes = tuple(sg.get_halfplanes(C))
+    vertices = sg.hull_vertices(C)
     floor = C.min_origin()
     window = _hull_window(C, bounds)
     for pattern in patterns_of(game):
@@ -155,7 +164,14 @@ def test_correlated_deciders_agree_with_the_support_lp(scenario):
             if (fast is None) != (lp is None):
                 # only hairline cases on the feasibility boundary
                 assert fast is None and system.residual(lp) <= 1e-7
-        elif any(screens_reject(cube, pattern, game, gamma, floor, window)):
+            continue
+        rejected = screens_reject(cube, pattern, game, gamma, floor, window,
+                                  vertices)
+        if min(map(len, pattern.supports)) == 1:
+            # with a pure player the screens with the cut window decide
+            # the hull LP, as the screens alone decide the cluster LP
+            assert rejected == (lp is None)
+        elif rejected:
             assert lp is None
 
 
@@ -172,7 +188,10 @@ def boundary_scenarios(draw):
     The region is a cluster box or the hull of a few cubes; the row is the
     upper or lower in-support row or an out-of-support row.  Payoffs reach
     +-20, so the slack the simplex allows in sum(alpha) = 1 weighs up to
-    twenty times the tolerance in a utility row."""
+    twenty times the tolerance in a utility row.  A third of the scenarios
+    are hull-tight instead (``hull_tight_scenarios``)."""
+    if draw(st.integers(0, 2)) == 0:
+        return draw(hull_tight_scenarios())
     game = draw(games(scale=20.0))
     pattern = draw(st.sampled_from([p for p in patterns_of(game)
                                     if not p.is_pure()]))
@@ -195,7 +214,7 @@ def boundary_scenarios(draw):
         C = sg.CubeSet((bounds.low, bounds.low),
                        max(bounds.spread, 0.5) / 4.0, cells)
         window = _hull_window(C, bounds)
-        region = ("hull", tuple(sg.get_halfplanes(C)))
+        region = ("hull", C)
     floor = tuple(lo - draw(tenths(0.0, 5.0)) for lo in window[0])
     side = draw(tenths(0.1, 5.0))
     target = draw(st.integers(0, 1))
@@ -225,6 +244,81 @@ def boundary_scenarios(draw):
         window, region
 
 
+@st.composite
+def hull_tight_scenarios(draw):
+    """A pattern with one pure player p (action b) and a hull whose boundary
+    point q, a vertex or an edge's midpoint, carries the continuations.
+
+    The cube puts one edge of the slab of one of m's actions (the interval
+    p's cut reads off m's utility row against b; m is the other player) at
+    q_m, and every other slab of m contains q_m.  Then either that slab
+    edge moves outward by a jitter, with q on the hull's extreme edge along
+    m's axis, so the slab just touches or just misses the hull; or p's row
+    is tight, up to a jitter, at an end of p's sliced window, computed here
+    by clipping the hull.  The row is tight at the mixture of m that suits
+    it best, a point mass on m's best action for it: at any other the LP
+    could move the mixture.  Payoffs of +-0.1 keep the screens' margin
+    below the cut's widening; payoffs of +-20 let the simplex's slack in
+    sum(alpha) = 1 weigh in."""
+    game = draw(games(scale=draw(st.sampled_from([0.1, 20.0]))))
+    pattern = draw(st.sampled_from([
+        pt for pt in patterns_of(game)
+        if not pt.is_pure() and min(map(len, pt.supports)) == 1]))
+    p = 0 if len(pattern.supports[0]) == 1 else 1
+    m, b = 1 - p, pattern.supports[p][0]
+    gamma = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    bounds = game.tables.bounds
+    cells = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=6))
+    C = sg.CubeSet((bounds.low, bounds.low), max(bounds.spread, 0.5) / 4.0,
+                   cells)
+    verts = sg.hull_vertices(C)
+    window = _hull_window(C, bounds)
+    floor = tuple(lo - draw(tenths(0.0, 5.0)) for lo in window[0])
+    own = {a: (1.0 - gamma) * game.payoff_to(opp_profile(m, a, b), m)
+           for a in pattern.supports[m]}
+    reach = [(1.0 - gamma) * game.payoff_to(opp_profile(p, b, a), p)
+             for a in pattern.supports[m]]
+    side = max(own.values()) - min(own.values()) + draw(tenths(0.1, 5.0))
+    low_edge = draw(st.booleans())
+    tight = draw(st.sampled_from(["slab", "window"]))
+    jitter = draw(st.sampled_from(JITTERS))
+    if tight == "slab":
+        # the extreme edge the slab opens away from
+        top = (max if low_edge else min)(v[m] for v in verts)
+        ends = [v for v in verts if v[m] == top]
+        q = draw(st.sampled_from(ends + [tuple((x + y) / 2.0 for x, y in
+                                               zip(ends[0], ends[-1]))]))
+    else:
+        k = draw(st.integers(0, len(verts) - 1))
+        t = draw(st.sampled_from([0.0, 0.5]))
+        q = tuple(x + t * (y - x) for x, y in
+                  zip(verts[k], verts[(k + 1) % len(verts)]))
+    # the slab of a_star has its lower (or upper) edge at q_m
+    a_star = (min if low_edge else max)(own, key=own.get)
+    o_m = own[a_star] + gamma * q[m] - (0.0 if low_edge else side)
+    if tight == "slab":
+        o_m += jitter if low_edge else -jitter
+        o_p = sum(reach) / len(reach) + gamma * q[p] - side / 2.0
+    else:
+        spans = []
+        for a in own:
+            lo = (o_m - own[a]) / gamma
+            rows = [[-float(d == m) for d in range(2)] + [-lo],
+                    [float(d == m) for d in range(2)] + [lo + side / gamma]]
+            spans.append([pt[p] for pt in _clip(list(verts), rows, tol=0.0)]
+                         or [q[p]])
+        if draw(st.booleans()):
+            w_hi = min(window[1][p], min(map(max, spans)))
+            o_p = max(reach) + gamma * w_hi + jitter
+        else:
+            w_lo = max(window[0][p], max(map(min, spans)))
+            o_p = min(reach) + gamma * w_lo - side - jitter
+    origin = (o_m, o_p) if m == 0 else (o_p, o_m)
+    return game, pattern, gamma, sg.Hypercube(origin, side), floor, window, \
+        ("hull", C)
+
+
 def _cluster_window(cluster):
     return cluster.origin, tuple(o + ln for o, ln in zip(cluster.origin,
                                                           cluster.lengths))
@@ -236,18 +330,20 @@ def _hull_window(C, bounds):
             tuple(min(max(v[d] for v in verts), bounds.high) for d in range(2)))
 
 
-@settings(deadline=None, derandomize=True, database=None, max_examples=1500)
+@settings(deadline=None, derandomize=True, database=None, max_examples=2250)
 @given(boundary_scenarios())
 def test_screens_never_reject_a_pattern_the_lp_accepts(scenario):
     game, pattern, gamma, cube, floor, window, (kind, region) = scenario
+    vertices = None
     if kind == "cluster":
         system = sg.mixed_cluster_system(cube, region, floor, game, gamma,
                                          pattern)
     else:
-        system = sg.correlated_support_system(cube, region, floor,
-                                              game.tables.bounds, game, gamma,
-                                              pattern)
-    if any(screens_reject(cube, pattern, game, gamma, floor, window)):
+        system = sg.correlated_support_system(cube, sg.get_halfplanes(region),
+                                              floor, game.tables.bounds, game,
+                                              gamma, pattern)
+        vertices = sg.hull_vertices(region)
+    if screens_reject(cube, pattern, game, gamma, floor, window, vertices):
         assert sg.solve_feasibility(system) is None
 
 
