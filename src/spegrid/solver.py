@@ -21,14 +21,15 @@ driver; they differ only in the continuation region (a cluster box, or
 the payoff box cut by the hull's half-planes).  They emulate the
 associated mixed-integer programs exactly by support enumeration (see the
 feasibility module).  Singleton patterns are decided in closed form before
-touching the LP, and two screens reject hopeless patterns: a box screen on
-per-action payoff ranges, then a mixture screen that clips each player's
-simplex of opponent mixtures (a segment or a triangle) by that player's
-utility rows.  Without hull rows the support LP splits into exactly these
-per-player problems, so the two screens decide the cluster LP.  For the
-hull, a pattern that passes both is screened again with each player's
-window cut to the hull slices the opponent's in-support continuations can
-reach; that makes the screens decide the hull LP when one player is pure,
+touching the LP (for the hull by clipping a box, passing over the rows
+that cannot act on it), and two screens reject hopeless patterns: a box
+screen on per-action payoff ranges, then a mixture screen that clips each
+player's simplex of opponent mixtures (a segment or a triangle) by that
+player's utility rows.  Without hull rows the support LP splits into
+exactly these per-player problems, so the two screens decide the cluster
+LP.  For the hull, a pattern that passes both is screened again with each
+player's window cut to the hull slices the opponent's in-support
+continuations can reach; that makes the screens decide the hull LP when one player is pure,
 and relax it when both mix.  The screens reject only beyond one margin,
 ``FEAS_TOL * (1 + max|payoff|)``, and the cut widens its slices, to cover
 the slack the simplex accepts (derived at ``PayoffTables.screen_margin``),
@@ -48,13 +49,20 @@ at the pass end; it can only delay removals by one pass (never removes
 more) and makes large runs much cheaper.  Between passes the previous
 certificate of a cube is replayed against the current context before any
 fresh search runs; a valid stored witness proves feasibility, so this is a
-pure optimisation.  A certificate carries only its witness and the floor
-its out-of-support continuations sit at: every replay takes the cube's
-position, the floor and the continuation region from the cube set, so a
-certificate passes unchanged through a replay at an unmoved floor and down
-a split.  The loop, ``verify_certificate`` and ``verify_union`` derive that
-context from a cube set in one place; ``verify_union`` builds it once per
-cube set.
+pure optimisation.  A frozen pass replays all its stored certificates in
+one numpy batch against its one context (``_batch_residuals``, with the
+scalar ``certificate_residual``'s bits), and each cube's replay reads its
+verdict; the literal loop, whose context moves with every withdrawal,
+replays cube by cube.  A certificate carries only its witness and the
+floor its out-of-support continuations sit at: every replay takes the
+cube's position, the floor and the continuation region from the cube set,
+so a certificate passes unchanged through a replay and down a split.  Its
+out-of-support entries are re-anchored at the latest floor only at the end
+of a pass that removed nothing, where the completion check, the split and
+the report read them.  The loop, ``verify_certificate`` and
+``verify_union`` derive that context from a cube set in one place;
+``verify_union`` builds it once per cube set and kind, and replays through
+the same batch.
 """
 
 from __future__ import annotations
@@ -62,7 +70,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -213,20 +223,27 @@ class _Context:
     w_floor: tuple[float, ...]
     clusters: Optional[list[Cluster]] = None
     vertices: Optional[tuple[tuple[float, float], ...]] = None
+    # per axis i: the range of the other coordinate spanned by the hull's
+    # lowest and highest vertex along i
+    extreme_span: Optional[tuple[tuple[float, float], ...]] = None
     halfplanes: Optional[tuple[HalfPlane, ...]] = None
     hull_box: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
 
 
 def _build_context(C: CubeSet, hull: bool) -> _Context:
     """The floor and the continuation regions of the union C: its clusters,
-    or (``hull``, the correlated back-end) the hull's vertices, half-planes
-    and bounding box.  The only place the solver derives them from a cube
-    set."""
+    or (``hull``, the correlated back-end) the hull's vertices, the span of
+    its extreme vertices, its half-planes and bounding box.  The only place
+    the solver derives them from a cube set."""
     ctx = _Context(w_floor=C.min_origin())
     if hull:
         # All three read the set's hull cache, looked up by name here so
         # that perfbench's tracer records each build's hull.
-        ctx.vertices = hull_vertices(C)
+        ctx.vertices = verts = hull_vertices(C)
+        ctx.extreme_span = tuple(
+            tuple(sorted((min(verts, key=itemgetter(i))[1 - i],
+                          max(verts, key=itemgetter(i))[1 - i])))
+            for i in range(2))
         ctx.halfplanes = get_halfplanes(C)
         ctx.hull_box = hull_box(C)
     else:
@@ -457,6 +474,37 @@ def _clip(poly, rows, tol=FEAS_TOL):
     return poly
 
 
+def _clip_box(lo, hi, rows):
+    """``_clip`` of the box [lo, hi] by the half-planes ``rows``, clipping
+    only by the rows that can act on it, with the same result.
+
+    Rounding is monotone, so at every point of the box a row's value,
+    computed as ``_clip`` computes it, lies between its values at the two
+    corners the row's signs pick.  While every vertex lies in the box, a
+    row whose larger corner value is within the clip's tolerance therefore
+    keeps every vertex and is passed over, and one whose smaller corner
+    value is beyond it keeps none.  A crossing cut from a vertex that lies
+    outside a row but within the tolerance falls beyond that vertex,
+    possibly outside the box; from then on every row is clipped."""
+    poly = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
+    inside = True
+    for row in rows:
+        if inside:
+            phi, psi, lam = row
+            x_max, x_min = (hi[0], lo[0]) if phi > 0.0 else (lo[0], hi[0])
+            y_max, y_min = (hi[1], lo[1]) if psi > 0.0 else (lo[1], hi[1])
+            if phi * x_max + psi * y_max - lam <= FEAS_TOL:
+                continue
+            if phi * x_min + psi * y_min - lam > FEAS_TOL:
+                return []
+        poly = _clip(poly, (row,))
+        if not poly:
+            return []
+        inside = all(lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]
+                     for x, y in poly)
+    return poly
+
+
 def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
                                    bounds, game, gamma, pattern):
     profile = tuple(s[0] for s in pattern.supports)
@@ -478,8 +526,7 @@ def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
             return None
         lo.append(wlo)
         hi.append(max(whi, wlo))
-    poly = _clip([(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]),
-                  (lo[0], hi[1])], halfplanes)
+    poly = _clip_box(lo, hi, halfplanes)
     if not poly:
         return None
     w_in = min(poly)
@@ -588,37 +635,40 @@ def _slab_extent(vertices, axis, lo, hi):
     return (low, high) if low <= high else None
 
 
-def _slice_window(cube_origin, side, pattern, game, gamma, window, vertices):
+def _slice_window(cube_origin, side, pattern, game, gamma, window, hull):
     """The screen window [lo, hi] cut, per player, to the part of the hull
     the opponent's in-support continuations can reach (gamma > 0); None
-    when a cut leaves nothing.
+    when a cut leaves nothing.  ``hull`` is the union's context.
 
     The opponent's utility row for an in-support action b confines its
     continuation w_opp(b) to the box screen's interval J(b), a slab of the
     plane.  Player i's in-support continuations are paired with w_opp(b) in
     the hull, so each lies in the projection onto axis i of the hull cut by
     that slab, for every b.  Both are widened so that no pattern the LP
-    accepts is cut (see ``_HULL_SLACK``).  When one player is pure and the
-    other mixes over two or three actions (the mixture screen's reach), the
-    screens with this window decide the support LP: the pure player's rows see
-    only the opponent's mixture and their single continuation, and the
-    opponent's rows only the opponent's own continuations, which the slabs
-    carry into the pure player's window.  With both players mixing it is a
-    relaxation."""
+    accepts is cut (see ``_HULL_SLACK``).  A slab that holds the hull's
+    lowest and highest vertex along axis i projects onto the hull's whole
+    range, which contains the window, so it is not walked.  When one player
+    is pure and the other mixes over two or three actions (the mixture
+    screen's reach), the screens with this window decide the support LP:
+    the pure player's rows see only the opponent's mixture and their single
+    continuation, and the opponent's rows only the opponent's own
+    continuations, which the slabs carry into the pure player's window.
+    With both players mixing it is a relaxation."""
     margin = game.tables.screen_margin
     g1 = 1.0 - gamma
     lo, hi = list(window[0]), list(window[1])
     for j, rows in enumerate(game.tables.screens[pattern.supports]):
         i = 1 - j
         o = cube_origin[j]
+        ends_lo, ends_hi = hull.extreme_span[i]
         for in_supp, v_min, v_max, _ in rows:
             if not in_supp:
                 continue
             s_lo = (o - g1 * v_max - margin) / gamma - _HULL_SLACK
             s_hi = (o + side - g1 * v_min + margin) / gamma + _HULL_SLACK
-            if s_lo <= window[0][j] and s_hi >= window[1][j]:
+            if s_lo <= ends_lo and ends_hi <= s_hi:
                 continue
-            extent = _slab_extent(vertices, j, s_lo, s_hi)
+            extent = _slab_extent(hull.vertices, j, s_lo, s_hi)
             if extent is None:
                 return None
             lo[i] = max(lo[i], extent[0] - _HULL_SLACK)
@@ -629,13 +679,12 @@ def _slice_window(cube_origin, side, pattern, game, gamma, window, vertices):
 
 
 def _screen_hull_slices(cube_origin, side, pattern, game, gamma, w_floor,
-                        window, vertices) -> bool:
-    """For the hull region (``vertices``, the hull's) with gamma > 0: the
-    box and mixture screens run again with the window cut to the hull
+                        window, hull) -> bool:
+    """For the hull region (``hull``, the union's context) with gamma > 0:
+    the box and mixture screens run again with the window cut to the hull
     slices, for a pattern the plain screens passed.  False only when the
     support LP certainly fails."""
-    cut = _slice_window(cube_origin, side, pattern, game, gamma, window,
-                        vertices)
+    cut = _slice_window(cube_origin, side, pattern, game, gamma, window, hull)
     if cut is None:
         return False
     if cut == window:
@@ -672,12 +721,12 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
                     patterns, kind: str, regions
                     ) -> Optional[SupportCertificate]:
     """The search driver of both mixed back-ends.  Each region is a
-    (singleton decider, support-LP builder, screen window, hull vertices or
+    (singleton decider, support-LP builder, screen window, hull context or
     None) tuple; the first region whose support program finds a pattern
     yields the certificate, pure patterns first."""
     if game.player_count != 2:
         raise ValueError("mixed cube tests require exactly two players")
-    for singleton, builder, window, vertices in regions:
+    for singleton, builder, window, hull in regions:
 
         def shortcut(pattern):
             if pattern.is_pure():
@@ -689,10 +738,10 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
             # runs only after both
             if not _screen_pattern(*args) or not _screen_mixtures(*args):
                 return None
-            if vertices is not None and gamma > 0.0 and \
+            if hull is not None and gamma > 0.0 and \
                     not _screen_hull_slices(cube.origin, cube.side, pattern,
                                             game, gamma, w_floor, window,
-                                            vertices):
+                                            hull):
                 return None
             return UNDECIDED
 
@@ -748,7 +797,7 @@ def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
                       ctx.w_floor, bounds, game, gamma),
               (tuple(max(lo, bounds.low) for lo in ctx.hull_box[0]),
                tuple(min(hi, bounds.high) for hi in ctx.hull_box[1])),
-              ctx.vertices)
+              ctx)
     return _search_regions(cube, ctx.w_floor, game, gamma, patterns,
                            "correlated", [region])
 
@@ -820,6 +869,104 @@ def _cluster_violation(pool, values) -> float:
     return best
 
 
+# Elements of the widest intermediate array of one batched-replay chunk.
+_BATCH_ELEMENTS = 1 << 16
+
+
+def _batch_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
+                     game: StageGame, gamma: float) -> np.ndarray:
+    """``certificate_residual`` of ``certificates[ix]`` for the cube ix of C
+    against ``ctx``, for every ix of ``indices``, with the scalar's bits.
+
+    Mixed and correlated certificates are stacked per kind, their patterns
+    carried as in-support masks, and replayed in numpy chunks: every term
+    is the scalar code's expression, evaluated elementwise in its order
+    (no matmul, so no reassociation), with origins base + index * side.
+    ``np.fmax`` skips NaN as Python's ``max`` does, and a zero residual
+    comes out as +0.0, as the scalar's.  Pure certificates take the scalar
+    path."""
+    res = np.empty(len(indices))
+    by_kind: dict = {}
+    for k, ix in enumerate(indices):
+        by_kind.setdefault(certificates[ix].kind, []).append(k)
+    for kind, rows in by_kind.items():
+        if kind == "pure":
+            for k in rows:
+                res[k] = certificate_residual(
+                    certificates[indices[k]], game, gamma,
+                    C.origin_of(indices[k]), C.side, ctx.w_floor, ctx.clusters)
+            continue
+        m = [game.action_count(i) for i in range(2)]
+        width = (m[0] * m[1] * len(ctx.halfplanes) if kind == "correlated"
+                 else len(ctx.clusters) * (m[0] + m[1]))
+        step = max(1, _BATCH_ELEMENTS // width)
+        for start in range(0, len(rows), step):
+            part = rows[start:start + step]
+            res[part] = _stacked_residuals(certificates,
+                                           [indices[k] for k in part], C,
+                                           ctx, game, gamma, kind)
+    return res
+
+
+def _stacked_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
+                       game: StageGame, gamma: float, kind: str) -> np.ndarray:
+    # One chunk of _batch_residuals: certificates of one mixed kind.  Each
+    # certificate gives one table row: its continuations, its conditional
+    # payoffs and its in-support mask, one column per action of each player.
+    n = len(indices)
+    m = [game.action_count(i) for i in range(2)]
+    cols = m[0] + m[1]
+    masks: dict = {}
+    flat: list = []
+    for ix in indices:
+        cert = certificates[ix]
+        sol = cert.solution
+        supports = sol.pattern.supports
+        mask = masks.get(supports)
+        if mask is None:
+            mask = masks[supports] = tuple(float(a in supports[i])
+                                           for i in range(2)
+                                           for a in range(m[i]))
+        cond = cert.conditional_payoffs or _conditional_payoffs(cert, game)
+        flat += sol.continuations[0]
+        flat += sol.continuations[1]
+        flat += cond[0]
+        flat += cond[1]
+        flat += mask
+    table = np.fromiter(flat, float, len(flat)).reshape(n, 3, cols)
+    w, q, in_supp = table[:, 0], table[:, 1], table[:, 2] > 0.0
+    player = np.repeat([0, 1], m)
+    origins = np.array(C.base) + np.fromiter(
+        chain.from_iterable(indices), float, 2 * n).reshape(n, 2) * C.side
+    o = origins[:, player]
+    wp = (1.0 - gamma) * q + gamma * w
+    dev = (1.0 - gamma) * q + gamma * np.array(ctx.w_floor)[player]
+    terms = np.where(in_supp, np.fmax(o - wp, wp - o - C.side), dev - o)
+    worst = np.fmax.reduce(terms, axis=1, initial=0.0)
+    if kind == "correlated":
+        # every in-support pair against every hull row, then the largest
+        # per certificate (each has at least one pair, in row order)
+        owner, a1, a2 = np.nonzero(in_supp[:, :m[0], None]
+                                   & in_supp[:, None, m[0]:])
+        phi, psi, lam = np.array(ctx.halfplanes, dtype=float).T
+        rows = (w[owner, a1, None] * phi + w[owner, m[0] + a2, None] * psi
+                - lam)
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        worst = np.fmax(worst, np.fmax.reduceat(
+            np.fmax.reduce(rows, axis=1), first))
+    else:
+        # _cluster_violation: per cluster the largest box violation of the
+        # in-support continuations (NaN elsewhere, skipped), at least 0;
+        # the least over clusters
+        low = np.array([cl.origin for cl in ctx.clusters])[:, player]
+        lengths = np.array([cl.lengths for cl in ctx.clusters])[:, player]
+        v = np.where(in_supp, w, np.nan)[:, None, :]
+        out = np.fmax(low - v, v - low - lengths)
+        worst = np.fmax(worst, np.fmax.reduce(out, axis=2,
+                                              initial=0.0).min(axis=1))
+    return worst + 0.0
+
+
 def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
                        C: CubeSet, index) -> bool:
     """Replay a certificate for the cube ``index`` of C against the union C
@@ -828,27 +975,30 @@ def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
     if index not in C:
         return False
     ctx = _build_context(C, hull=cert.kind == "correlated")
-    return _replay_ok(cert, ctx, C.origin_of(index), C.side, game, gamma)
+    return _replay_ok(cert, ctx, C, index, game, gamma)
 
 
 def verify_union(C: CubeSet, certificates: dict, game: StageGame,
                  gamma: float) -> bool:
-    """Replay one certificate per cube of C against C, building the union
-    context once.  Fails unless the certificates name exactly the cubes of
-    C.  Payoff tables come from the game, so certificates read from a file
+    """Replay one certificate per cube of C against C in one batch per
+    kind, building each kind's union context once.  Fails unless the
+    certificates name exactly the cubes of C and each fits the game.
+    Payoff tables come from the game, so certificates read from a file
     need none."""
     if sorted(certificates) != C.indices():
         return False
-    context = cache(lambda hull: _build_context(C, hull))
     counts = [game.action_count(i) for i in range(game.player_count)]
+    by_region: dict = {}
     for ix in C.indices():
         cert = certificates[ix]
         if not _fits_game(cert, counts):
             return False
-        ctx = context(cert.kind == "correlated")
-        if not _replay_ok(cert, ctx, C.origin_of(ix), C.side, game, gamma):
-            return False
-    return True
+        by_region.setdefault(cert.kind == "correlated", []).append(ix)
+    return all(
+        bool(np.all(_batch_residuals(certificates, indices, C,
+                                     _build_context(C, hull), game, gamma)
+                    <= FEAS_TOL))
+        for hull, indices in by_region.items())
 
 
 def _fits_game(cert: SupportCertificate, counts) -> bool:
@@ -878,12 +1028,12 @@ def _fits_game(cert: SupportCertificate, counts) -> bool:
     return True
 
 
-def _refresh_certificate(cert: SupportCertificate, ctx: _Context, gamma: float,
+def _refresh_certificate(cert: SupportCertificate, w_floor, gamma: float,
                          game: StageGame) -> SupportCertificate:
-    """A replayed certificate, with a mixed one's out-of-support
-    continuations re-anchored at the current floor when the floor moved.
-    A pure certificate has no out-of-support continuations to move."""
-    if cert.kind == "pure" or cert.w_floor == ctx.w_floor:
+    """A certificate with a mixed one's out-of-support continuations
+    re-anchored at the floor ``w_floor`` when it moved.  A pure certificate
+    has no out-of-support continuations to move."""
+    if cert.kind == "pure" or cert.w_floor == w_floor:
         return cert
     sol = cert.solution
     cond = cert.conditional_payoffs
@@ -894,18 +1044,24 @@ def _refresh_certificate(cert: SupportCertificate, ctx: _Context, gamma: float,
         urow = list(sol.utilities[i])
         for a in range(game.action_count(i)):
             if a not in supp:
-                crow[a] = ctx.w_floor[i]
-                urow[a] = (1.0 - gamma) * cond[i][a] + gamma * ctx.w_floor[i]
+                crow[a] = w_floor[i]
+                urow[a] = (1.0 - gamma) * cond[i][a] + gamma * w_floor[i]
         conts.append(tuple(crow))
         utils.append(tuple(urow))
     new_sol = SupportSolution(sol.alpha, tuple(conts), tuple(utils), sol.pattern)
-    return replace(cert, w_floor=ctx.w_floor, solution=new_sol)
+    return replace(cert, w_floor=w_floor, solution=new_sol)
 
 
-def _replay_ok(cert: SupportCertificate, ctx: _Context, cube_origin, side,
-               game: StageGame, gamma: float) -> bool:
+def _replay_ok(cert: SupportCertificate, ctx: _Context, C: CubeSet, index,
+               game: StageGame, gamma: float, verdicts=None) -> bool:
+    """Whether ``cert`` replays for the cube ``index`` of C against ``ctx``:
+    the batch's verdict when a frozen pass has replayed its certificates
+    at once (``verdicts``, by index), else the scalar residual's.  The
+    solver's one decision point per replay."""
+    if verdicts is not None:
+        return verdicts[index]
     region = ctx.halfplanes if cert.kind == "correlated" else ctx.clusters
-    return certificate_residual(cert, game, gamma, cube_origin, side,
+    return certificate_residual(cert, game, gamma, C.origin_of(index), C.side,
                                 ctx.w_floor, region) <= FEAS_TOL
 
 
@@ -1012,16 +1168,21 @@ def solve(game: StageGame, config: SolverConfig,
         cubes_start = len(order)
         removed = 0
         pending_removals = []
-        frozen_ctx = current_context() if config.frozen_passes else None
+        frozen_ctx = verdicts = None
+        if config.frozen_passes:
+            # every replay of the pass reads this context: replay them at once
+            frozen_ctx = current_context()
+            stored = [idx for idx in order if idx in certificates]
+            residuals = _batch_residuals(certificates, stored, C, frozen_ctx,
+                                         game, config.gamma)
+            verdicts = dict(zip(stored, (residuals <= FEAS_TOL).tolist()))
         for idx in order:
             ctx = frozen_ctx if config.frozen_passes else current_context()
-            cube = C.cube_at(idx)
             cert = certificates.get(idx)
-            if cert is not None and _replay_ok(cert, ctx, cube.origin,
-                                               C.side, game, config.gamma):
-                certificates[idx] = _refresh_certificate(cert, ctx,
-                                                         config.gamma, game)
+            if cert is not None and _replay_ok(cert, ctx, C, idx, game,
+                                               config.gamma, verdicts):
                 continue
+            cube = C.cube_at(idx)
             cert = search(cube, ctx)
             if cert is not None:
                 certificates[idx] = cert
@@ -1042,6 +1203,13 @@ def solve(game: StageGame, config: SolverConfig,
         if len(C) == 0:
             status = "empty"
         elif removed == 0:
+            # Out-of-support entries are read from here on (completion check,
+            # split, report); replay and inheritance never read them, so
+            # re-anchoring only here, at the latest floor, is exact.
+            floor = C.min_origin()
+            for idx, cert in certificates.items():
+                certificates[idx] = _refresh_certificate(cert, floor,
+                                                         config.gamma, game)
             if _all_completed(C, config, game, certificates):
                 status = "converged"
             elif C.generation + 1 > config.max_generations:

@@ -19,9 +19,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import spegrid as sg  # noqa: E402
 from spegrid.cli import write_final_set  # noqa: E402
 from spegrid.feasibility import enumerate_support_patterns  # noqa: E402
-from spegrid.solver import (MODES, _clip, _screen_hull_slices,  # noqa: E402
-                            _screen_mixtures, _screen_pattern,
-                            _singleton_cluster_solution,
+from spegrid.solver import (MODES, _build_context, _clip,  # noqa: E402
+                            _screen_hull_slices, _screen_mixtures,
+                            _screen_pattern, _singleton_cluster_solution,
                             _singleton_correlated_solution)
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
@@ -52,16 +52,16 @@ def opp_profile(i, a, b):
     return (a, b) if i == 0 else (b, a)
 
 
-def screens_reject(cube, pattern, game, gamma, floor, window, vertices=None):
+def screens_reject(cube, pattern, game, gamma, floor, window, hull=None):
     """Whether the search's screens reject a non-pure pattern; with the
-    hull's ``vertices`` (and gamma > 0) they run again with the window cut
-    to the hull slices."""
+    ``hull`` context of a cube set (and gamma > 0) they run again with the
+    window cut to the hull slices."""
     args = (cube.origin, cube.side, pattern, game, gamma, floor)
     if not _screen_pattern(*args, *window) \
             or not _screen_mixtures(*args, *window):
         return True
-    return vertices is not None and gamma > 0.0 \
-        and not _screen_hull_slices(*args, window, vertices)
+    return hull is not None and gamma > 0.0 \
+        and not _screen_hull_slices(*args, window, hull)
 
 
 @PROPERTY
@@ -150,7 +150,7 @@ def test_correlated_deciders_agree_with_the_support_lp(scenario):
     game, C, cube, gamma = scenario
     bounds = game.tables.bounds
     planes = tuple(sg.get_halfplanes(C))
-    vertices = sg.hull_vertices(C)
+    hull = _build_context(C, hull=True)
     floor = C.min_origin()
     window = _hull_window(C, bounds)
     for pattern in patterns_of(game):
@@ -166,7 +166,7 @@ def test_correlated_deciders_agree_with_the_support_lp(scenario):
                 assert fast is None and system.residual(lp) <= 1e-7
             continue
         rejected = screens_reject(cube, pattern, game, gamma, floor, window,
-                                  vertices)
+                                  hull)
         if min(map(len, pattern.supports)) == 1:
             # with a pure player the screens with the cut window decide
             # the hull LP, as the screens alone decide the cluster LP
@@ -334,7 +334,7 @@ def _hull_window(C, bounds):
 @given(boundary_scenarios())
 def test_screens_never_reject_a_pattern_the_lp_accepts(scenario):
     game, pattern, gamma, cube, floor, window, (kind, region) = scenario
-    vertices = None
+    hull = None
     if kind == "cluster":
         system = sg.mixed_cluster_system(cube, region, floor, game, gamma,
                                          pattern)
@@ -342,8 +342,8 @@ def test_screens_never_reject_a_pattern_the_lp_accepts(scenario):
         system = sg.correlated_support_system(cube, sg.get_halfplanes(region),
                                               floor, game.tables.bounds, game,
                                               gamma, pattern)
-        vertices = sg.hull_vertices(region)
-    if screens_reject(cube, pattern, game, gamma, floor, window, vertices):
+        hull = _build_context(region, hull=True)
+    if screens_reject(cube, pattern, game, gamma, floor, window, hull):
         assert sg.solve_feasibility(system) is None
 
 

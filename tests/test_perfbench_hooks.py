@@ -33,14 +33,21 @@ def test_every_target_resolves(tracer_module):
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
-@pytest.mark.parametrize("game,gamma,epsilon,mode", [
-    ("prisoners_dilemma", 0.7, 3.2, "mixed-correlated"),
-    ("battle_of_sexes", 0.4, 1.0, "mixed-clusters"),
-])
+SOLVES = [("prisoners_dilemma", 0.7, 3.2, "mixed-correlated"),
+          ("battle_of_sexes", 0.4, 1.0, "mixed-clusters")]
+
+
+# each solve in the literal loop and with frozen passes; the literal cases
+# keep their plain ids
+@pytest.mark.parametrize("game,gamma,epsilon,mode,frozen", [
+    pytest.param(*solve, frozen,
+                 id="-".join(map(str, solve)) + ("-frozen" if frozen else ""))
+    for solve in SOLVES for frozen in (False, True)])
 def test_traced_solve_keeps_identities(tracer_module, game, gamma, epsilon,
-                                       mode):
+                                       mode, frozen):
     tracer = tracer_module.Tracer()
-    config = sg.SolverConfig(gamma=gamma, epsilon=epsilon, mode=mode)
+    config = sg.SolverConfig(gamma=gamma, epsilon=epsilon, mode=mode,
+                             frozen_passes=frozen)
     tracer.install()
     try:
         with tracer.phase_span("solve"):
@@ -51,9 +58,11 @@ def test_traced_solve_keeps_identities(tracer_module, game, gamma, epsilon,
     counts, times = tracer.metrics(report,
                                    {p: 1 for p in tracer_module.PHASES})
     assert tracer_module.check_identities(counts) == []
-    # the hooks saw every layer: context builds, searches, support
-    # programs, the LP builders and the simplex
+    # the hooks saw every layer: context builds, replays (a frozen pass
+    # decides each through _replay_ok too), searches, support programs,
+    # the LP builders and the simplex
     assert counts["geometry.context_builds"] > 0
+    assert counts["solver.replay_hits"] > 0
     assert counts["solver.searches"] > 0
     assert counts["feasibility.support_programs"] > 0
     assert counts["feasibility.lps"] > 0
