@@ -9,8 +9,7 @@ from .automaton import (Automaton, AutomatonState, PunishmentProfile,
 from .feasibility import (LinearSystem, SupportPattern, SupportSolution,
                           UnboundedError, enumerate_support_patterns,
                           solve_feasibility, solve_support_program)
-from .game import (MixedProfile, PayoffBounds, StageGame, best_response,
-                   discounted_average, expected_payoff, minmax, payoff_bounds)
+from .game import MixedProfile, PayoffBounds, StageGame, payoff_bounds
 from .gamefile import (GameFormatError, list_bundled, load_bundled,
                        parse_game, parse_game_file, serialize_game)
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,

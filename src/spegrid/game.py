@@ -2,8 +2,8 @@
 
 A stage game is a finite normal-form game: per-player action labels and a
 payoff tensor mapping every pure action profile to a payoff vector.  This
-module provides mixed action profiles, expected payoffs, best responses,
-minmax values, payoff bounds, and discounted averaging of payoff streams.
+module provides mixed action profiles, payoff bounds and conditional
+payoffs.
 
 Quantities that depend only on the game (payoff bounds, point masses, the
 conditional payoffs of every pure profile, the screen rows of every support
@@ -25,8 +25,6 @@ import numpy as np
 
 # Probability mass below this is treated as zero (support membership).
 PROB_TOL = 1e-9
-# Absolute tolerance for payoff comparisons (best-response ties etc).
-VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -293,99 +291,3 @@ class PayoffTables:
         patterns = enumerate_support_patterns(
             [game.action_count(i) for i in range(2)])
         return {p.supports: _screen_rows(game, p.supports) for p in patterns}
-
-
-def expected_payoff(game: StageGame, mix: MixedProfile, player: int,
-                    fixed_action: int | None = None) -> float:
-    """Expected payoff of `player` under `mix`.
-
-    With ``fixed_action`` given, the expectation runs over the opponents'
-    mixtures only, with `player` pinned to that pure action; the player's
-    own component of `mix` is ignored.
-    """
-    if not 0 <= player < game.player_count:
-        raise IndexError(f"player {player} out of range")
-    table = game.payoffs[..., player]
-    for j in reversed(range(game.player_count)):
-        if j == player and fixed_action is not None:
-            if not 0 <= fixed_action < game.action_count(player):
-                raise IndexError(f"action {fixed_action} out of range")
-            table = np.take(table, fixed_action, axis=j)
-        else:
-            table = np.tensordot(table, mix.probs[j], axes=([j], [0]))
-    return float(table)
-
-
-def best_response(game: StageGame, player: int,
-                  opponent_mix: MixedProfile) -> tuple[int, float]:
-    """Best pure response of `player` against the opponents' mixtures.
-
-    `opponent_mix` is a full MixedProfile; the player's own component is
-    ignored.  Ties break to the smallest action index.
-    """
-    best_action, best_value = 0, -np.inf
-    for a in range(game.action_count(player)):
-        v = expected_payoff(game, opponent_mix, player, fixed_action=a)
-        if v > best_value + VALUE_TOL:
-            best_action, best_value = a, v
-    return best_action, best_value
-
-
-def minmax(game: StageGame, player: int) -> float:
-    """The worst payoff the opponents can force on a best-responding player.
-
-    For two players the opponent minimises over mixed actions (solved as a
-    small LP, exact).  For more players, the variant over opponents' pure
-    profiles is used, which is what the pure-strategy solver needs.
-    """
-    n = game.player_count
-    if n == 2:
-        from .feasibility import LinearSystem, solve_feasibility
-
-        opp = 1 - player
-        k = game.action_count(opp)
-        sys = LinearSystem()
-        for b in range(k):
-            sys.add_variable(f"q{b}", low=0.0, high=1.0)
-        sys.add_variable("v")
-        sys.add_constraint({f"q{b}": 1.0 for b in range(k)}, "=", 1.0)
-        for a in range(game.action_count(player)):
-            coeffs = {"v": -1.0}
-            for b in range(k):
-                profile = (a, b) if player == 0 else (b, a)
-                coeffs[f"q{b}"] = game.payoff_to(profile, player)
-            sys.add_constraint(coeffs, "<=", 0.0)
-        sys.set_objective({"v": 1.0})
-        sol = solve_feasibility(sys)
-        if sol is None:  # simplex cannot fail on a simplex-constrained LP
-            raise RuntimeError("minmax LP unexpectedly infeasible")
-        return float(sol["v"])
-    # pure-action variant: min over opponents' pure profiles
-    worst = np.inf
-    others = [j for j in range(n) if j != player]
-    for combo in itertools.product(*(range(game.action_count(j)) for j in others)):
-        fixed = dict(zip(others, combo))
-        best = -np.inf
-        for a in range(game.action_count(player)):
-            profile = tuple(fixed[j] if j != player else a for j in range(n))
-            best = max(best, game.payoff_to(profile, player))
-        worst = min(worst, best)
-    return float(worst)
-
-
-def discounted_average(prefix, cycle, gamma: float) -> float:
-    """Discounted average value of the stream prefix followed by cycle repeated
-    forever: (1 - g) * sum_t g^t v_t, in closed form via the geometric series.
-    """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"discount factor {gamma} outside [0, 1)")
-    prefix = [float(v) for v in prefix]
-    cycle = [float(v) for v in cycle]
-    if not cycle:
-        raise ValueError("cycle must be non-empty")
-    if gamma == 0.0:
-        return prefix[0] if prefix else cycle[0]
-    head = sum(v * gamma ** t for t, v in enumerate(prefix))
-    one_pass = sum(v * gamma ** t for t, v in enumerate(cycle))
-    tail = gamma ** len(prefix) * one_pass / (1.0 - gamma ** len(cycle))
-    return (1.0 - gamma) * (head + tail)

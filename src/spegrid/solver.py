@@ -52,17 +52,21 @@ fresh search runs; a valid stored witness proves feasibility, so this is a
 pure optimisation.  A frozen pass replays all its stored certificates in
 one numpy batch against its one context (``_batch_residuals``, with the
 scalar ``certificate_residual``'s bits), and each cube's replay reads its
-verdict; the literal loop, whose context moves with every withdrawal,
-replays cube by cube.  A certificate carries only its witness and the
-floor its out-of-support continuations sit at: every replay takes the
-cube's position, the floor and the continuation region from the cube set,
-so a certificate passes unchanged through a replay and down a split.  Its
-out-of-support entries are re-anchored at the latest floor only at the end
-of a pass that removed nothing, where the completion check, the split and
-the report read them.  The loop, ``verify_certificate`` and
-``verify_union`` derive that context from a cube set in one place;
-``verify_union`` builds it once per cube set and kind, and replays through
-the same batch.
+verdict.  For the cubes left to search it then decides the closed-form
+rejections (out-of-support rows, a singleton's interval, the box screen)
+of every (region, pattern) pair in one numpy mask (``_pattern_mask``, with
+the scalar bits), and each search walks only the pairs the mask keeps.
+The literal loop, whose context moves with every withdrawal, replays cube
+by cube and searches without a mask.  A certificate carries only its
+witness and the floor its out-of-support continuations sit at: every
+replay takes the cube's position, the floor and the continuation region
+from the cube set, so a certificate passes unchanged through a replay and
+down a split.  Its out-of-support entries are re-anchored at the latest
+floor only at the end of a pass that removed nothing, where the completion
+check, the split and the report read them.  The loop,
+``verify_certificate`` and ``verify_union`` derive that context from a
+cube set in one place; ``verify_union`` builds it once per cube set and
+kind, and replays through the same batch.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -718,15 +722,24 @@ def cube_supported_pure(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
 
 
 def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
-                    patterns, kind: str, regions
+                    patterns, kind: str, regions, mask=None
                     ) -> Optional[SupportCertificate]:
     """The search driver of both mixed back-ends.  Each region is a
     (singleton decider, support-LP builder, screen window, hull context or
     None) tuple; the first region whose support program finds a pattern
-    yields the certificate, pure patterns first."""
+    yields the certificate, pure patterns first.  ``mask``, a frozen pass's
+    rows of ``_pattern_mask`` for this cube (one per region, over
+    ``patterns``), leaves out the patterns the closed forms reject, and a
+    region with none left."""
     if game.player_count != 2:
         raise ValueError("mixed cube tests require exactly two players")
-    for singleton, builder, window, hull in regions:
+    for (singleton, builder, window, hull), keep in zip(
+            regions, repeat(None) if mask is None else mask):
+        live = patterns
+        if keep is not None:
+            live = list(compress(patterns, keep))
+            if not live:
+                continue
 
         def shortcut(pattern):
             if pattern.is_pure():
@@ -745,7 +758,7 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
                 return None
             return UNDECIDED
 
-        sol = solve_support_program(builder, game, patterns=patterns,
+        sol = solve_support_program(builder, game, patterns=live,
                                     shortcut=shortcut)
         if sol is not None:
             if sol.pattern.is_pure():
@@ -761,12 +774,13 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
 def cube_supported_mixed(cube: Hypercube, C: CubeSet, w_floor,
                          game: StageGame, gamma: float,
                          clusters: Optional[Sequence[Cluster]] = None,
-                         patterns: Optional[Sequence[SupportPattern]] = None
-                         ) -> Optional[SupportCertificate]:
+                         patterns: Optional[Sequence[SupportPattern]] = None,
+                         mask=None) -> Optional[SupportCertificate]:
     """Mixed-strategy cube test over hyperrectangular clusters (2 players).
 
     Each cluster, in construction order, is one region: the in-support
-    continuations stay inside its box.
+    continuations stay inside its box.  ``mask`` is the cube's slice of a
+    frozen pass's ``_pattern_mask``.
     """
     if clusters is None:
         clusters = _build_context(C, hull=False).clusters
@@ -776,18 +790,26 @@ def cube_supported_mixed(cube: Hypercube, C: CubeSet, w_floor,
                 _cluster_box(cl), None)
                for cl in clusters)
     return _search_regions(cube, w_floor, game, gamma, patterns, "mixed",
-                           regions)
+                           regions, mask)
+
+
+def _hull_window(ctx: _Context, bounds):
+    """The screen window of the hull region: its bounding box, cut to the
+    payoff bounds."""
+    return (tuple(max(lo, bounds.low) for lo in ctx.hull_box[0]),
+            tuple(min(hi, bounds.high) for hi in ctx.hull_box[1]))
 
 
 def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
                               gamma: float, ctx: Optional[_Context] = None,
-                              patterns: Optional[Sequence[SupportPattern]] = None
-                              ) -> Optional[SupportCertificate]:
+                              patterns: Optional[Sequence[SupportPattern]] = None,
+                              mask=None) -> Optional[SupportCertificate]:
     """Cube test with public correlation: continuations anywhere in the
     convex hull of the union.  The single region is the payoff box cut by
     the hull's half-planes; the screen window is the hull's bounding box,
     cut per pattern to the hull slices.  ``ctx`` is C's context, built here
-    when not given."""
+    when not given; ``mask`` is the cube's slice of a frozen pass's
+    ``_pattern_mask``."""
     if ctx is None:
         ctx = _build_context(C, hull=True)
     bounds = game.tables.bounds
@@ -795,11 +817,67 @@ def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
                       ctx.halfplanes, ctx.w_floor, bounds, game, gamma),
               partial(correlated_support_system, cube, ctx.halfplanes,
                       ctx.w_floor, bounds, game, gamma),
-              (tuple(max(lo, bounds.low) for lo in ctx.hull_box[0]),
-               tuple(min(hi, bounds.high) for hi in ctx.hull_box[1])),
-              ctx)
+              _hull_window(ctx, bounds), ctx)
     return _search_regions(cube, ctx.w_floor, game, gamma, patterns,
-                           "correlated", [region])
+                           "correlated", [region], mask)
+
+
+def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
+                  gamma: float, patterns) -> np.ndarray:
+    """Which (region, pattern) pairs survive the closed-form rejections of
+    the searches of the cubes ``indices`` of C against ``ctx``: a boolean
+    array of shape (cubes, regions, patterns), False exactly where the
+    search rejects the pair before any clip, mixture screen or LP.  The
+    regions are ctx's clusters, or its single hull region, with the
+    windows the searches screen in.
+
+    Every row of the pattern's player tables is tested, with the scalar
+    expressions evaluated elementwise in the scalar order: an
+    out-of-support row (``_out_of_support_ok`` for a pure pattern, the box
+    screen's row otherwise), a pure pattern's interval before any clip
+    (the w' interval of ``_singleton_cluster_solution``, or the w interval
+    of ``_singleton_correlated_solution``; the same test for both at
+    gamma = 0), and a box-screen row of ``_screen_pattern``.  Cubes are
+    taken in chunks, as in ``_batch_residuals``."""
+    tables = game.tables
+    margin, bounds = tables.screen_margin, tables.bounds
+    g1 = 1.0 - gamma
+    hull = ctx.halfplanes is not None
+    windows = np.array([_hull_window(ctx, bounds)] if hull else
+                       [_cluster_box(cl) for cl in ctx.clusters])
+    pure = np.array([p.is_pure() for p in patterns])
+    tol = np.where(pure, FEAS_TOL, margin)
+    origins = np.array(C.base) + np.array(indices, float).reshape(-1, 2) \
+        * C.side
+    ok = np.ones((len(indices), len(windows), len(patterns)), dtype=bool)
+    step = max(1, _BATCH_ELEMENTS // (len(windows) * len(patterns) * max(
+        game.action_count(i) for i in range(2))))
+    for i in range(2):
+        # (in support, min, max) per own action and pattern, broadcast over
+        # (own action, cube, region, pattern), so that the rows reduce fast
+        rows = np.array([[row[:3] for row in tables.screens[p.supports][i]]
+                         for p in patterns], dtype=float).T[:, :, None, None]
+        in_supp, v_min, v_max = rows[0] > 0.0, rows[1], rows[2]
+        single_rows, screen_rows = in_supp & pure, in_supp & ~pure
+        lo = g1 * v_min + gamma * windows[:, 0, i, None]
+        hi = g1 * v_max + gamma * windows[:, 1, i, None]
+        dev = g1 * v_min + gamma * ctx.w_floor[i]
+        for start in range(0, len(indices), step):
+            o = origins[start:start + step, i, None, None]
+            top = o + C.side
+            if gamma == 0.0:
+                single = ~((o - FEAS_TOL <= v_min) & (v_min <= top + FEAS_TOL))
+            elif hull:
+                single = np.maximum(bounds.low, (o - g1 * v_min) / gamma) \
+                    > np.minimum(bounds.high, (top - g1 * v_min) / gamma) \
+                    + FEAS_TOL
+            else:
+                single = np.maximum(o, lo) > np.minimum(top, hi) + FEAS_TOL
+            screen = (hi < o - margin) | (lo > top + margin)
+            reject = single & single_rows | screen & screen_rows \
+                | (dev > o + tol) & ~in_supp
+            ok[start:start + step] &= ~reject.any(axis=0)
+    return ok
 
 
 # -- certificate replay --------------------------------------------------------------
@@ -1004,11 +1082,13 @@ def verify_union(C: CubeSet, certificates: dict, game: StageGame,
 def _fits_game(cert: SupportCertificate, counts) -> bool:
     """Whether a certificate (read from a file, so unchecked) fits a game
     with ``counts[i]`` actions for player i: a known kind, one row per
-    player, actions in range, one entry per action in every row, and no
+    player, actions in range, one entry per action in every row, only
+    finite numbers (a NaN slips past every residual comparison), and no
     alpha mass on an action outside the pattern."""
     if cert.kind == "pure":
         return (len(cert.profile) == len(cert.continuation) == len(counts)
-                and all(0 <= a < m for a, m in zip(cert.profile, counts)))
+                and all(0 <= a < m for a, m in zip(cert.profile, counts))
+                and all(map(math.isfinite, cert.continuation)))
     if cert.kind not in ("mixed", "correlated"):
         return False
     sol = cert.solution
@@ -1021,6 +1101,8 @@ def _fits_game(cert: SupportCertificate, counts) -> bool:
                 or not len(probs) == len(w) == len(wp) == m:
             return False
         outside = probs.tolist()
+        if not all(map(math.isfinite, chain(outside, w, wp))):
+            return False
         for a in supp:
             outside[a] = 0.0
         if max(outside) > PROB_TOL:
@@ -1150,16 +1232,18 @@ def solve(game: StageGame, config: SolverConfig,
                 C, config.mode == "mixed-correlated"), C.version
         return cached
 
-    def search(cube: Hypercube, ctx: _Context) -> Optional[SupportCertificate]:
+    def search(cube: Hypercube, ctx: _Context,
+               mask) -> Optional[SupportCertificate]:
         if config.mode == "pure":
             return cube_supported_pure(cube, C, ctx.w_floor, game,
                                        config.gamma, clusters=ctx.clusters)
         if config.mode == "mixed-clusters":
             return cube_supported_mixed(cube, C, ctx.w_floor, game,
                                         config.gamma, clusters=ctx.clusters,
-                                        patterns=patterns)
+                                        patterns=patterns, mask=mask)
         return cube_supported_correlated(cube, C, game, config.gamma,
-                                         ctx=ctx, patterns=patterns)
+                                         ctx=ctx, patterns=patterns,
+                                         mask=mask)
 
     while True:
         iteration += 1
@@ -1169,6 +1253,7 @@ def solve(game: StageGame, config: SolverConfig,
         removed = 0
         pending_removals = []
         frozen_ctx = verdicts = None
+        masks: dict = {}
         if config.frozen_passes:
             # every replay of the pass reads this context: replay them at once
             frozen_ctx = current_context()
@@ -1176,6 +1261,12 @@ def solve(game: StageGame, config: SolverConfig,
             residuals = _batch_residuals(certificates, stored, C, frozen_ctx,
                                          game, config.gamma)
             verdicts = dict(zip(stored, (residuals <= FEAS_TOL).tolist()))
+            if patterns is not None:
+                # and so does every search: reject their patterns at once
+                searched = [idx for idx in order if not verdicts.get(idx)]
+                masks = dict(zip(searched, _pattern_mask(
+                    searched, C, frozen_ctx, game, config.gamma,
+                    patterns).tolist()))
         for idx in order:
             ctx = frozen_ctx if config.frozen_passes else current_context()
             cert = certificates.get(idx)
@@ -1183,7 +1274,7 @@ def solve(game: StageGame, config: SolverConfig,
                                                config.gamma, verdicts):
                 continue
             cube = C.cube_at(idx)
-            cert = search(cube, ctx)
+            cert = search(cube, ctx, masks.get(idx))
             if cert is not None:
                 certificates[idx] = cert
                 continue

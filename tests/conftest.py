@@ -1,11 +1,14 @@
-"""Shared fixtures and independent oracles for the test suite.
+"""Shared fixtures, independent oracles and stage-game helpers for the test
+suite.
 
 The oracles here deliberately avoid the library's own code paths wherever
 they are used to check those paths: the rational simplex re-decides
 feasibility in exact arithmetic, the stage-equilibrium oracle enumerates
 supports and solves indifference systems with plain linear algebra, the
 minmax oracle sweeps a fine grid of opponent mixtures, and the hull oracle
-is a brute-force quadratic scan.
+is a brute-force quadratic scan.  The helpers (expected payoffs, best
+responses, discounted averages of payoff streams) are only read by tests,
+so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -43,6 +46,62 @@ def random_game(rng, shape=(2, 2), lo=-3.0, hi=3.0) -> sg.StageGame:
     actions = tuple(tuple(f"a{k}" for k in range(m)) for m in shape)
     tensor = rng.uniform(lo, hi, size=shape + (len(shape),))
     return sg.StageGame(actions, tensor)
+
+
+# -- stage-game helpers ---------------------------------------------------------
+
+def expected_payoff(game: sg.StageGame, mix: sg.MixedProfile, player: int,
+                    fixed_action: int | None = None) -> float:
+    """Expected payoff of `player` under `mix`.
+
+    With ``fixed_action`` given, the expectation runs over the opponents'
+    mixtures only, with `player` pinned to that pure action; the player's
+    own component of `mix` is ignored.
+    """
+    if not 0 <= player < game.player_count:
+        raise IndexError(f"player {player} out of range")
+    table = game.payoffs[..., player]
+    for j in reversed(range(game.player_count)):
+        if j == player and fixed_action is not None:
+            if not 0 <= fixed_action < game.action_count(player):
+                raise IndexError(f"action {fixed_action} out of range")
+            table = np.take(table, fixed_action, axis=j)
+        else:
+            table = np.tensordot(table, mix.probs[j], axes=([j], [0]))
+    return float(table)
+
+
+def best_response(game: sg.StageGame, player: int,
+                  opponent_mix: sg.MixedProfile) -> tuple[int, float]:
+    """Best pure response of `player` against the opponents' mixtures.
+
+    `opponent_mix` is a full MixedProfile; the player's own component is
+    ignored.  Ties (within 1e-9) break to the smallest action index.
+    """
+    best_action, best_value = 0, -np.inf
+    for a in range(game.action_count(player)):
+        v = expected_payoff(game, opponent_mix, player, fixed_action=a)
+        if v > best_value + 1e-9:
+            best_action, best_value = a, v
+    return best_action, best_value
+
+
+def discounted_average(prefix, cycle, gamma: float) -> float:
+    """Discounted average value of the stream prefix followed by cycle repeated
+    forever: (1 - g) * sum_t g^t v_t, in closed form via the geometric series.
+    """
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"discount factor {gamma} outside [0, 1)")
+    prefix = [float(v) for v in prefix]
+    cycle = [float(v) for v in cycle]
+    if not cycle:
+        raise ValueError("cycle must be non-empty")
+    if gamma == 0.0:
+        return prefix[0] if prefix else cycle[0]
+    head = sum(v * gamma ** t for t, v in enumerate(prefix))
+    one_pass = sum(v * gamma ** t for t, v in enumerate(cycle))
+    tail = gamma ** len(prefix) * one_pass / (1.0 - gamma ** len(cycle))
+    return (1.0 - gamma) * (head + tail)
 
 
 # -- minmax oracle: fine grid over opponent mixtures -------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spegrid as sg
+from conftest import discounted_average
 from spegrid.solver import SupportCertificate
 
 
@@ -91,9 +92,9 @@ class TestAutomatonValue:
         M = Automaton(pd, (s0, s1), 0, PunishmentProfile((0, 0), (0.0, 0.0)))
         value = sg.automaton_value(M, 0.5)[0]
         assert value[0] == pytest.approx(
-            sg.discounted_average([], [3.0, -1.0], 0.5))
+            discounted_average([], [3.0, -1.0], 0.5))
         assert value[1] == pytest.approx(
-            sg.discounted_average([], [-1.0, 3.0], 0.5))
+            discounted_average([], [-1.0, 3.0], 0.5))
         assert value[0] == pytest.approx(5 / 3)
 
 

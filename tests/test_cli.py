@@ -343,12 +343,12 @@ class TestTamperedFinalSet:
         _write_sections(tmp_path / "f.txt", header, cubes, blocks)
         assert not verify_final_set(tmp_path / "f.txt", pd, 0.7)
 
-    @pytest.mark.parametrize("edit", range(6))
+    @pytest.mark.parametrize("edit", range(7))
     def test_certificate_that_does_not_fit_the_game_fails(
             self, pd_final_set, tmp_path, capsys, edit):
         # PD has two actions per player; each edit breaks one certificate
-        # by an out-of-range action, a row of the wrong length, or (mixed)
-        # alpha mass on an action outside the pattern
+        # by an out-of-range action, a row of the wrong length, (mixed)
+        # alpha mass on an action outside the pattern, or NaN continuations
         header, cubes, blocks = _sections(pd_final_set)
         block = blocks[self.DROP]
         fields = dict(line.split(": ", 1) for line in block)
@@ -356,13 +356,15 @@ class TestTamperedFinalSet:
             tampers = [{"profile": "5 0"}, {"profile": "0 -1"},
                        {"profile": "0"}, {"profile": "0 0 0"},
                        {"continuation": "0.5"},
-                       {"continuation": "0.5 0.5 0.5"}]
+                       {"continuation": "0.5 0.5 0.5"},
+                       {"continuation": "nan nan"}]
         else:
             w0, w1 = fields["w"].split(" | ")
             short = w0.split()[0] + " | " + w1
             tampers = [{"pattern": "5 | 0"}, {"pattern": "0 | -1"},
                        {"alpha": "1.0 | 1.0"}, {"w": short}, {"wp": short},
-                       {"pattern": "0 | 0", "alpha": "0.0 1.0 | 1.0 0.0"}]
+                       {"pattern": "0 | 0", "alpha": "0.0 1.0 | 1.0 0.0"},
+                       {"w": "nan nan | nan nan"}]
         tamper = tampers[edit]
         blocks[self.DROP] = [
             f"{key}: {tamper[key]}" if key in tamper else line

@@ -1,0 +1,102 @@
+"""A frozen pass's pattern mask only skips what the scalar search rejects.
+
+Frozen solves of both mixed back-ends, on random 2x2, 2x3 and 3x3 games on
+a 0.1 grid and on two benchmark workloads (BoS over clusters, PD over the
+hull), run once as they are and once with ``_pattern_mask`` replaced by an
+all-True mask, which makes every search walk every (region, pattern) pair
+as the literal loop does.  The pass trace, the ``final_set.txt`` bytes and
+every certificate's bits must be identical.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import spegrid as sg
+import spegrid.solver as solver
+from spegrid.cli import write_final_set
+
+
+def random_grid_game(seed):
+    rng = np.random.default_rng(seed)
+    shape = [(2, 2), (2, 3), (3, 3)][seed % 3]
+    actions = tuple(tuple(f"a{k}" for k in range(m)) for m in shape)
+    return sg.StageGame(actions,
+                        rng.integers(-30, 31, size=shape + (2,)) / 10.0)
+
+
+def all_true(indices, C, ctx, game, gamma, patterns):
+    regions = 1 if ctx.halfplanes is not None else len(ctx.clusters)
+    return np.ones((len(indices), regions, len(patterns)), dtype=bool)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def certificate_bits(certificates):
+    out = []
+    for ix in sorted(certificates):
+        cert = certificates[ix]
+        sol = cert.solution
+        out.append((ix, cert.kind, sol.pattern, bits(cert.w_floor),
+                    [bits(p) for p in sol.alpha.probs],
+                    [bits(row) for row in sol.continuations],
+                    [bits(row) for row in sol.utilities],
+                    [bits(row) for row in cert.conditional_payoffs]))
+    return out
+
+
+def run(game, config, tmp_path, name):
+    report = sg.solve(game, config)
+    C = report.final
+    path = tmp_path / f"{name}.txt"
+    write_final_set(path, sg.SolveSnapshot(
+        iteration=report.iterations[-1].iteration, generation=C.generation,
+        side=C.side, base=C.base, indices=tuple(C.indices())),
+        report.status, report.certificates)
+    return (report.trace_key(), path.read_bytes(),
+            certificate_bits(report.certificates))
+
+
+def assert_mask_changes_nothing(game, config, tmp_path):
+    rejected = []
+
+    def spy(*args):
+        mask = real(*args)
+        rejected.append(int(mask.size - np.count_nonzero(mask)))
+        return mask
+
+    real = solver._pattern_mask
+    with mock.patch.object(solver, "_pattern_mask", spy):
+        masked = run(game, config, tmp_path, "masked")
+    with mock.patch.object(solver, "_pattern_mask", all_true):
+        full = run(game, config, tmp_path, "full")
+    assert masked[0] == full[0]
+    assert masked[1] == full[1]
+    assert masked[2] == full[2]
+    return sum(rejected)
+
+
+@pytest.mark.parametrize("mode", ["mixed-clusters", "mixed-correlated"])
+@pytest.mark.parametrize("gamma", [0.0, 0.6])
+@pytest.mark.parametrize("seed", range(6))
+def test_random_games(tmp_path, seed, gamma, mode):
+    game = random_grid_game(seed)
+    config = sg.SolverConfig(gamma=gamma,
+                             epsilon=0.2 * game.tables.bounds.spread,
+                             mode=mode, frozen_passes=True)
+    assert_mask_changes_nothing(game, config, tmp_path)
+
+
+@pytest.mark.parametrize("name,gamma,epsilon,mode", [
+    ("battle_of_sexes", 0.5, 0.4, "mixed-clusters"),
+    ("prisoners_dilemma", 0.7, 1.6, "mixed-correlated"),
+], ids=["clusters_bos", "frozen_pd"])
+def test_benchmark_workloads(tmp_path, name, gamma, epsilon, mode):
+    config = sg.SolverConfig(gamma=gamma, epsilon=epsilon, mode=mode,
+                             frozen_passes=True)
+    # the mask must skip pairs here, or the comparison shows nothing
+    assert assert_mask_changes_nothing(sg.load_bundled(name), config,
+                                       tmp_path) > 1000

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import spegrid as sg
 from spegrid.feasibility import enumerate_support_patterns
 from spegrid.solver import (_singleton_cluster_solution,
                             _singleton_correlated_solution, _pure_witness,
-                            certificate_residual)
+                            certificate_residual, verify_union)
 from conftest import random_game, stage_equilibria
 
 
@@ -391,3 +393,30 @@ class TestSolve:
                                          sg.get_halfplanes(rest)) <= 1e-7
             assert not sg.verify_certificate(cert, pd, 0.4, rest, idx)
         assert fits >= 10
+
+    @pytest.mark.parametrize("mode", ["pure", "mixed-clusters",
+                                      "mixed-correlated"])
+    def test_non_finite_certificate_fails_verification(self, pd, mode):
+        # A NaN slips past every residual comparison, so a certificate
+        # carrying one must be refused before its replay.
+        report = sg.solve(pd, sg.SolverConfig(gamma=0.7, epsilon=3.2,
+                                              mode=mode))
+        C, certs = report.final, report.certificates
+        assert verify_union(C, certs, pd, 0.7)
+        ix = C.indices()[37]
+        cert = certs[ix]
+        nan = float("nan")
+        if mode == "pure":
+            tampered = [replace(cert, continuation=(nan, nan))]
+        else:
+            sol = cert.solution
+            in_supp = [tuple(nan if a in sol.pattern.supports[i] else w
+                             for a, w in enumerate(row))
+                       for i, row in enumerate(sol.continuations)]
+            alpha = sg.MixedProfile(tuple(np.full(2, nan) for _ in range(2)))
+            tampered = [replace(cert, solution=replace(sol, **change))
+                        for change in ({"continuations": tuple(in_supp)},
+                                       {"utilities": ((nan,) * 2,) * 2},
+                                       {"alpha": alpha})]
+        for bad in tampered:
+            assert not verify_union(C, {**certs, ix: bad}, pd, 0.7)
