@@ -16,17 +16,14 @@ the public signal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .game import MixedProfile, StageGame
+from .game import PROB_TOL, MixedProfile, StageGame
 from .geometry import CubeSet, Hypercube, get_halfplanes, hull_vertices, locate
-
-# A transition is either a state index or a lottery of (weight, state index).
-Transition = Union[int, tuple]
 
 _LOCATE_TOL = 1e-6   # continuations carry LP tolerance; widen point location
 
@@ -35,6 +32,7 @@ _LOCATE_TOL = 1e-6   # continuations carry LP tolerance; widen point location
 class AutomatonState:
     cube: Hypercube
     mixed: MixedProfile
+    # every pure profile -> a state index or a lottery of (weight, state index)
     transitions: dict
 
 
@@ -57,6 +55,11 @@ class Automaton:
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def _outcomes(self) -> "_OutcomeTable":
+        """The outcome table both evaluations read, built on first use."""
+        return _outcome_table(self)
 
     def supports(self, state: int) -> tuple[tuple[int, ...], ...]:
         st = self.states[state]
@@ -132,15 +135,14 @@ def _punishment_cubes(C: CubeSet) -> tuple[list[tuple[int, ...]], list[float]]:
 
 
 def _build_states(C: CubeSet, certificates: dict, game: StageGame,
-                  seeds: Sequence[tuple[int, ...]],
-                  everything: bool) -> tuple[list, dict]:
+                  seeds: Sequence[tuple[int, ...]], everything: bool,
+                  punish_cubes: list[tuple[int, ...]]) -> tuple[list, dict]:
     """Worklist construction of states and transitions.
 
     Returns the state list (cube index, certificate, transitions) in
     discovery order plus the index map.  With ``everything`` set, all cubes
     become states regardless of reachability.
     """
-    punish_cubes, _ = _punishment_cubes(C)
     state_of: dict = {}
     order: list[tuple[int, ...]] = []
 
@@ -152,8 +154,7 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
 
     for ix in seeds:
         intern(ix)
-    for ix in punish_cubes:
-        intern(ix)
+    punish_states = [intern(pc) for pc in punish_cubes]
     if everything:
         for ix in C.indices():
             intern(ix)
@@ -167,11 +168,8 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
         if cert is None:
             raise ValueError(f"cube {ix} has no support certificate")
         supports = cert.supports(game)
-        punish_states = [intern(pc) for pc in punish_cubes]
         transitions: dict = {}
-        for profile in itertools.product(
-                *(range(game.action_count(i))
-                  for i in range(game.player_count))):
+        for profile in game.profiles():
             deviators = [i for i, a in enumerate(profile)
                          if a not in supports[i]]
             if not deviators:
@@ -200,8 +198,9 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
 
 def _assemble(C: CubeSet, certificates: dict, game: StageGame,
               seeds, everything: bool, initial_index) -> Automaton:
-    built, state_of = _build_states(C, certificates, game, seeds, everything)
     punish_cubes, floors = _punishment_cubes(C)
+    built, state_of = _build_states(C, certificates, game, seeds, everything,
+                                    punish_cubes)
     states = tuple(
         AutomatonState(cube=C.cube_at(ix), mixed=cert.mixed_profile(game),
                        transitions=transitions)
@@ -240,34 +239,53 @@ def build_full_automaton(C: CubeSet, certificates: dict,
 
 # -- evaluation ---------------------------------------------------------------
 
-def _on_path_profiles(M: Automaton, state: int):
-    mixed = M.states[state].mixed
-    for profile in itertools.product(*M.supports(state)):
-        p = mixed.outcome_probability(profile)
-        if p > 0.0:
-            yield profile, p
+class _OutcomeTable(NamedTuple):
+    """An automaton's outcomes as read-only flat arrays, from one walk over
+    its transitions.  Row q * K + k is state q with the k-th of the K pure
+    profiles (lexicographic): its ``state``, ``profile`` index k, each
+    player's action ``actions[i]`` and its probability ``probs[i]`` at q
+    (zero at or below PROB_TOL).  Each transition entry, in walk order, has
+    its ``row``, ``next`` state and lottery ``weight``."""
+
+    state: np.ndarray
+    profile: np.ndarray
+    actions: np.ndarray
+    probs: np.ndarray
+    row: np.ndarray
+    next: np.ndarray
+    weight: np.ndarray
 
 
-def _weighted_targets(tr: Transition, p: float):
-    """(next state, probability) pairs of a transition taken with
-    probability p; a lottery splits p over its states."""
-    return ((tr, p),) if isinstance(tr, int) else [(t, p * w) for w, t in tr]
+def _outcome_table(M: Automaton) -> _OutcomeTable:
+    profiles = list(M.game.profiles())
+    rows, nexts, weights = [], [], []
+    for row, tr in enumerate(st.transitions[p] for st in M.states
+                             for p in profiles):
+        # a plain transition is a lottery of one state with weight 1.0
+        for w, t in ((1.0, tr),) if isinstance(tr, int) else tr:
+            rows.append(row)
+            nexts.append(t)
+            weights.append(w)
+    Q, K = len(M.states), len(profiles)
+    actions = np.array(profiles).T
+    probs = np.array([np.array([st.mixed.probs[i] for st in M.states])[:, a]
+                      for i, a in enumerate(actions)]).reshape(-1, Q * K)
+    table = _OutcomeTable(
+        np.repeat(np.arange(Q), K), np.tile(np.arange(K), Q),
+        np.tile(actions, Q), np.where(probs > PROB_TOL, probs, 0.0),
+        np.array(rows, dtype=np.int64), np.array(nexts, dtype=np.int64),
+        np.array(weights))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
-def _transition_entries(M: Automaton):
-    srcs, dsts, wts = [], [], []
-    n = M.game.player_count
-    R = np.zeros((len(M.states), n))
-    for q in range(len(M.states)):
-        st = M.states[q]
-        for profile, p in _on_path_profiles(M, q):
-            R[q] += p * M.game.payoff(profile)
-            for t, w in _weighted_targets(st.transitions[profile], p):
-                srcs.append(q)
-                dsts.append(t)
-                wts.append(w)
-    return (np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64),
-            np.array(wts), R)
+def _weighted_entries(table: _OutcomeTable, p: np.ndarray, bins: np.ndarray):
+    """(bin, next state, probability) of each transition entry of a row with
+    p > 0, in walk order; a lottery entry gets its weight's share of p."""
+    keep = p[table.row] > 0.0
+    rows = table.row[keep]
+    return bins[rows], table.next[keep], p[rows] * table.weight[keep]
 
 
 def automaton_value(M: Automaton, gamma: float) -> np.ndarray:
@@ -276,10 +294,16 @@ def automaton_value(M: Automaton, gamma: float) -> np.ndarray:
     Solves u(q) = (1-g) E[r] + g E[u(next)] over all states; lotteries are
     resolved in expectation.  Unique since gamma < 1.
     """
-    srcs, dsts, wts, R = _transition_entries(M)
-    Q, n = R.shape
+    table = M._outcomes
+    Q, n = len(M.states), M.game.player_count
+    p = table.probs.prod(axis=0)   # player order: the rounding depends on it
+    on = np.flatnonzero(p > 0.0)
+    stage = p[on, None] * M.game.payoffs.reshape(-1, n)[table.profile[on]]
+    R = np.stack([np.bincount(table.state[on], weights=stage[:, c],
+                              minlength=Q) for c in range(n)], axis=1)
     if gamma == 0.0:
         return R
+    srcs, dsts, wts = _weighted_entries(table, p, table.state)
     if Q <= 1500:
         P = np.zeros((Q, Q))
         np.add.at(P, (srcs, dsts), wts)
@@ -307,37 +331,16 @@ def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
     most 1e-9 * (1 - gamma).
     """
     game = M.game
-    Q = len(M.states)
-    A = game.action_count(player)
-    imm = np.zeros((Q, A))
-    srcs, dsts, wts = [], [], []
-    others = [j for j in range(game.player_count) if j != player]
-    for q in range(Q):
-        st = M.states[q]
-        opp_support = [st.mixed.support(j) for j in others]
-        for a in range(A):
-            row = q * A + a
-            for combo in itertools.product(*opp_support):
-                p = 1.0
-                for j, b in zip(others, combo):
-                    p *= float(st.mixed.probs[j][b])
-                if p <= 0.0:
-                    continue
-                profile = [0] * game.player_count
-                profile[player] = a
-                for j, b in zip(others, combo):
-                    profile[j] = b
-                profile = tuple(profile)
-                imm[q, a] += p * game.payoff_to(profile, player)
-                for t, w in _weighted_targets(st.transitions[profile], p):
-                    srcs.append(row)
-                    dsts.append(t)
-                    wts.append(w)
-    srcs = np.array(srcs, dtype=np.int64)
-    dsts = np.array(dsts, dtype=np.int64)
-    wts = np.array(wts)
+    table = M._outcomes
+    Q, A = len(M.states), game.action_count(player)
+    bins = table.state * A + table.actions[player]
+    p = np.delete(table.probs, player, axis=0).prod(axis=0)
+    on = np.flatnonzero(p > 0.0)
+    stage = p[on] * game.payoffs[..., player].ravel()[table.profile[on]]
+    imm = np.bincount(bins[on], weights=stage, minlength=Q * A).reshape(Q, A)
     if gamma == 0.0:
         return imm.max(axis=1)
+    srcs, dsts, wts = _weighted_entries(table, p, bins)
     V = np.zeros(Q)
     tol = 1e-9 * (1.0 - gamma)
     for _ in range(1000000):

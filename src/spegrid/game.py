@@ -18,6 +18,7 @@ threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,10 +97,15 @@ class MixedProfile:
             v = np.array(p, dtype=float)
             if v.ndim != 1 or v.size == 0:
                 raise ValueError(f"player {i}: probability vector expected")
+            total = v.sum()
+            # a NaN or infinite entry makes the sum non-finite; NaN would
+            # pass both comparisons below
+            if not math.isfinite(total):
+                raise ValueError(f"player {i}: probabilities must be finite")
             if np.any(v < -PROB_TOL):
                 raise ValueError(f"player {i}: negative probability")
-            if abs(v.sum() - 1.0) > 1e-9:
-                raise ValueError(f"player {i}: probabilities sum to {v.sum()}")
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"player {i}: probabilities sum to {total}")
             v = np.clip(v, 0.0, None)
             v.setflags(write=False)
             vecs.append(v)
@@ -122,12 +128,6 @@ class MixedProfile:
     def support(self, player: int) -> tuple[int, ...]:
         """Actions with probability above PROB_TOL."""
         return tuple(int(a) for a in np.nonzero(self.probs[player] > PROB_TOL)[0])
-
-    def outcome_probability(self, profile) -> float:
-        p = 1.0
-        for i, a in enumerate(profile):
-            p *= float(self.probs[i][a])
-        return p
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,10 @@ by cube and searches without a mask.  A certificate carries only its
 witness and the floor its out-of-support continuations sit at: every
 replay takes the cube's position, the floor and the continuation region
 from the cube set, so a certificate passes unchanged through a replay and
-down a split.  Its out-of-support entries are re-anchored at the latest
-floor only at the end of a pass that removed nothing, where the completion
-check, the split and the report read them.  The loop,
+down a split.  Nothing in the loop reads its out-of-support entries (the
+completion check's automata follow in-support outcomes, the split reads
+in-pattern utilities, replay takes the floor from the context), so they are
+re-anchored at the final floor once, for the report.  The loop,
 ``verify_certificate`` and ``verify_union`` derive that context from a
 cube set in one place; ``verify_union`` builds it once per cube set and
 kind, and replays through the same batch.
@@ -1160,42 +1161,36 @@ def cube_completed(cube: Hypercube, C: CubeSet, config: SolverConfig,
     two conditions directly (payoff gap and best unilateral deviation gain
     both at most epsilon).
     """
+    return _completed(C, config, game, certificates, start=cube.center)
+
+
+def _completed(C: CubeSet, config: SolverConfig, game: Optional[StageGame],
+               certificates: Optional[dict], start=None) -> bool:
+    """The stopping test on the automaton extracted at the point ``start``,
+    or, without one, on every cube of C in one automaton of all cubes.
+    Termination can only fire on a pass with no withdrawals, on which the
+    set never changes mid-pass, so testing every cube at the end of the pass
+    is exactly the per-cube test inside the loop."""
     if config.completion == "bound":
         return C.side <= config.bound_threshold + 1e-12
     if game is None or certificates is None:
         raise ValueError("exact completion needs the game and certificates")
-    from .automaton import automaton_value, best_deviation, extract_automaton
+    from .automaton import (automaton_value, build_full_automaton,
+                            deviation_values, extract_automaton)
 
-    M = extract_automaton(C, certificates, cube.center, game)
-    u = automaton_value(M, config.gamma)[M.initial]
-    for i in range(game.player_count):
-        if cube.origin[i] - u[i] > config.epsilon + 1e-9:
-            return False
-        if best_deviation(M, i, config.gamma) - u[i] > config.epsilon + 1e-9:
-            return False
-    return True
-
-
-def _all_completed(C: CubeSet, config: SolverConfig, game: StageGame,
-                   certificates: dict) -> bool:
-    # Termination can only fire on a pass with no withdrawals, and on such a
-    # pass the set never changes mid-pass, so evaluating the completion
-    # flags at the end of the pass is exactly equivalent to the per-cube
-    # check inside the loop.
-    if config.completion == "bound":
-        return C.side <= config.bound_threshold + 1e-12
-    from .automaton import automaton_value, build_full_automaton, deviation_values
-
-    M = build_full_automaton(C, certificates, game)
-    u = automaton_value(M, config.gamma)
-    origins = np.array([st.cube.origin for st in M.states])
-    for i in range(game.player_count):
-        if np.any(origins[:, i] - u[:, i] > config.epsilon + 1e-9):
-            return False
-        dev = deviation_values(M, i, config.gamma)
-        if np.any(dev - u[:, i] > config.epsilon + 1e-9):
-            return False
-    return True
+    if start is None:
+        M, states = build_full_automaton(C, certificates, game), slice(None)
+    else:
+        M = extract_automaton(C, certificates, start, game)
+        states = [M.initial]
+    u = automaton_value(M, config.gamma)[states]
+    origins = np.array([st.cube.origin for st in M.states])[states]
+    limit = config.epsilon + 1e-9
+    if np.any(origins - u > limit):
+        return False
+    return not any(np.any(deviation_values(M, i, config.gamma)[states]
+                          - u[:, i] > limit)
+                   for i in range(game.player_count))
 
 
 # -- the refinement loop -----------------------------------------------------------------
@@ -1294,14 +1289,7 @@ def solve(game: StageGame, config: SolverConfig,
         if len(C) == 0:
             status = "empty"
         elif removed == 0:
-            # Out-of-support entries are read from here on (completion check,
-            # split, report); replay and inheritance never read them, so
-            # re-anchoring only here, at the latest floor, is exact.
-            floor = C.min_origin()
-            for idx, cert in certificates.items():
-                certificates[idx] = _refresh_certificate(cert, floor,
-                                                         config.gamma, game)
-            if _all_completed(C, config, game, certificates):
+            if _completed(C, config, game, certificates):
                 status = "converged"
             elif C.generation + 1 > config.max_generations:
                 status = "generation_guard"
@@ -1315,6 +1303,11 @@ def solve(game: StageGame, config: SolverConfig,
                 iteration=iteration, generation=C.generation, side=C.side,
                 base=C.base, indices=tuple(C.indices())))
         if status is not None:
+            if len(C):  # the report reads the out-of-support entries
+                floor = C.min_origin()
+                for idx, cert in certificates.items():
+                    certificates[idx] = _refresh_certificate(
+                        cert, floor, config.gamma, game)
             return SolveReport(status=status, final=C, certificates=certificates,
                                iterations=trace, config=config)
         if split:

@@ -5,8 +5,9 @@ The oracles here deliberately avoid the library's own code paths wherever
 they are used to check those paths: the rational simplex re-decides
 feasibility in exact arithmetic, the stage-equilibrium oracle enumerates
 supports and solves indifference systems with plain linear algebra, the
-minmax oracle sweeps a fine grid of opponent mixtures, and the hull oracle
-is a brute-force quadratic scan.  The helpers (expected payoffs, best
+minmax oracle sweeps a fine grid of opponent mixtures, the hull oracle
+is a brute-force quadratic scan, and the automaton oracle walks every
+state's transitions in plain Python loops.  The helpers (expected payoffs, best
 responses, discounted averages of payoff streams) are only read by tests,
 so they live here rather than in the library.
 """
@@ -310,6 +311,99 @@ def rational_feasible(system: sg.LinearSystem) -> bool:
             cost = [x - f * y for x, y in zip(cost, tableau[r])]
         basis[r] = enter
     return -cost[-1] == 0
+
+
+# -- automaton evaluation oracle: per-state Python loops over transitions ----
+#
+# The loop bodies that evaluated automata before the outcome table; the
+# library's ``automaton_value`` and ``deviation_values`` must reproduce
+# their bits.
+
+def _oracle_targets(tr, p):
+    return ((tr, p),) if isinstance(tr, int) else [(t, p * w) for w, t in tr]
+
+
+def reference_automaton_value(M, gamma: float) -> np.ndarray:
+    srcs, dsts, wts = [], [], []
+    n = M.game.player_count
+    R = np.zeros((len(M.states), n))
+    for q in range(len(M.states)):
+        st = M.states[q]
+        for profile in itertools.product(*M.supports(q)):
+            p = 1.0
+            for i, a in enumerate(profile):
+                p *= float(st.mixed.probs[i][a])
+            if not p > 0.0:
+                continue
+            R[q] += p * M.game.payoff(profile)
+            for t, w in _oracle_targets(st.transitions[profile], p):
+                srcs.append(q)
+                dsts.append(t)
+                wts.append(w)
+    srcs = np.array(srcs, dtype=np.int64)
+    dsts = np.array(dsts, dtype=np.int64)
+    wts = np.array(wts)
+    Q, n = R.shape
+    if gamma == 0.0:
+        return R
+    if Q <= 1500:
+        P = np.zeros((Q, Q))
+        np.add.at(P, (srcs, dsts), wts)
+        return np.linalg.solve(np.eye(Q) - gamma * P, (1.0 - gamma) * R)
+    u = R.copy()
+    while True:
+        pu = np.empty_like(u)
+        for c in range(n):
+            pu[:, c] = np.bincount(srcs, weights=wts * u[dsts, c], minlength=Q)
+        new = (1.0 - gamma) * R + gamma * pu
+        step = np.max(np.abs(new - u))
+        u = new
+        if step <= 1e-9:
+            return u
+
+
+def reference_deviation_values(M, player: int, gamma: float) -> np.ndarray:
+    game = M.game
+    Q = len(M.states)
+    A = game.action_count(player)
+    imm = np.zeros((Q, A))
+    srcs, dsts, wts = [], [], []
+    others = [j for j in range(game.player_count) if j != player]
+    for q in range(Q):
+        st = M.states[q]
+        opp_support = [st.mixed.support(j) for j in others]
+        for a in range(A):
+            row = q * A + a
+            for combo in itertools.product(*opp_support):
+                p = 1.0
+                for j, b in zip(others, combo):
+                    p *= float(st.mixed.probs[j][b])
+                if p <= 0.0:
+                    continue
+                profile = [0] * game.player_count
+                profile[player] = a
+                for j, b in zip(others, combo):
+                    profile[j] = b
+                profile = tuple(profile)
+                imm[q, a] += p * game.payoff_to(profile, player)
+                for t, w in _oracle_targets(st.transitions[profile], p):
+                    srcs.append(row)
+                    dsts.append(t)
+                    wts.append(w)
+    srcs = np.array(srcs, dtype=np.int64)
+    dsts = np.array(dsts, dtype=np.int64)
+    wts = np.array(wts)
+    if gamma == 0.0:
+        return imm.max(axis=1)
+    V = np.zeros(Q)
+    tol = 1e-9 * (1.0 - gamma)
+    while True:
+        tv = np.bincount(srcs, weights=wts * V[dsts], minlength=Q * A)
+        newV = ((1.0 - gamma) * imm + gamma * tv.reshape(Q, A)).max(axis=1)
+        step = np.max(np.abs(newV - V))
+        V = newV
+        if step <= tol:
+            return V
 
 
 # -- brute force convex hull ---------------------------------------------------

@@ -190,6 +190,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             sg.MixedProfile((np.array([0.5, 0.4]),))
 
+    @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.nan, 1.0],
+                                     [np.inf, 0.0], [-np.inf, 1.0]])
+    def test_mixed_profile_rejects_non_finite(self, bad):
+        # NaN entries sum to NaN and compare False with everything, so
+        # without the check this constructed with an empty support
+        with pytest.raises(ValueError, match="finite"):
+            sg.MixedProfile((np.array(bad), np.array([1.0, 0.0])))
+
     def test_support_tolerance(self):
         m = sg.MixedProfile((np.array([1.0 - 1e-12, 1e-12]),
                              np.array([0.5, 0.5])))

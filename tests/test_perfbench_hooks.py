@@ -4,13 +4,15 @@
 spegrid module looks up in another.  A refactor that renames a hook, or
 makes the solver reach a layer without going through it, would only show
 up in a traced benchmark run; this test makes it fail the unit suite.  The
-tracer is loaded by path and used as it is.
+tracer and the benchmark's check and extract steps are loaded by path and
+used as they are.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spegrid as sg
@@ -67,3 +69,42 @@ def test_traced_solve_keeps_identities(tracer_module, game, gamma, epsilon,
     assert counts["feasibility.support_programs"] > 0
     assert counts["feasibility.lps"] > 0
     assert times["feasibility.lp_build_s"] > 0.0
+
+
+@pytest.fixture(scope="module")
+def worker_module():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", TRACER_PATH.parent / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_check_and_extract_see_the_automata(tracer_module,
+                                                   worker_module):
+    # the frozen_pd workload: its full automaton has lottery transitions.
+    # The check and extract phases run the benchmark's own step functions.
+    spec = worker_module.WORKLOADS["frozen_pd"]
+    game = sg.load_bundled(spec["game"])
+    config = sg.SolverConfig(gamma=spec["gamma"], epsilon=spec["epsilon"],
+                             mode=spec["mode"],
+                             frozen_passes=spec["frozen_passes"])
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        with tracer.phase_span("solve"):
+            report = sg.solve(game, config)
+        with tracer.phase_span("check"):
+            assert worker_module.check_bounds(sg, game, config, report)
+        with tracer.phase_span("extract"):
+            assert worker_module.check_targets(sg, game, config, report,
+                                               np.random.default_rng(0))
+    finally:
+        tracer.uninstall()
+    counts, times = tracer.metrics(report,
+                                   {p: 1 for p in tracer_module.PHASES})
+    assert tracer_module.check_identities(counts) == []
+    assert counts["automaton.states"] == len(report.final)
+    assert counts["automaton.lotteries"] > 0
+    for layer in ("build_s", "value_s", "deviation_s"):
+        assert times[f"automaton.{layer}"] > 0.0

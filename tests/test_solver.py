@@ -413,10 +413,11 @@ class TestSolve:
             in_supp = [tuple(nan if a in sol.pattern.supports[i] else w
                              for a, w in enumerate(row))
                        for i, row in enumerate(sol.continuations)]
-            alpha = sg.MixedProfile(tuple(np.full(2, nan) for _ in range(2)))
+            # a NaN alpha cannot be built: MixedProfile refuses it
+            with pytest.raises(ValueError):
+                sg.MixedProfile(tuple(np.full(2, nan) for _ in range(2)))
             tampered = [replace(cert, solution=replace(sol, **change))
                         for change in ({"continuations": tuple(in_supp)},
-                                       {"utilities": ((nan,) * 2,) * 2},
-                                       {"alpha": alpha})]
+                                       {"utilities": ((nan,) * 2,) * 2})]
         for bad in tampered:
             assert not verify_union(C, {**certs, ix: bad}, pd, 0.7)
