@@ -123,20 +123,9 @@ class Automaton:
         return "\n".join(out) + "\n"
 
 
-def _punishment_cubes(C: CubeSet) -> tuple[list[tuple[int, ...]], list[float]]:
-    indices = C.indices()
-    n = C.dimension
-    cubes, floors = [], []
-    for i in range(n):
-        best = min(ix[i] for ix in indices)
-        cubes.append(min(ix for ix in indices if ix[i] == best))
-        floors.append(C.base[i] + best * C.side)
-    return cubes, floors
-
-
 def _build_states(C: CubeSet, certificates: dict, game: StageGame,
                   seeds: Sequence[tuple[int, ...]], everything: bool,
-                  punish_cubes: list[tuple[int, ...]]) -> tuple[list, dict]:
+                  punish_cubes: Sequence[tuple[int, ...]]) -> tuple[list, dict]:
     """Worklist construction of states and transitions.
 
     Returns the state list (cube index, certificate, transitions) in
@@ -198,7 +187,7 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
 
 def _assemble(C: CubeSet, certificates: dict, game: StageGame,
               seeds, everything: bool, initial_index) -> Automaton:
-    punish_cubes, floors = _punishment_cubes(C)
+    punish_cubes, floors = C.min_cells(), C.min_origin()
     built, state_of = _build_states(C, certificates, game, seeds, everything,
                                     punish_cubes)
     states = tuple(
@@ -209,7 +198,7 @@ def _assemble(C: CubeSet, certificates: dict, game: StageGame,
         game=game, states=states, initial=state_of[initial_index],
         punishments=PunishmentProfile(
             states=tuple(state_of[pc] for pc in punish_cubes),
-            floors=tuple(floors)))
+            floors=floors))
 
 
 def extract_automaton(C: CubeSet, certificates: dict, v,

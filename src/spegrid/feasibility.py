@@ -11,7 +11,8 @@ preferred when available.
 The LP engine is a dense two-phase simplex.  Problems here are tiny (tens
 of variables and rows), so the implementation favours robustness: a
 feasibility tolerance of 1e-7, pivot tolerance of 1e-10, and Bland's rule
-as an anti-cycling fallback once the objective stalls.
+as an anti-cycling fallback once the objective stalls.  It reads an
+``ArraySystem`` (built by name, or from a template) in numpy steps.
 
 Each solve is self-contained; callers may run many solves concurrently on
 distinct systems.
@@ -81,21 +82,108 @@ class LinearSystem:
     def set_objective(self, coeffs: dict) -> None:
         self.objective = {k: float(v) for k, v in coeffs.items()}
 
+    def compile(self) -> "ArraySystem":
+        """The system in array form."""
+        index = {v.name: j for j, v in enumerate(self.variables)}
+        low, high = np.array([(v.low, v.high) for v in self.variables],
+                             dtype=float).reshape(-1, 2).T
+        has_low, has_high = np.isfinite(low), np.isfinite(high)
+        free = ~has_low & ~has_high
+        col = np.cumsum(1 + free) - 1 - free
+        bounded = np.flatnonzero(has_low & has_high)
+        upper = np.zeros((len(bounded), len(low) + int(free.sum())))
+        upper[np.arange(len(bounded)), col[bounded]] = 1.0
+        cols = Columns(col, upper.shape[1], has_high & ~has_low,
+                       np.flatnonzero(free), bounded, upper)
+        rows = [c.coeffs for c in self.constraints]
+        rows += [] if self.objective is None else [self.objective]
+        var = np.zeros((len(rows), max(map(len, rows), default=0)), np.intp)
+        coef = np.zeros(var.shape)
+        A = np.zeros((len(rows), cols.count))
+        for r, coeffs in enumerate(rows):
+            for k, (name, c) in enumerate(coeffs.items()):
+                if name not in index:
+                    raise ValueError(f"unknown variable {name!r} in constraint")
+                j = var[r, k] = index[name]
+                coef[r, k] = c
+                # +c on the column of x - L or x+, -c on that of U - x or x-
+                A[r, cols.col[j]] += -c if cols.high_only[j] else c
+                if j in cols.free:
+                    A[r, cols.col[j] + 1] -= c
+        m = len(self.constraints)
+        return ArraySystem(
+            list(index), low, high, cols, A[:m], var[:m], coef[:m],
+            np.array([_RELATIONS.index(c.rel) for c in self.constraints],
+                     dtype=np.intp),
+            np.array([c.rhs for c in self.constraints], dtype=float),
+            None if self.objective is None else A[m])
+
     def residual(self, assignment: dict) -> float:
         """Largest violation of the constraints and bounds at a point."""
-        worst = 0.0
-        for v in self.variables:
-            x = assignment[v.name]
-            worst = max(worst, v.low - x, x - v.high)
-        for c in self.constraints:
-            lhs = sum(coef * assignment[name] for name, coef in c.coeffs.items())
-            if c.rel == "<=":
-                worst = max(worst, lhs - c.rhs)
-            elif c.rel == ">=":
-                worst = max(worst, c.rhs - lhs)
-            else:
-                worst = max(worst, abs(lhs - c.rhs))
-        return worst
+        return self.compile().residual(assignment)
+
+
+# Relation codes of the array form: negating a row turns r into 2 - r.
+_LE, _EQ, _GE = 0, 1, 2
+_RELATIONS = ("<=", "=", ">=")
+
+
+class Columns(NamedTuple):
+    """Variables on non-negative columns: L + x with a lower bound L, U - x
+    with only an upper bound U, else x+ - x- on two columns; with both
+    bounds, x <= U - L is an upper row."""
+
+    col: np.ndarray         # per variable, its (first) column
+    count: int
+    high_only: np.ndarray   # per variable
+    free: np.ndarray        # the free variables
+    bounded: np.ndarray     # the variables with both bounds
+    upper: np.ndarray       # their upper rows over the columns
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row's terms summed in order from 0.0, as a loop would: the last
+    running sum (0.0 for no terms), + 0.0 to make a -0.0 sum +0.0."""
+    return np.add.accumulate(terms, axis=1)[:, -1:].sum(axis=1) + 0.0
+
+
+class ArraySystem(NamedTuple):
+    """A linear system as the simplex reads it: variable j is ``names[j]``
+    in [low[j], high[j]] (infinite bounds are absent); row r is sum_k
+    coef[r, k] x[var[r, k]] (rel[r]) rhs[r], its terms in order, zero-padded,
+    A[r] over the columns; ``objective``: a cost row over them, or None."""
+
+    names: Sequence[str]
+    low: np.ndarray
+    high: np.ndarray
+    columns: Columns
+    A: np.ndarray
+    var: np.ndarray
+    coef: np.ndarray
+    rel: np.ndarray
+    rhs: np.ndarray
+    objective: Optional[np.ndarray] = None
+
+    @property
+    def variables(self) -> list:
+        return list(map(Variable, self.names, self.low, self.high))
+
+    @property
+    def constraints(self) -> list:
+        return [Constraint({self.names[j]: c for j, c in zip(*t) if c},
+                           _RELATIONS[r], b) for *t, r, b in
+                zip(self.var.tolist(), self.coef.tolist(), self.rel, self.rhs)]
+
+    def residual(self, assignment: dict) -> float:
+        """Largest violation of the constraints and bounds at a point."""
+        return self._violation(np.array([assignment[n] for n in self.names],
+                                        dtype=float))
+
+    def _violation(self, x: np.ndarray) -> float:
+        gap = _row_sums(self.coef * x[self.var]) - self.rhs
+        gap = np.where(self.rel == _EQ, np.abs(gap), gap * (1 - self.rel))
+        return float(np.fmax.reduce(
+            np.concatenate((self.low - x, x - self.high, gap)), initial=0.0))
 
 
 class _Simplex:
@@ -159,111 +247,56 @@ class _Simplex:
         raise RuntimeError("simplex iteration limit exceeded")
 
 
-def solve_feasibility(system: LinearSystem) -> Optional[dict]:
-    """Find a point satisfying the system, or None if it is infeasible.
+def _phase_one(system: ArraySystem) -> tuple[_Simplex, int]:
+    """The phase-1 simplex before its first pivot, and its count of columns
+    that are not artificials (which come last): bound shifts move to the
+    right-hand sides, upper rows follow, rows with b < 0 are negated, then
+    slacks (<=), surpluses and artificials (>=), artificials (=)."""
+    cols = system.columns
+    anchor = np.where(cols.high_only, system.high, system.low)
+    anchor[cols.free] = 0.0
+    up = cols.bounded
+    shift = _row_sums(system.coef * anchor[system.var])
+    b = np.concatenate((system.rhs - shift, system.high[up] - system.low[up]))
+    sign = np.where(b < 0, -1.0, 1.0)
+    rel = np.concatenate((system.rel, np.full(len(up), _LE)))
+    rel = np.where(sign < 0, 2 - rel, rel)
+    s_rows, a_rows = np.flatnonzero(rel != _EQ), np.flatnonzero(rel != _LE)
+    ncols = cols.count
+    n = ncols + len(s_rows)
+    width = n + len(a_rows)
+    T = np.zeros((len(b), width + 1))
+    T[:, :ncols] = np.concatenate((system.A, cols.upper)) * sign[:, None]
+    T[:, -1] = b * sign
+    basis = np.empty(len(b), dtype=np.intp)
+    basis[s_rows] = np.arange(ncols, n)
+    T[s_rows, basis[s_rows]] = 1.0 - rel[s_rows]
+    basis[a_rows] = np.arange(n, width)
+    T[a_rows, basis[a_rows]] = 1.0
+    # minimise the sum of the artificials: their unit costs, less each
+    # artificial's row, subtracted in row order
+    z = np.zeros(width + 1)
+    z[n:width] = 1.0
+    z = np.subtract.reduce(np.vstack((z, T[a_rows])), axis=0)
+    return _Simplex(T, z, basis.tolist()), n
+
+
+def solve_feasibility(system) -> Optional[dict]:
+    """Find a point (name -> value) satisfying a LinearSystem or an
+    ArraySystem, or None if it is infeasible.
 
     Infeasibility is certified by the phase-1 artificial objective staying
     above 1e-7.  When an objective is present, the returned point also
     minimises it (to within 1e-7); an unbounded objective raises
     UnboundedError, which is distinct from infeasibility.
     """
-    # column model: every variable becomes one or two non-negative columns
-    col_kind = {}   # name -> ("low", col, L) | ("high", col, U) | ("free", c+, c-)
-    ncols = 0
-    upper_rows = []  # (col, bound) for shifted variables with both bounds
-    for v in system.variables:
-        if np.isfinite(v.low):
-            col_kind[v.name] = ("low", ncols, v.low)
-            if np.isfinite(v.high):
-                upper_rows.append((ncols, v.high - v.low))
-            ncols += 1
-        elif np.isfinite(v.high):
-            col_kind[v.name] = ("high", ncols, v.high)
-            ncols += 1
-        else:
-            col_kind[v.name] = ("free", ncols, ncols + 1)
-            ncols += 2
-
-    def to_row(coeffs: dict):
-        row = np.zeros(ncols)
-        shift = 0.0
-        for name, coef in coeffs.items():
-            if name not in col_kind:
-                raise ValueError(f"unknown variable {name!r} in constraint")
-            kind = col_kind[name]
-            if kind[0] == "low":
-                row[kind[1]] += coef
-                shift += coef * kind[2]
-            elif kind[0] == "high":
-                row[kind[1]] -= coef
-                shift += coef * kind[2]
-            else:
-                row[kind[1]] += coef
-                row[kind[2]] -= coef
-        return row, shift
-
-    rows, rels, rhs = [], [], []
-    for c in system.constraints:
-        row, shift = to_row(c.coeffs)
-        rows.append(row)
-        rels.append(c.rel)
-        rhs.append(c.rhs - shift)
-    for col, bound in upper_rows:
-        row = np.zeros(ncols)
-        row[col] = 1.0
-        rows.append(row)
-        rels.append("<=")
-        rhs.append(bound)
-
-    m = len(rows)
-    A = np.array(rows) if rows else np.zeros((0, ncols))
-    b = np.array(rhs)
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    swap = {"<=": ">=", ">=": "<=", "=": "="}
-    rels = [swap[r] if f else r for r, f in zip(rels, flip)]
-
-    nslack = sum(1 for r in rels if r != "=")
-    nart = sum(1 for r in rels if r != "<=")
-    width = ncols + nslack + nart
-    T = np.zeros((m, width + 1))
-    T[:, :ncols] = A
-    T[:, -1] = b
-    basis = [0] * m
-    s_at, a_at = ncols, ncols + nslack
-    art_cols = []
-    for i, r in enumerate(rels):
-        if r == "<=":
-            T[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        elif r == ">=":
-            T[i, s_at] = -1.0
-            s_at += 1
-            T[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-        else:
-            T[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-
-    # phase 1: minimise the sum of artificials
-    z = np.zeros(width + 1)
-    for c in art_cols:
-        z[c] = 1.0
-    for i in range(m):
-        if basis[i] in art_cols:
-            z -= T[i]
-    sx = _Simplex(T, z, basis)
+    if isinstance(system, LinearSystem):
+        system = system.compile()
+    sx, n = _phase_one(system)
     sx.run()  # bounded below by zero, cannot be unbounded
     if -sx.z[-1] > FEAS_TOL:
         return None
-
-    art_set = set(art_cols)
+    cols = system.columns
 
     def recover(sx: _Simplex, largest: bool):
         """Phase 2 from the phase-1 tableau: drive the artificials left in
@@ -271,28 +304,21 @@ def solve_feasibility(system: LinearSystem) -> Optional[dict]:
         largest one), drop redundant rows, then read off the point."""
         T, basis = sx.T, sx.basis
         keep = []
-        for i in range(m):
-            if basis[i] in art_set:
-                cand = np.abs(T[i, :ncols + nslack])
+        for i in range(len(basis)):
+            if basis[i] >= n:
+                cand = np.abs(T[i, :n])
                 piv = int(np.argmax(cand if largest else cand > PIVOT_TOL))
                 if cand[piv] <= PIVOT_TOL:
                     continue  # redundant row
                 sx.pivot(i, piv)
             keep.append(i)
-        T = T[keep]
+        T = np.concatenate((T[keep, :n], T[keep, -1:]), axis=1)
         basis = [basis[i] for i in keep]
-        live = [j for j in range(width) if j not in art_set] + [width]
-        T = T[:, live]
-        remap = {old: new for new, old in enumerate(live[:-1])}
-        basis = [remap[bk] for bk in basis]
-        n = ncols + nslack
 
         if system.objective is not None:
-            crow, _ = to_row(system.objective)
-            costs = np.zeros(n)
-            costs[:ncols] = crow
-            z2 = np.zeros(n + 1)
-            z2[:n] = costs
+            costs = np.zeros(n + 1)
+            costs[:cols.count] = system.objective
+            z2 = costs.copy()
             for i in range(len(basis)):
                 if costs[basis[i]] != 0.0:
                     z2 -= costs[basis[i]] * T[i]
@@ -302,38 +328,29 @@ def solve_feasibility(system: LinearSystem) -> Optional[dict]:
             T, basis = sx2.T, sx2.basis
 
         values = np.zeros(n)
-        for i, bk in enumerate(basis):
-            values[bk] = T[i, -1]
-        assignment = {}
-        for v in system.variables:
-            kind = col_kind[v.name]
-            if kind[0] == "low":
-                x = kind[2] + values[kind[1]]
-            elif kind[0] == "high":
-                x = kind[2] - values[kind[1]]
-            else:
-                x = values[kind[1]] - values[kind[2]]
-            # clean up float dust against the bounds
-            if np.isfinite(v.low):
-                x = max(x, v.low)
-            if np.isfinite(v.high):
-                x = min(x, v.high)
-            assignment[v.name] = float(x)
-        return assignment, system.residual(assignment)
+        values[basis] = T[:, -1]
+        x = np.where(cols.high_only, system.high - values[cols.col],
+                     system.low + values[cols.col])
+        free = cols.col[cols.free]
+        x[cols.free] = values[free] - values[free + 1]
+        # clean up float dust against the bounds
+        x = np.where(system.low > x, system.low, x)
+        x = np.where(system.high < x, system.high, x)
+        return x, system._violation(x)
 
     # The first-entry drive-out can leave a phase-1 slack of up to FEAS_TOL
     # amplified past the residual check; the largest-entry drive-out keeps
     # it small, so it is redone that way from a copy of the phase-1 tableau.
     # It is only a fallback: the two can return different feasible points.
     phase1 = None
-    if any(bk in art_set for bk in basis):
-        phase1 = _Simplex(T.copy(), sx.z.copy(), list(basis))
-    assignment, worst = recover(sx, largest=False)
+    if any(bk >= n for bk in sx.basis):
+        phase1 = _Simplex(sx.T.copy(), sx.z.copy(), list(sx.basis))
+    x, worst = recover(sx, largest=False)
     if worst > 10 * FEAS_TOL and phase1 is not None:
-        assignment, worst = recover(phase1, largest=True)
+        x, worst = recover(phase1, largest=True)
     if worst > 10 * FEAS_TOL:
         raise RuntimeError(f"simplex returned a point with residual {worst}")
-    return assignment
+    return dict(zip(system.names, x.tolist()))
 
 
 # -- support enumeration ----------------------------------------------------

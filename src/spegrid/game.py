@@ -9,10 +9,10 @@ Quantities that depend only on the game (payoff bounds, point masses, the
 conditional payoffs of every pure profile, the screen rows of every support
 pattern and the screens' margin) live in ``StageGame.tables``: built on
 first use, then shared by every cube test of every solve on that game
-object.
+object, as do the solver's per-pattern arrays in ``tables.templates``.
 
 All values are immutable after construction and safe to share across
-threads.
+threads (two threads may both build a template; the two are equal).
 """
 
 from __future__ import annotations
@@ -212,11 +212,13 @@ class PayoffTables:
     * ``conditional``: pure profile -> ``conditional_payoff_table`` of its
       point mass (two players);
     * ``screens``: support pattern -> ``_screen_rows`` (two players);
-    * ``screen_margin``: the tolerance of the solver's pattern screens.
+    * ``screen_margin``: the tolerance of the solver's pattern screens;
+    * ``templates``: support-LP templates and mask rows, filled by the solver.
     """
 
     def __init__(self, game: StageGame):
         self._game = game
+        self.templates: dict = {}
 
     @cached_property
     def bounds(self) -> PayoffBounds:

@@ -81,6 +81,7 @@ class CubeSet:
         self._cells: set[tuple[int, ...]] = set(tuple(int(i) for i in ix)
                                                 for ix in indices)
         self._sorted: Optional[list[tuple[int, ...]]] = None
+        self._min_cells: Optional[tuple] = None
         self._drop_hull()
         self.version = 0  # bumped on every mutation; lets callers cache queries
         self._rebuild_min_counters()
@@ -149,7 +150,7 @@ class CubeSet:
     def remove(self, index) -> None:
         ix = tuple(index)
         self._cells.remove(ix)
-        self._sorted = None
+        self._sorted = self._min_cells = None
         self.version += 1
         if self._columns is not None and self._hull_candidates_moved(ix):
             self._drop_hull()
@@ -195,6 +196,14 @@ class CubeSet:
             raise ValueError("empty cube set has no minimum origin")
         return tuple(b + m * self.side
                      for b, m in zip(self.base, self._mins))
+
+    def min_cells(self) -> tuple[tuple[int, ...], ...]:
+        """Per dimension, the first cell in index order on its lowest layer."""
+        if self._min_cells is None:
+            self._min_cells = tuple(next(ix for ix in self.indices()
+                                         if ix[d] == m)
+                                    for d, m in enumerate(self._mins))
+        return self._min_cells
 
     def union_volume(self) -> float:
         return len(self._cells) * self.side ** self.dimension

@@ -16,13 +16,14 @@ Three back-ends implement the cube test:
                      continuations may lie anywhere in the convex hull of
                      the union.
 
-The two mixed back-ends share one support-LP builder and one search
-driver; they differ only in the continuation region (a cluster box, or
-the payoff box cut by the hull's half-planes).  They emulate the
-associated mixed-integer programs exactly by support enumeration (see the
-feasibility module).  Singleton patterns are decided in closed form before
-touching the LP (for the hull by clipping a box, passing over the rows
-that cannot act on it), and two screens reject hopeless patterns: a box
+The two mixed back-ends share one support LP and one search driver; they
+differ only in the continuation region (a cluster box, or the payoff box
+cut by the hull's half-planes).  They emulate the associated mixed-integer
+programs exactly by support enumeration (see the feasibility module), each
+pattern's LP filled from a template made on its first LP
+(``_SupportTemplate``).  Singleton patterns are decided in closed form
+before touching the LP (for the hull by clipping a box, passing over the
+rows that cannot act on it), and two screens reject hopeless patterns: a box
 screen on per-action payoff ranges, then a mixture screen that clips each
 player's simplex of opponent mixtures (a segment or a triangle) by that
 player's utility rows.  Without hull rows the support LP splits into
@@ -82,10 +83,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .feasibility import (FEAS_TOL, UNDECIDED, LinearSystem, SupportPattern,
-                          SupportSolution, alpha_var,
-                          enumerate_support_patterns, solve_support_program,
-                          w_var, wp_var)
+from .feasibility import (_LE, FEAS_TOL, UNDECIDED, ArraySystem,
+                          LinearSystem, SupportPattern, SupportSolution,
+                          alpha_var, enumerate_support_patterns,
+                          solve_support_program, w_var, wp_var)
 from .game import (PROB_TOL, MixedProfile, StageGame,
                    conditional_payoff_table)
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
@@ -276,31 +277,7 @@ def _conditional_payoffs(cert: SupportCertificate, game: StageGame):
     return conditional_payoff_table(game, alpha)
 
 
-# -- constraint systems ---------------------------------------------------------
-
-def pure_support_system(cube: Hypercube, cluster: Cluster, w_floor,
-                        game: StageGame, gamma: float,
-                        profile) -> LinearSystem:
-    """Linear system deciding whether `profile` supports `cube` with a
-    continuation inside `cluster`: the utility recursion pins w' to the
-    cube, the continuation stays in the cluster, and no player gains by
-    deviating to a best response followed by the punishment floor."""
-    n = game.player_count
-    r_vals, br_vals = game.tables.pure[tuple(profile)]
-    sys = LinearSystem()
-    for i in range(n):
-        sys.add_variable(w_var(i, 0), low=cluster.origin[i],
-                         high=cluster.origin[i] + cluster.lengths[i])
-        sys.add_variable(wp_var(i, 0), low=cube.origin[i],
-                         high=cube.origin[i] + cube.side)
-    for i in range(n):
-        sys.add_constraint({wp_var(i, 0): 1.0, w_var(i, 0): -gamma},
-                           "=", (1.0 - gamma) * r_vals[i])
-        sys.add_constraint({w_var(i, 0): gamma}, ">=",
-                           (1.0 - gamma) * (br_vals[i] - r_vals[i])
-                           + gamma * w_floor[i])
-    return sys
-
+# -- support LPs --------------------------------------------------------------
 
 def _cluster_box(cluster: Cluster):
     return cluster.origin, tuple(o + l for o, l in zip(cluster.origin,
@@ -309,61 +286,95 @@ def _cluster_box(cluster: Cluster):
 
 def mixed_cluster_system(cube: Hypercube, cluster: Cluster, w_floor,
                          game: StageGame, gamma: float,
-                         pattern: SupportPattern) -> LinearSystem:
+                         pattern: SupportPattern) -> ArraySystem:
     """The support LP for one cluster and one support pattern."""
-    return _support_system(cube, *_cluster_box(cluster), (), w_floor, game,
-                           gamma, pattern)
+    return _support_template(game, gamma, pattern).system(
+        cube, *_cluster_box(cluster), (), w_floor)
 
 
 def correlated_support_system(cube: Hypercube, halfplanes, w_floor, bounds,
                               game: StageGame, gamma: float,
-                              pattern: SupportPattern) -> LinearSystem:
+                              pattern: SupportPattern) -> ArraySystem:
     """Support LP for the public-correlation back-end: no cluster, instead
     every in-support continuation pair must satisfy the half-planes of the
     convex hull of the current union."""
-    return _support_system(cube, (bounds.low,) * 2, (bounds.high,) * 2,
-                           halfplanes, w_floor, game, gamma, pattern)
+    return _support_template(game, gamma, pattern).system(
+        cube, (bounds.low,) * 2, (bounds.high,) * 2, halfplanes, w_floor)
 
 
-def _support_system(cube: Hypercube, w_lo, w_hi, halfplanes, w_floor,
-                    game: StageGame, gamma: float,
-                    pattern: SupportPattern) -> LinearSystem:
-    """The support LP of both mixed back-ends, which differ only in the
-    region of the in-support continuations: the box [w_lo, w_hi] and, for
-    every in-support pair, the half-planes (none for a cluster)."""
-    sys = LinearSystem()
-    side = cube.side
-    for i in range(2):
-        supp = set(pattern.supports[i])
-        for a in range(game.action_count(i)):
-            if a in supp:
-                sys.add_variable(alpha_var(i, a), low=0.0, high=1.0)
-                sys.add_variable(w_var(i, a), low=w_lo[i], high=w_hi[i])
-                sys.add_variable(wp_var(i, a), low=cube.origin[i],
-                                 high=cube.origin[i] + side)
-            else:
-                sys.add_variable(w_var(i, a), low=w_floor[i],
-                                 high=w_floor[i] + side)
-                sys.add_variable(wp_var(i, a), high=cube.origin[i])
-        sys.add_constraint({alpha_var(i, a): 1.0 for a in pattern.supports[i]},
-                           "=", 1.0)
-    # w'_i(a) = (1-g) * sum_b alpha_opp(b) r_i(a, b) + g * w_i(a), all actions
-    for i in range(2):
-        opp = 1 - i
-        for a in range(game.action_count(i)):
-            coeffs = {wp_var(i, a): 1.0, w_var(i, a): -gamma}
-            for b in pattern.supports[opp]:
-                prof = (a, b) if i == 0 else (b, a)
-                coeffs[alpha_var(opp, b)] = \
-                    coeffs.get(alpha_var(opp, b), 0.0) \
-                    - (1.0 - gamma) * game.payoff_to(prof, i)
-            sys.add_constraint(coeffs, "=", 0.0)
-    for a1 in pattern.supports[0]:
-        for a2 in pattern.supports[1]:
-            for pl in halfplanes:
-                sys.add_constraint({w_var(0, a1): pl.phi, w_var(1, a2): pl.psi},
-                                   "<=", pl.lam)
-    return sys
+def _support_template(game: StageGame, gamma: float,
+                      pattern: SupportPattern) -> "_SupportTemplate":
+    key, templates = ("lp", pattern.supports, gamma), game.tables.templates
+    if key not in templates:
+        templates[key] = _SupportTemplate(game, gamma, pattern.supports)
+    return templates[key]
+
+
+class _SupportTemplate:
+    """The support LP of both mixed back-ends for one pattern and gamma:
+    alpha_i(a), w_i(a) in the region's box and w'_i(a) in the cube per
+    in-support action, w_i(a) in the floor's box and w'_i(a) <= the cube's
+    origin per other action; rows sum the alphas to 1 and set w'_i(a) =
+    (1-g) sum_b alpha_opp(b) r_i(a, b) + g w_i(a).  Those rows are compiled
+    once; a cube fills in the bounds and, for the hull, a half-plane row
+    per (in-support pair, half-plane)."""
+
+    def __init__(self, game: StageGame, gamma: float, supports):
+        # bounds as slots of the vector ``system`` fills (0, 1, -inf, then per
+        # player box, cube, floor box); ``probe`` gives them their finiteness
+        sys, at, probe = LinearSystem(), [], (0.0, 1.0, -np.inf) + (0.0,) * 12
+        for i in range(2):
+            k = 3 + 6 * i
+            for a in range(game.action_count(i)):
+                for name, lo, hi in (
+                        ((alpha_var(i, a), 0, 1), (w_var(i, a), k, k + 1),
+                         (wp_var(i, a), k + 2, k + 3)) if a in supports[i]
+                        else ((w_var(i, a), k + 4, k + 5),
+                              (wp_var(i, a), 2, k + 2))):
+                    sys.add_variable(name, probe[lo], probe[hi])
+                    at.append((lo, hi))
+            sys.add_constraint({alpha_var(i, a): 1.0 for a in supports[i]},
+                               "=", 1.0)
+        for i in range(2):
+            opp = 1 - i
+            for a in range(game.action_count(i)):
+                coeffs = {wp_var(i, a): 1.0, w_var(i, a): -gamma}
+                for b in supports[opp]:
+                    prof = (a, b) if i == 0 else (b, a)
+                    coeffs[alpha_var(opp, b)] = \
+                        0.0 - (1.0 - gamma) * game.payoff_to(prof, i)
+                sys.add_constraint(coeffs, "=", 0.0)
+        self.fixed = sys.compile()
+        self.bounds_at = np.array(at).T
+        of = {name: j for j, name in enumerate(self.fixed.names)}
+        self.pairs = np.array([(of[w_var(0, a1)], of[w_var(1, a2)])
+                               for a1 in supports[0] for a2 in supports[1]])
+
+    def system(self, cube, w_lo, w_hi, halfplanes, w_floor) -> ArraySystem:
+        o, s, f = cube.origin, cube.side, w_floor
+        low, high = np.array([0.0, 1.0, -np.inf] + [
+            v for i in (0, 1) for v in (w_lo[i], w_hi[i], o[i], o[i] + s,
+                                        f[i], f[i] + s)])[self.bounds_at]
+        fixed = self.fixed
+        if not halfplanes:
+            return fixed._replace(low=low, high=high)
+        planes = np.array(halfplanes, dtype=float)
+        if not np.isfinite(planes[:, :2]).all():
+            raise ValueError("non-finite coefficient")
+        pair, plane = np.divmod(np.arange(len(self.pairs) * len(planes)),
+                                len(planes))
+        cols, planes = self.pairs[pair], planes[plane]
+        m, k = fixed.var.shape
+        var = np.zeros((m + len(pair), max(k, 2)), dtype=np.intp)
+        coef = np.zeros(var.shape)
+        var[:m, :k], var[m:, :2] = fixed.var, cols
+        coef[:m, :k], coef[m:, :2] = fixed.coef, planes[:, :2]
+        A = np.concatenate((fixed.A, np.zeros((len(pair), fixed.A.shape[1]))))
+        A[np.arange(m, len(var))[:, None], cols] = 0.0 + planes[:, :2]
+        rel = np.concatenate((fixed.rel, np.full(len(pair), _LE)))
+        return fixed._replace(low=low, high=high, A=A, var=var, coef=coef,
+                              rel=rel,
+                              rhs=np.concatenate((fixed.rhs, planes[:, 2])))
 
 
 # -- closed-form deciders --------------------------------------------------------
@@ -846,6 +857,14 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
     hull = ctx.halfplanes is not None
     windows = np.array([_hull_window(ctx, bounds)] if hull else
                        [_cluster_box(cl) for cl in ctx.clusters])
+    # per player (in support, min, max) per own action and pattern, broadcast
+    # over (own action, cube, region, pattern) so that the rows reduce fast
+    key = ("mask", tuple(p.supports for p in patterns))
+    if key not in tables.templates:
+        tables.templates[key] = [np.array(
+            [[row[:3] for row in tables.screens[p.supports][i]]
+             for p in patterns], dtype=float).T[:, :, None, None]
+            for i in range(2)]
     pure = np.array([p.is_pure() for p in patterns])
     tol = np.where(pure, FEAS_TOL, margin)
     origins = np.array(C.base) + np.array(indices, float).reshape(-1, 2) \
@@ -853,11 +872,7 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
     ok = np.ones((len(indices), len(windows), len(patterns)), dtype=bool)
     step = max(1, _BATCH_ELEMENTS // (len(windows) * len(patterns) * max(
         game.action_count(i) for i in range(2))))
-    for i in range(2):
-        # (in support, min, max) per own action and pattern, broadcast over
-        # (own action, cube, region, pattern), so that the rows reduce fast
-        rows = np.array([[row[:3] for row in tables.screens[p.supports][i]]
-                         for p in patterns], dtype=float).T[:, :, None, None]
+    for i, rows in enumerate(tables.templates[key]):
         in_supp, v_min, v_max = rows[0] > 0.0, rows[1], rows[2]
         single_rows, screen_rows = in_supp & pure, in_supp & ~pure
         lo = g1 * v_min + gamma * windows[:, 0, i, None]

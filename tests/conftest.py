@@ -6,10 +6,13 @@ they are used to check those paths: the rational simplex re-decides
 feasibility in exact arithmetic, the stage-equilibrium oracle enumerates
 supports and solves indifference systems with plain linear algebra, the
 minmax oracle sweeps a fine grid of opponent mixtures, the hull oracle
-is a brute-force quadratic scan, and the automaton oracle walks every
-state's transitions in plain Python loops.  The helpers (expected payoffs, best
-responses, discounted averages of payoff streams) are only read by tests,
-so they live here rather than in the library.
+is a brute-force quadratic scan, the automaton oracle walks every
+state's transitions in plain Python loops, and the reference tableau is
+the simplex's phase-1 tableau built row by row from named constraints.
+The helpers (expected payoffs, best responses, discounted averages of
+payoff streams) and the support LPs built by name (the pure back-end's,
+and the mixed back-ends' that the solver fills from per-pattern templates)
+are only read by tests, so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 
 import spegrid as sg
+from spegrid.feasibility import alpha_var, w_var, wp_var
 
 
 @pytest.fixture(scope="session")
@@ -197,6 +201,160 @@ def _indifferent_mix(M, size):
     if np.max(np.abs(lhs @ x - rhs)) > 1e-9:
         return None
     return x
+
+
+# -- support LPs by name: the oracles of the solver's LP templates ------------
+
+def pure_support_system(cube, cluster, w_floor, game: sg.StageGame,
+                        gamma: float, profile) -> sg.LinearSystem:
+    """Linear system deciding whether `profile` supports `cube` with a
+    continuation inside `cluster`: the utility recursion pins w' to the
+    cube, the continuation stays in the cluster, and no player gains by
+    deviating to a best response followed by the punishment floor."""
+    n = game.player_count
+    r_vals, br_vals = game.tables.pure[tuple(profile)]
+    sys = sg.LinearSystem()
+    for i in range(n):
+        sys.add_variable(w_var(i, 0), low=cluster.origin[i],
+                         high=cluster.origin[i] + cluster.lengths[i])
+        sys.add_variable(wp_var(i, 0), low=cube.origin[i],
+                         high=cube.origin[i] + cube.side)
+    for i in range(n):
+        sys.add_constraint({wp_var(i, 0): 1.0, w_var(i, 0): -gamma},
+                           "=", (1.0 - gamma) * r_vals[i])
+        sys.add_constraint({w_var(i, 0): gamma}, ">=",
+                           (1.0 - gamma) * (br_vals[i] - r_vals[i])
+                           + gamma * w_floor[i])
+    return sys
+
+
+def support_system(cube, w_lo, w_hi, halfplanes, w_floor,
+                   game: sg.StageGame, gamma: float,
+                   pattern) -> sg.LinearSystem:
+    """The support LP of both mixed back-ends built by name, row by row:
+    the in-support continuations in the box [w_lo, w_hi] and, for every
+    in-support pair, the half-planes (none for a cluster).  The solver
+    fills the same LP from a per-pattern template; this is its oracle."""
+    sys = sg.LinearSystem()
+    side = cube.side
+    for i in range(2):
+        supp = set(pattern.supports[i])
+        for a in range(game.action_count(i)):
+            if a in supp:
+                sys.add_variable(alpha_var(i, a), low=0.0, high=1.0)
+                sys.add_variable(w_var(i, a), low=w_lo[i], high=w_hi[i])
+                sys.add_variable(wp_var(i, a), low=cube.origin[i],
+                                 high=cube.origin[i] + side)
+            else:
+                sys.add_variable(w_var(i, a), low=w_floor[i],
+                                 high=w_floor[i] + side)
+                sys.add_variable(wp_var(i, a), high=cube.origin[i])
+        sys.add_constraint({alpha_var(i, a): 1.0 for a in pattern.supports[i]},
+                           "=", 1.0)
+    # w'_i(a) = (1-g) * sum_b alpha_opp(b) r_i(a, b) + g * w_i(a), all actions
+    for i in range(2):
+        opp = 1 - i
+        for a in range(game.action_count(i)):
+            coeffs = {wp_var(i, a): 1.0, w_var(i, a): -gamma}
+            for b in pattern.supports[opp]:
+                prof = (a, b) if i == 0 else (b, a)
+                coeffs[alpha_var(opp, b)] = \
+                    coeffs.get(alpha_var(opp, b), 0.0) \
+                    - (1.0 - gamma) * game.payoff_to(prof, i)
+            sys.add_constraint(coeffs, "=", 0.0)
+    for a1 in pattern.supports[0]:
+        for a2 in pattern.supports[1]:
+            for pl in halfplanes:
+                sys.add_constraint({w_var(0, a1): pl.phi, w_var(1, a2): pl.psi},
+                                   "<=", pl.lam)
+    return sys
+
+
+def reference_tableau(system: sg.LinearSystem):
+    """The phase-1 tableau, cost row and basis of a LinearSystem as the
+    simplex built them row by row from the named constraints, before the
+    array form: the bits the array form must reproduce.  Also returns the
+    rows multiplied by -1 for a negative right-hand side."""
+    col_kind = {}
+    ncols = 0
+    upper_rows = []
+    for v in system.variables:
+        if np.isfinite(v.low):
+            col_kind[v.name] = ("low", ncols, v.low)
+            if np.isfinite(v.high):
+                upper_rows.append((ncols, v.high - v.low))
+            ncols += 1
+        elif np.isfinite(v.high):
+            col_kind[v.name] = ("high", ncols, v.high)
+            ncols += 1
+        else:
+            col_kind[v.name] = ("free", ncols, ncols + 1)
+            ncols += 2
+    rows, rels, rhs = [], [], []
+    for c in system.constraints:
+        row = np.zeros(ncols)
+        shift = 0.0
+        for name, coef in c.coeffs.items():
+            kind = col_kind[name]
+            if kind[0] == "low":
+                row[kind[1]] += coef
+                shift += coef * kind[2]
+            elif kind[0] == "high":
+                row[kind[1]] -= coef
+                shift += coef * kind[2]
+            else:
+                row[kind[1]] += coef
+                row[kind[2]] -= coef
+        rows.append(row)
+        rels.append(c.rel)
+        rhs.append(c.rhs - shift)
+    for col, bound in upper_rows:
+        row = np.zeros(ncols)
+        row[col] = 1.0
+        rows.append(row)
+        rels.append("<=")
+        rhs.append(bound)
+    m = len(rows)
+    A = np.array(rows) if rows else np.zeros((0, ncols))
+    b = np.array(rhs)
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    swap = {"<=": ">=", ">=": "<=", "=": "="}
+    rels = [swap[r] if f else r for r, f in zip(rels, flip)]
+    nslack = sum(1 for r in rels if r != "=")
+    nart = sum(1 for r in rels if r != "<=")
+    width = ncols + nslack + nart
+    T = np.zeros((m, width + 1))
+    T[:, :ncols] = A
+    T[:, -1] = b
+    basis = [0] * m
+    s_at, a_at = ncols, ncols + nslack
+    art_cols = []
+    for i, r in enumerate(rels):
+        if r == "<=":
+            T[i, s_at] = 1.0
+            basis[i] = s_at
+            s_at += 1
+        elif r == ">=":
+            T[i, s_at] = -1.0
+            s_at += 1
+            T[i, a_at] = 1.0
+            basis[i] = a_at
+            art_cols.append(a_at)
+            a_at += 1
+        else:
+            T[i, a_at] = 1.0
+            basis[i] = a_at
+            art_cols.append(a_at)
+            a_at += 1
+    z = np.zeros(width + 1)
+    for c in art_cols:
+        z[c] = 1.0
+    for i in range(m):
+        if basis[i] in art_cols:
+            z -= T[i]
+    return T, z, basis, flip
 
 
 # -- exact rational feasibility oracle ----------------------------------------

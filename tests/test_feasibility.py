@@ -4,7 +4,7 @@ import pytest
 import spegrid as sg
 from spegrid.feasibility import (alpha_var, enumerate_support_patterns,
                                  w_var, wp_var)
-from conftest import random_game, rational_feasible
+from conftest import pure_support_system, random_game, rational_feasible
 
 
 def simple_system(pairs, rels_rhs):
@@ -32,7 +32,7 @@ class TestSolveFeasibility:
         # cube and cluster both [1.9, 2.1]^2, floor (0,0), mutual cooperation
         cube = sg.Hypercube((1.9, 1.9), 0.2)
         cluster = sg.Cluster((1.9, 1.9), (0.2, 0.2))
-        sys = sg.pure_support_system(cube, cluster, (0.0, 0.0), pd, 0.7, (0, 0))
+        sys = pure_support_system(cube, cluster, (0.0, 0.0), pd, 0.7, (0, 0))
         assert sg.solve_feasibility(sys) is not None
         # the stationary witness w = w' = (2,2) satisfies the system exactly;
         # its incentive slack is 0.3*2 + 0.7*2 - 0.3*3 - 0 = 1.1 >= 0

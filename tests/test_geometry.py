@@ -67,6 +67,23 @@ class TestMinOrigin:
             assert cur == tuple(min(o) for o in
                                 zip(*[C.origin_of(i) for i in C.indices()]))
 
+    def test_min_cells_follow_removals(self):
+        # the punishment cubes: per dimension the first cell in index
+        # order on the lowest layer, cached until the set changes
+        rng = np.random.default_rng(11)
+        cells = list({tuple(rng.integers(0, 6, size=2)) for _ in range(20)})
+        C = sg.CubeSet((0.0, 0.0), 0.25, cells)
+        order = sorted(cells)
+        rng.shuffle(order)
+        for ix in order[:-1]:
+            cached = C.min_cells()
+            assert C.min_cells() is cached
+            assert cached == tuple(
+                min(c for c in C.indices()
+                    if c[d] == min(c[d] for c in C.indices()))
+                for d in range(2))
+            C.remove(ix)
+
 
 class TestClusters:
     def test_stacked_pair(self):

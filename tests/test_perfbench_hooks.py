@@ -108,3 +108,28 @@ def test_traced_check_and_extract_see_the_automata(tracer_module,
     assert counts["automaton.lotteries"] > 0
     for layer in ("build_s", "value_s", "deviation_s"):
         assert times[f"automaton.{layer}"] > 0.0
+
+
+def test_traced_lp_rps_solve_keeps_its_lp_shape(tracer_module,
+                                                 worker_module):
+    # the support LPs are filled from per-pattern templates: the traced
+    # lp_rps solve still sees every LP, with the rows and columns of the
+    # LPs built by name
+    spec = worker_module.WORKLOADS["lp_rps"]
+    config = sg.SolverConfig(gamma=spec["gamma"], epsilon=spec["epsilon"],
+                             mode=spec["mode"],
+                             frozen_passes=spec["frozen_passes"])
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        with tracer.phase_span("solve"):
+            report = sg.solve(sg.load_bundled(spec["game"]), config)
+    finally:
+        tracer.uninstall()
+    counts, _ = tracer.metrics(report, {p: 1 for p in tracer_module.PHASES})
+    assert tracer_module.check_identities(counts) == []
+    assert counts["feasibility.lps"] == 75
+    assert counts["feasibility.lps_infeasible"] == 21
+    # 2,752 constraint rows and 1,224 variables over the 75 LPs
+    assert counts["feasibility.lp_rows_mean"] == pytest.approx(2752 / 75)
+    assert counts["feasibility.lp_cols_mean"] == pytest.approx(1224 / 75)

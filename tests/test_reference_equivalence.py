@@ -15,6 +15,7 @@ import spegrid as sg
 from spegrid.feasibility import enumerate_support_patterns, solve_feasibility
 from spegrid.game import payoff_bounds
 from spegrid.geometry import get_clusters, get_halfplanes, initial_cube, split_all
+from conftest import pure_support_system
 
 
 def _brute_supported(cube, C, game, config):
@@ -22,8 +23,8 @@ def _brute_supported(cube, C, game, config):
     if config.mode == "pure":
         for cluster in get_clusters(C):
             for profile in game.profiles():
-                sys = sg.pure_support_system(cube, cluster, w_floor, game,
-                                             config.gamma, profile)
+                sys = pure_support_system(cube, cluster, w_floor, game,
+                                          config.gamma, profile)
                 if solve_feasibility(sys) is not None:
                     return True
         return False

@@ -8,7 +8,7 @@ from spegrid.feasibility import enumerate_support_patterns
 from spegrid.solver import (_singleton_cluster_solution,
                             _singleton_correlated_solution, _pure_witness,
                             certificate_residual, verify_union)
-from conftest import random_game, stage_equilibria
+from conftest import pure_support_system, random_game, stage_equilibria
 
 
 class TestCubeSupportedPure:
@@ -27,8 +27,8 @@ class TestCubeSupportedPure:
                 assert cert.profile == (1, 1)
         # the stationary witness w = (0, 0) is itself feasible
         cube = C.cube_at((2, 2))
-        sys = sg.pure_support_system(cube, sg.Cluster((0.0, 0.0), (0.5, 0.5)),
-                                     (0.0, 0.0), pd, 0.3, (1, 1))
+        sys = pure_support_system(cube, sg.Cluster((0.0, 0.0), (0.5, 0.5)),
+                                  (0.0, 0.0), pd, 0.3, (1, 1))
         from spegrid.feasibility import w_var, wp_var
         point = {w_var(0, 0): 0.0, w_var(1, 0): 0.0,
                  wp_var(0, 0): 0.0, wp_var(1, 0): 0.0}
@@ -71,7 +71,7 @@ class TestCubeSupportedPure:
                         witness = _pure_witness(cube.origin, cube.side, cluster,
                                                 floor, game, gamma, profile,
                                                 r_vals, br)
-                        lp = sg.solve_feasibility(sg.pure_support_system(
+                        lp = sg.solve_feasibility(pure_support_system(
                             cube, cluster, floor, game, gamma, profile))
                         assert (witness is not None) == (lp is not None)
 
