@@ -40,15 +40,13 @@ class UnboundedError(Exception):
     """The objective can be driven to -infinity over the feasible set."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     low: float = -np.inf
     high: float = np.inf
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     coeffs: dict
     rel: str  # one of "<=", "=", ">="
     rhs: float
@@ -66,6 +64,8 @@ class LinearSystem:
                      high: float = np.inf) -> None:
         if any(v.name == name for v in self.variables):
             raise ValueError(f"duplicate variable {name!r}")
+        if np.isnan(low) or np.isnan(high):
+            raise ValueError(f"variable {name!r}: NaN bound")
         if low > high:
             raise ValueError(f"variable {name!r}: low > high")
         self.variables.append(Variable(name, float(low), float(high)))
@@ -77,6 +77,8 @@ class LinearSystem:
         for v in clean.values():
             if not np.isfinite(v):
                 raise ValueError("non-finite coefficient")
+        if not np.isfinite(rhs):
+            raise ValueError("non-finite right-hand side")
         self.constraints.append(Constraint(clean, rel, float(rhs)))
 
     def set_objective(self, coeffs: dict) -> None:
@@ -187,43 +189,54 @@ class ArraySystem(NamedTuple):
 
 
 class _Simplex:
-    """Dense tableau simplex working on one phase at a time."""
+    """Dense tableau simplex working on one phase at a time.  ``M`` is the
+    tableau with the cost row as its last row; ``T`` and ``z`` are views."""
 
-    def __init__(self, tableau: np.ndarray, cost_row: np.ndarray,
-                 basis: list[int]):
-        self.T = tableau
-        self.z = cost_row
+    def __init__(self, M: np.ndarray, basis: list[int]):
+        self.M = M
+        self.T = M[:-1]
+        self.z = M[-1]
         self.basis = basis
         self.bland = False
         self._stall = 0
+        self._update = np.empty_like(M)
+        self._rhs = M[:-1, -1]
+        self._ratios = np.empty(len(M) - 1)
 
     def _entering(self) -> Optional[int]:
         z = self.z[:-1]
         if self.bland:
-            for j in range(z.size):
-                if z[j] < -1e-9:
-                    return j
-            return None
-        j = int(np.argmin(z))
+            below = (z < -1e-9).nonzero()[0]
+            return int(below[0]) if below.size else None
+        j = int(z.argmin())
         return j if z[j] < -1e-9 else None
 
     def _leaving(self, col: int) -> Optional[int]:
-        T = self.T
-        rows = np.nonzero(T[:, col] > PIVOT_TOL)[0]
-        if rows.size == 0:
+        c = self.T[:, col]
+        usable = c > PIVOT_TOL
+        ratios = self._ratios
+        ratios.fill(np.inf)
+        np.divide(self._rhs, c, out=ratios, where=usable)
+        best = np.minimum.reduce(ratios, initial=np.inf)
+        if best < np.inf:
+            ties = (ratios <= best + 1e-12).nonzero()[0]
+        elif usable.any():
+            ties = usable.nonzero()[0]  # every ratio overflowed
+        else:
             return None
-        ratios = T[rows, -1] / T[rows, col]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
+        if len(ties) == 1:
+            return int(ties[0])
         # smallest basis index among ties preserves Bland's guarantee
-        return int(min(ties, key=lambda r: self.basis[r]))
+        return min(ties.tolist(), key=self.basis.__getitem__)
 
     def pivot(self, row: int, col: int) -> None:
-        T = self.T
-        prow = T[row] / T[row, col]
-        T -= np.outer(T[:, col], prow)
-        T[row] = prow
-        self.z -= self.z[col] * prow
+        """One rank-1 update of the tableau and its cost row: each entry
+        becomes M[i, j] - M[i, col] * prow[j], then the pivot row prow."""
+        M = self.M
+        prow = M[row] / M[row, col]
+        np.multiply(M[:, col, None], prow, out=self._update)
+        M -= self._update
+        M[row] = prow
         self.basis[row] = col
 
     def run(self) -> bool:
@@ -252,6 +265,10 @@ def _phase_one(system: ArraySystem) -> tuple[_Simplex, int]:
     that are not artificials (which come last): bound shifts move to the
     right-hand sides, upper rows follow, rows with b < 0 are negated, then
     slacks (<=), surpluses and artificials (>=), artificials (=)."""
+    if not np.isfinite(system.rhs).all():
+        raise ValueError("non-finite right-hand side")
+    if np.isnan(system.low).any() or np.isnan(system.high).any():
+        raise ValueError("NaN bound")
     cols = system.columns
     anchor = np.where(cols.high_only, system.high, system.low)
     anchor[cols.free] = 0.0
@@ -265,7 +282,8 @@ def _phase_one(system: ArraySystem) -> tuple[_Simplex, int]:
     ncols = cols.count
     n = ncols + len(s_rows)
     width = n + len(a_rows)
-    T = np.zeros((len(b), width + 1))
+    M = np.zeros((len(b) + 1, width + 1))
+    T = M[:-1]
     T[:, :ncols] = np.concatenate((system.A, cols.upper)) * sign[:, None]
     T[:, -1] = b * sign
     basis = np.empty(len(b), dtype=np.intp)
@@ -275,10 +293,9 @@ def _phase_one(system: ArraySystem) -> tuple[_Simplex, int]:
     T[a_rows, basis[a_rows]] = 1.0
     # minimise the sum of the artificials: their unit costs, less each
     # artificial's row, subtracted in row order
-    z = np.zeros(width + 1)
-    z[n:width] = 1.0
-    z = np.subtract.reduce(np.vstack((z, T[a_rows])), axis=0)
-    return _Simplex(T, z, basis.tolist()), n
+    M[-1, n:width] = 1.0
+    M[-1] = np.subtract.reduce(M[np.append(-1, a_rows)], axis=0)
+    return _Simplex(M, basis.tolist()), n
 
 
 def solve_feasibility(system) -> Optional[dict]:
@@ -312,23 +329,26 @@ def solve_feasibility(system) -> Optional[dict]:
                     continue  # redundant row
                 sx.pivot(i, piv)
             keep.append(i)
-        T = np.concatenate((T[keep, :n], T[keep, -1:]), axis=1)
         basis = [basis[i] for i in keep]
+        rhs = T[keep, -1]
 
         if system.objective is not None:
+            M = np.zeros((len(keep) + 1, n + 1))
+            M[:-1, :n] = T[keep, :n]
+            M[:-1, -1] = rhs
             costs = np.zeros(n + 1)
             costs[:cols.count] = system.objective
-            z2 = costs.copy()
+            M[-1] = costs
             for i in range(len(basis)):
                 if costs[basis[i]] != 0.0:
-                    z2 -= costs[basis[i]] * T[i]
-            sx2 = _Simplex(T, z2, basis)
+                    M[-1] -= costs[basis[i]] * M[i]
+            sx2 = _Simplex(M, basis)
             if not sx2.run():
                 raise UnboundedError("objective is unbounded below")
-            T, basis = sx2.T, sx2.basis
+            rhs = sx2.T[:, -1]
 
         values = np.zeros(n)
-        values[basis] = T[:, -1]
+        values[basis] = rhs
         x = np.where(cols.high_only, system.high - values[cols.col],
                      system.low + values[cols.col])
         free = cols.col[cols.free]
@@ -344,7 +364,7 @@ def solve_feasibility(system) -> Optional[dict]:
     # It is only a fallback: the two can return different feasible points.
     phase1 = None
     if any(bk >= n for bk in sx.basis):
-        phase1 = _Simplex(sx.T.copy(), sx.z.copy(), list(sx.basis))
+        phase1 = _Simplex(sx.M.copy(), list(sx.basis))
     x, worst = recover(sx, largest=False)
     if worst > 10 * FEAS_TOL and phase1 is not None:
         x, worst = recover(phase1, largest=True)

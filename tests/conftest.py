@@ -7,8 +7,10 @@ feasibility in exact arithmetic, the stage-equilibrium oracle enumerates
 supports and solves indifference systems with plain linear algebra, the
 minmax oracle sweeps a fine grid of opponent mixtures, the hull oracle
 is a brute-force quadratic scan, the automaton oracle walks every
-state's transitions in plain Python loops, and the reference tableau is
-the simplex's phase-1 tableau built row by row from named constraints.
+state's transitions in plain Python loops, the reference tableau is the
+simplex's phase-1 tableau built row by row from named constraints, and the
+reference simplex is the simplex's kernel with its tableau and cost row
+kept apart.
 The helpers (expected payoffs, best responses, discounted averages of
 payoff streams) and the support LPs built by name (the pure back-end's,
 and the mixed back-ends' that the solver fills from per-pattern templates)
@@ -24,7 +26,8 @@ import numpy as np
 import pytest
 
 import spegrid as sg
-from spegrid.feasibility import alpha_var, w_var, wp_var
+from spegrid.feasibility import (FEAS_TOL, PIVOT_TOL, _phase_one, alpha_var,
+                                 w_var, wp_var)
 
 
 @pytest.fixture(scope="session")
@@ -469,6 +472,141 @@ def rational_feasible(system: sg.LinearSystem) -> bool:
             cost = [x - f * y for x, y in zip(cost, tableau[r])]
         basis[r] = enter
     return -cost[-1] == 0
+
+
+# -- reference simplex: the kernel before the fused tableau -------------------
+#
+# The tableau simplex and its drive-out as they were when the tableau and the
+# cost row were two arrays; ``tests/test_simplex_kernel.py`` requires the
+# fused kernel to take the same pivots and produce the same bits.
+
+class ReferenceSimplex:
+    """Dense tableau simplex working on one phase at a time: the simplex's
+    kernel before its tableau and cost row were fused into one array."""
+
+    def __init__(self, tableau: np.ndarray, cost_row: np.ndarray,
+                 basis: list[int]):
+        self.T = tableau
+        self.z = cost_row
+        self.basis = basis
+        self.bland = False
+        self._stall = 0
+
+    def _entering(self) -> int | None:
+        z = self.z[:-1]
+        if self.bland:
+            for j in range(z.size):
+                if z[j] < -1e-9:
+                    return j
+            return None
+        j = int(np.argmin(z))
+        return j if z[j] < -1e-9 else None
+
+    def _leaving(self, col: int) -> int | None:
+        T = self.T
+        rows = np.nonzero(T[:, col] > PIVOT_TOL)[0]
+        if rows.size == 0:
+            return None
+        ratios = T[rows, -1] / T[rows, col]
+        best = ratios.min()
+        ties = rows[ratios <= best + 1e-12]
+        # smallest basis index among ties preserves Bland's guarantee
+        return int(min(ties, key=lambda r: self.basis[r]))
+
+    def pivot(self, row: int, col: int) -> None:
+        T = self.T
+        prow = T[row] / T[row, col]
+        T -= np.outer(T[:, col], prow)
+        T[row] = prow
+        self.z -= self.z[col] * prow
+        self.basis[row] = col
+
+    def run(self) -> bool:
+        """Iterate to optimality.  Returns False when unbounded."""
+        limit = 20000 + 50 * (self.T.shape[0] + self.T.shape[1])
+        for _ in range(limit):
+            col = self._entering()
+            if col is None:
+                return True
+            row = self._leaving(col)
+            if row is None:
+                return False
+            before = self.z[-1]
+            self.pivot(row, col)
+            if abs(self.z[-1] - before) < 1e-12:
+                self._stall += 1
+                if self._stall > 2 * (self.T.shape[0] + self.T.shape[1]):
+                    self.bland = True
+            else:
+                self._stall = 0
+        raise RuntimeError("simplex iteration limit exceeded")
+
+
+def reference_solve(system) -> dict | None:
+    """``solve_feasibility`` on ReferenceSimplex, from the same phase-1
+    tableau, cost row and basis: the points the fused kernel must keep."""
+    if isinstance(system, sg.LinearSystem):
+        system = system.compile()
+    start, n = _phase_one(system)
+    sx = ReferenceSimplex(start.T.copy(), start.z.copy(), list(start.basis))
+    sx.run()  # bounded below by zero, cannot be unbounded
+    if -sx.z[-1] > FEAS_TOL:
+        return None
+    cols = system.columns
+
+    def recover(sx: ReferenceSimplex, largest: bool):
+        """Phase 2 from the phase-1 tableau: drive the artificials left in
+        the basis out (pivoting on each row's first usable entry, or on its
+        largest one), drop redundant rows, then read off the point."""
+        T, basis = sx.T, sx.basis
+        keep = []
+        for i in range(len(basis)):
+            if basis[i] >= n:
+                cand = np.abs(T[i, :n])
+                piv = int(np.argmax(cand if largest else cand > PIVOT_TOL))
+                if cand[piv] <= PIVOT_TOL:
+                    continue  # redundant row
+                sx.pivot(i, piv)
+            keep.append(i)
+        T = np.concatenate((T[keep, :n], T[keep, -1:]), axis=1)
+        basis = [basis[i] for i in keep]
+
+        if system.objective is not None:
+            costs = np.zeros(n + 1)
+            costs[:cols.count] = system.objective
+            z2 = costs.copy()
+            for i in range(len(basis)):
+                if costs[basis[i]] != 0.0:
+                    z2 -= costs[basis[i]] * T[i]
+            sx2 = ReferenceSimplex(T, z2, basis)
+            if not sx2.run():
+                raise sg.UnboundedError("objective is unbounded below")
+            T, basis = sx2.T, sx2.basis
+
+        values = np.zeros(n)
+        values[basis] = T[:, -1]
+        x = np.where(cols.high_only, system.high - values[cols.col],
+                     system.low + values[cols.col])
+        free = cols.col[cols.free]
+        x[cols.free] = values[free] - values[free + 1]
+        # clean up float dust against the bounds
+        x = np.where(system.low > x, system.low, x)
+        x = np.where(system.high < x, system.high, x)
+        return x, system._violation(x)
+
+    # The first-entry drive-out can leave a phase-1 slack of up to FEAS_TOL
+    # amplified past the residual check; the largest-entry drive-out keeps
+    # it small, so it is redone that way from a copy of the phase-1 tableau.
+    # It is only a fallback: the two can return different feasible points.
+    phase1 = None
+    if any(bk >= n for bk in sx.basis):
+        phase1 = ReferenceSimplex(sx.T.copy(), sx.z.copy(), list(sx.basis))
+    x, worst = recover(sx, largest=False)
+    if worst > 10 * FEAS_TOL and phase1 is not None:
+        x, worst = recover(phase1, largest=True)
+    if worst > 10 * FEAS_TOL:
+        raise RuntimeError(f"simplex returned a point with residual {worst}")
+    return dict(zip(system.names, x.tolist()))
 
 
 # -- automaton evaluation oracle: per-state Python loops over transitions ----

@@ -125,6 +125,50 @@ class TestSolveFeasibility:
         assert sys.residual(point) <= 2e-7
 
 
+class TestNonFiniteInputs:
+    """A non-finite right-hand side or a NaN bound is refused, by name and
+    in array form; without the checks the first two cases returned
+    {'x': nan, 'y': inf} as a feasible point, x <= nan returned {'x': 0.0},
+    and = nan, >= nan failed inside the ratio test."""
+
+    @staticmethod
+    def xy() -> sg.LinearSystem:
+        sys = sg.LinearSystem()
+        sys.add_variable("x", low=0.0, high=1.0)
+        sys.add_variable("y")
+        return sys
+
+    @pytest.mark.parametrize("rel, rhs", [("=", np.inf), (">=", np.inf),
+                                          ("<=", np.nan), ("=", np.nan),
+                                          (">=", np.nan), ("<=", -np.inf)])
+    def test_non_finite_right_hand_side(self, rel, rhs):
+        sys = self.xy()
+        with pytest.raises(ValueError, match="right-hand side"):
+            sys.add_constraint({"x": 1.0, "y": 1.0}, rel, rhs)
+        sys.add_constraint({"x": 1.0, "y": 1.0}, rel, 0.5)
+        arrays = sys.compile()
+        with pytest.raises(ValueError, match="right-hand side"):
+            sg.solve_feasibility(arrays._replace(rhs=np.array([rhs])))
+
+    @pytest.mark.parametrize("low, high", [(np.nan, 1.0), (0.0, np.nan),
+                                           (np.nan, np.nan)])
+    def test_nan_bound(self, low, high):
+        sys = self.xy()
+        with pytest.raises(ValueError, match="NaN bound"):
+            sys.add_variable("z", low, high)
+        arrays = sys.compile()
+        with pytest.raises(ValueError, match="NaN bound"):
+            sg.solve_feasibility(arrays._replace(
+                low=np.array([low, -np.inf]), high=np.array([high, np.inf])))
+
+    def test_infinite_bounds_stay_legal(self):
+        sys = self.xy()
+        sys.add_variable("z", -np.inf, np.inf)
+        sys.add_constraint({"x": 1.0, "z": 1.0}, "=", 2.0)
+        point = sg.solve_feasibility(sys)
+        assert point["x"] + point["z"] == pytest.approx(2.0)
+
+
 class TestRationalCrossCheck:
     def test_verdicts_match_exact_arithmetic(self):
         rng = np.random.default_rng(303)

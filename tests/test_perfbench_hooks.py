@@ -110,12 +110,7 @@ def test_traced_check_and_extract_see_the_automata(tracer_module,
         assert times[f"automaton.{layer}"] > 0.0
 
 
-def test_traced_lp_rps_solve_keeps_its_lp_shape(tracer_module,
-                                                 worker_module):
-    # the support LPs are filled from per-pattern templates: the traced
-    # lp_rps solve still sees every LP, with the rows and columns of the
-    # LPs built by name
-    spec = worker_module.WORKLOADS["lp_rps"]
+def _traced_solve_counts(tracer_module, spec) -> dict:
     config = sg.SolverConfig(gamma=spec["gamma"], epsilon=spec["epsilon"],
                              mode=spec["mode"],
                              frozen_passes=spec["frozen_passes"])
@@ -128,8 +123,29 @@ def test_traced_lp_rps_solve_keeps_its_lp_shape(tracer_module,
         tracer.uninstall()
     counts, _ = tracer.metrics(report, {p: 1 for p in tracer_module.PHASES})
     assert tracer_module.check_identities(counts) == []
+    return counts
+
+
+def test_traced_lp_rps_solve_keeps_its_lp_shape(tracer_module,
+                                                 worker_module):
+    # the support LPs are filled from per-pattern templates: the traced
+    # lp_rps solve still sees every LP, with the rows and columns of the
+    # LPs built by name
+    counts = _traced_solve_counts(tracer_module,
+                                  worker_module.WORKLOADS["lp_rps"])
     assert counts["feasibility.lps"] == 75
     assert counts["feasibility.lps_infeasible"] == 21
     # 2,752 constraint rows and 1,224 variables over the 75 LPs
     assert counts["feasibility.lp_rows_mean"] == pytest.approx(2752 / 75)
     assert counts["feasibility.lp_cols_mean"] == pytest.approx(1224 / 75)
+
+
+def test_traced_clusters_bos_solve_keeps_its_lp_shape(tracer_module,
+                                                      worker_module):
+    # the only workload of the cluster back-end: its LPs and support
+    # programs per solve
+    counts = _traced_solve_counts(tracer_module,
+                                  worker_module.WORKLOADS["clusters_bos"])
+    assert counts["feasibility.lps"] == 331
+    assert counts["feasibility.lps_infeasible"] == 0
+    assert counts["feasibility.support_programs"] == 1784
