@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +29,9 @@ from .feasibility import SupportPattern, SupportSolution
 from .game import MixedProfile, StageGame, payoff_bounds
 from .gamefile import parse_game_file, resolve_game_path
 from .geometry import CubeSet
-from .solver import (SolveReport, SolveSnapshot, SolverConfig,
-                     SupportCertificate, solve, verify_union)
+from .solver import (_MIXED_KINDS, SolveReport, SolveSnapshot, SolverConfig,
+                     SupportCertificate, _MixedColumns, _verify_groups,
+                     solve)
 # Part of this module's namespace: perfbench/tracer.py hooks cli-level
 # certificate checks under this name.
 from .solver import verify_certificate  # noqa: F401
@@ -90,39 +92,37 @@ def _snapshot_text(snap: SolveSnapshot, status: str | None = None) -> str:
              f"iteration: {snap.iteration}",
              f"generation: {snap.generation}",
              f"side: {snap.side!r}",
-             f"base: {' '.join(repr(b) for b in snap.base)}"]
+             f"base: {' '.join(map(repr, snap.base))}"]
     if status is not None:
         lines.append(f"status: {status}")
     lines.append(f"cubes: {len(snap.indices)}")
-    for origin in snap.origins():
-        lines.append(" ".join(repr(x) for x in origin))
+    lines.extend(" ".join(map(repr, origin)) for origin in snap.origins())
     return "\n".join(lines) + "\n"
 
 
 def _certificate_text(origin, cert: SupportCertificate) -> list[str]:
-    lines = [f"cube: {' '.join(repr(x) for x in origin)}",
-             f"kind: {cert.kind}"]
+    lines = [f"cube: {' '.join(map(repr, origin))}", f"kind: {cert.kind}"]
     if cert.kind == "pure":
-        lines.append(f"profile: {' '.join(str(a) for a in cert.profile)}")
+        lines.append(f"profile: {' '.join(map(str, cert.profile))}")
         lines.append("continuation: "
-                     + " ".join(repr(float(x)) for x in cert.continuation))
+                     + " ".join(map(repr, map(float, cert.continuation))))
     else:
         sol = cert.solution
-        lines.append("pattern: " + _rows_text(sol.pattern.supports, str))
-        lines.append("alpha: " + _rows_text(sol.alpha.probs))
+        lines.append("pattern: " + " | ".join(" ".join(map(str, s))
+                                              for s in sol.pattern.supports))
+        lines.append("alpha: " + _rows_text(p.tolist() for p in sol.alpha.probs))
         lines.append("w: " + _rows_text(sol.continuations))
         lines.append("wp: " + _rows_text(sol.utilities))
     return lines
 
 
-def _rows_text(rows, fmt=lambda x: repr(float(x))) -> str:
+def _rows_text(rows) -> str:
     """One row per player, separated by ' | '."""
-    return " | ".join(" ".join(fmt(x) for x in row) for row in rows)
+    return " | ".join(" ".join(map(repr, map(float, row))) for row in rows)
 
 
 def _parse_rows(text: str, conv=float) -> tuple:
-    return tuple(tuple(conv(t) for t in part.split())
-                 for part in text.split("|"))
+    return tuple(tuple(map(conv, part.split())) for part in text.split("|"))
 
 
 def write_final_set(path: Path, snap: SolveSnapshot, status: str,
@@ -137,75 +137,141 @@ def _parse_vector(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split())
 
 
-def read_final_set(path) -> tuple[CubeSet, str, dict]:
-    """Reconstruct the final cube set and its certificates from a file."""
-    lines = Path(path).read_text().splitlines()
+def _lattice_indices(lines, base, side) -> list[tuple[int, ...]]:
+    """``CubeSet.index_of`` of the origin on each line (rounded half to
+    even, as ``round``)."""
+    origins = np.array([line.split() for line in lines],
+                       float).reshape(len(lines), len(base))
+    ix = np.rint((origins - base) / side)
+    if not np.all(np.abs(ix) < 2.0 ** 53):
+        raise ValueError("a cube origin is not a finite lattice point")
+    return list(map(tuple, ix.astype(np.int64).tolist()))
+
+
+def _read_final_set(path):
+    """The cube set and status stored in a final-set file, and its
+    certificate section: the lattice index of each block's cube, in block
+    order, and the section's fields, each a dict from block number to the
+    field's value there (the last, where a block repeats a field)."""
+    lines = [line for line in map(str.strip, Path(path).read_text().splitlines())
+             if line and not line.startswith("#")]
     meta = {}
-    origins = []
-    cert_lines = []
-    section = "header"
-    count = None
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if section == "header":
-            key, _, value = line.partition(":")
-            meta[key.strip()] = value.strip()
-            if key.strip() == "cubes":
-                count = int(value)
-                section = "origins"
-        elif section == "origins":
-            if line == "certificates:":
-                section = "certs"
-                continue
-            origins.append(_parse_vector(line))
-        else:
-            cert_lines.append(line)
-    if len(origins) != count:
-        raise ValueError(f"final set lists {len(origins)} cubes but its "
-                         f"header declares {count}")
-    lattice = CubeSet(_parse_vector(meta["base"]), float(meta["side"]), ())
-    C = CubeSet(lattice.base, lattice.side,
-                [lattice.index_of(o) for o in origins],
+    k = 0
+    while k < len(lines) and "cubes" not in meta:
+        key, _, value = lines[k].partition(":")
+        meta[key.strip()] = value.strip()
+        k += 1
+    rest = lines[k:]
+    stop = rest.index("certificates:") if "certificates:" in rest else len(rest)
+    count = int(meta["cubes"]) if "cubes" in meta else None
+    base, side = _parse_vector(meta["base"]), float(meta["side"])
+    C = CubeSet(base, side, _lattice_indices(rest[:stop], base, side),
                 generation=int(meta.get("generation", 0)))
-    certs = _parse_certificates(cert_lines, C)
-    return C, meta.get("status", "unknown"), certs
-
-
-def _parse_certificates(lines: list[str], C: CubeSet) -> dict:
-    blocks = []
-    for line in lines:
+    if not stop == len(C) == count:
+        # a repeated cube line is counted once
+        raise ValueError(f"final set lists {len(C)} cubes in {stop} lines "
+                         f"but its header declares {count}")
+    fields: dict = {}
+    block = -1
+    for line in rest[stop + 1:]:
         key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
+        key = key.strip()
         if key == "cube":
-            blocks.append({})
-        if not blocks:
+            block += 1
+        elif block < 0:
             raise ValueError("certificate fields before any 'cube:' line")
-        blocks[-1][key] = value
-    return {C.index_of(_parse_vector(block["cube"])):
-            _certificate_from_block(block, C) for block in blocks}
+        fields.setdefault(key, {})[block] = value.strip()
+    cubes = _lattice_indices(list(fields.get("cube", {}).values()), base, side)
+    return C, meta.get("status", "unknown"), cubes, fields
 
 
-def _certificate_from_block(block: dict, C: CubeSet):
-    kind = block["kind"]
-    common = dict(kind=kind, w_floor=C.min_origin())
+def _column(fields: dict, key: str, blocks) -> list[str]:
+    """The value of the field ``key`` in each of ``blocks``."""
+    values = fields.get(key, {})
+    try:
+        return [values[b] for b in blocks]
+    except KeyError:
+        raise KeyError(key) from None
+
+
+def _certificate(fields: dict, block: int, w_floor) -> SupportCertificate:
+    """The certificate written in one block, unchecked."""
+    def value(key):
+        return _column(fields, key, [block])[0]
+
+    kind = value("kind")
     if kind == "pure":
         return SupportCertificate(
-            profile=tuple(int(t) for t in block["profile"].split()),
-            continuation=_parse_vector(block["continuation"]), **common)
-    alpha = MixedProfile(tuple(np.array(p) for p in _parse_rows(block["alpha"])))
-    sol = SupportSolution(alpha, _parse_rows(block["w"]),
-                          _parse_rows(block["wp"]),
-                          SupportPattern(_parse_rows(block["pattern"], int)))
-    return SupportCertificate(solution=sol, **common)
+            kind=kind, w_floor=w_floor,
+            profile=tuple(map(int, value("profile").split())),
+            continuation=_parse_vector(value("continuation")))
+    rows = {key: _parse_rows(value(key)) for key in ("alpha", "w", "wp")}
+    sol = SupportSolution(MixedProfile(tuple(map(np.array, rows["alpha"]))),
+                          rows["w"], rows["wp"],
+                          SupportPattern(_parse_rows(value("pattern"), int)))
+    return SupportCertificate(kind=kind, w_floor=w_floor, solution=sol)
+
+
+def read_final_set(path) -> tuple[CubeSet, str, dict]:
+    """Reconstruct the final cube set and its certificates from a file.  A
+    cube whose certificate block repeats is left without a certificate, so
+    the set does not verify."""
+    C, status, cubes, fields = _read_final_set(path)
+    repeats = Counter(cubes)
+    return C, status, {ix: _certificate(fields, b, C.min_origin())
+                       for b, ix in enumerate(cubes) if repeats[ix] == 1}
+
+
+def _field_array(values: list[str], counts) -> np.ndarray | None:
+    """A field's values (one row per player, split on '|') as one float
+    array with a column per action, or None unless each value has
+    ``counts[i]`` entries for player i (two players)."""
+    m0, m1 = counts
+    rows = [text.replace("|", " | ").split() for text in values]
+    # each row has m0 + m1 + 1 tokens with a bar after m0 of them, and
+    # there are as many bars as rows, so no row has a second one
+    if any(len(row) != m0 + m1 + 1 or row[m0] != "|" for row in rows) \
+            or "".join(values).count("|") != len(values):
+        return None
+    return np.array(" ".join(values).replace("|", " ").split(),
+                    float).reshape(len(values), m0 + m1)
+
+
+def _certificate_groups(path, game: StageGame):
+    """The cube set of a final-set file and its certificates grouped by
+    kind for ``_verify_groups``: each mixed kind's read into columns
+    (``_MixedColumns``), pure ones built one by one.  No groups when the
+    certificates do not name each cube of the set exactly once."""
+    C, _, cubes, fields = _read_final_set(path)
+    if sorted(cubes) != C.indices():
+        return C, None
+    by_kind: dict = {}
+    for b, kind in enumerate(_column(fields, "kind", range(len(cubes)))):
+        by_kind.setdefault(kind, []).append(b)
+    counts = [game.action_count(i) for i in range(game.player_count)]
+    groups = {}
+    for kind, blocks in by_kind.items():
+        if kind == "pure":
+            groups[kind] = {cubes[b]: _certificate(fields, b, C.min_origin())
+                            for b in blocks}
+        elif kind in _MIXED_KINDS:
+            patterns = _column(fields, "pattern", blocks)
+            supports = {p: _parse_rows(p, int) for p in set(patterns)}
+            groups[kind] = _MixedColumns(
+                np.array([cubes[b] for b in blocks], float),
+                [supports[p] for p in patterns],
+                *(_field_array(_column(fields, key, blocks), counts)
+                  for key in ("alpha", "w", "wp")))
+        else:
+            groups[kind] = None
+    return C, groups
 
 
 def verify_final_set(path, game: StageGame, gamma: float) -> bool:
     """Replay the certificates stored in a final-set file against the cube
     set stored alongside it; every cube needs exactly one certificate."""
-    C, _, certs = read_final_set(path)
-    return verify_union(C, certs, game, gamma)
+    C, groups = _certificate_groups(path, game)
+    return groups is not None and _verify_groups(C, groups, game, gamma)
 
 
 def run(manifest: RunManifest) -> tuple[int, SolveReport]:

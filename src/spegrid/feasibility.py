@@ -68,6 +68,8 @@ class LinearSystem:
             raise ValueError(f"variable {name!r}: NaN bound")
         if low > high:
             raise ValueError(f"variable {name!r}: low > high")
+        if low == np.inf or high == -np.inf:
+            raise ValueError(f"variable {name!r}: no finite value in bounds")
         self.variables.append(Variable(name, float(low), float(high)))
 
     def add_constraint(self, coeffs: dict, rel: str, rhs: float) -> None:
@@ -269,6 +271,8 @@ def _phase_one(system: ArraySystem) -> tuple[_Simplex, int]:
         raise ValueError("non-finite right-hand side")
     if np.isnan(system.low).any() or np.isnan(system.high).any():
         raise ValueError("NaN bound")
+    if (system.low == np.inf).any() or (system.high == -np.inf).any():
+        raise ValueError("a variable has no finite value in its bounds")
     cols = system.columns
     anchor = np.where(cols.high_only, system.high, system.low)
     anchor[cols.free] = 0.0

@@ -85,6 +85,24 @@ class StageGame:
         return PayoffTables(self)
 
 
+def distribution_error(rows: np.ndarray, player: int):
+    """``(k, message)`` for the first row k of ``rows`` (probability vectors
+    of ``player``, one per row) that is no distribution, or None.  A row
+    must have a finite sum, no entry below -PROB_TOL and a sum within 1e-9
+    of 1; the message names the first rule it breaks, after the player."""
+    totals = rows.sum(axis=1)
+    # NaN fails both comparisons, and a NaN or infinite entry makes the sum
+    # non-finite, so such a row is never ok
+    ok = (abs(totals - 1.0) <= 1e-9) & (rows >= -PROB_TOL).all(axis=1)
+    if ok.all():
+        return None
+    k = int(ok.argmin())
+    why = ("probabilities must be finite" if not math.isfinite(totals[k]) else
+           "negative probability" if (rows[k] < -PROB_TOL).any() else
+           f"probabilities sum to {totals[k]}")
+    return k, f"player {player}: {why}"
+
+
 @dataclass(frozen=True)
 class MixedProfile:
     """One probability vector per player over that player's actions."""
@@ -97,15 +115,9 @@ class MixedProfile:
             v = np.array(p, dtype=float)
             if v.ndim != 1 or v.size == 0:
                 raise ValueError(f"player {i}: probability vector expected")
-            total = v.sum()
-            # a NaN or infinite entry makes the sum non-finite; NaN would
-            # pass both comparisons below
-            if not math.isfinite(total):
-                raise ValueError(f"player {i}: probabilities must be finite")
-            if np.any(v < -PROB_TOL):
-                raise ValueError(f"player {i}: negative probability")
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"player {i}: probabilities sum to {total}")
+            error = distribution_error(v[None], i)
+            if error:
+                raise ValueError(error[1])
             v = np.clip(v, 0.0, None)
             v.setflags(write=False)
             vecs.append(v)

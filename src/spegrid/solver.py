@@ -67,8 +67,11 @@ completion check's automata follow in-support outcomes, the split reads
 in-pattern utilities, replay takes the floor from the context), so they are
 re-anchored at the final floor once, for the report.  The loop,
 ``verify_certificate`` and ``verify_union`` derive that context from a
-cube set in one place; ``verify_union`` builds it once per cube set and
-kind, and replays through the same batch.
+cube set in one place.  ``verify_union`` and ``--verify`` build it once
+per cube set and kind, check each mixed kind's certificates as columns
+(``_MixedColumns``: gathered from the certificates, or read from the file
+without building any) and replay them through the frozen pass's kernel
+(``_residual_kernel``).
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -88,7 +91,7 @@ from .feasibility import (_LE, FEAS_TOL, UNDECIDED, ArraySystem,
                           alpha_var, enumerate_support_patterns,
                           solve_support_program, w_var, wp_var)
 from .game import (PROB_TOL, MixedProfile, StageGame,
-                   conditional_payoff_table)
+                   conditional_payoff_table, distribution_error)
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
                        get_halfplanes, hull_box, hull_vertices, initial_cube,
                        split_all)
@@ -973,12 +976,8 @@ def _batch_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
     against ``ctx``, for every ix of ``indices``, with the scalar's bits.
 
     Mixed and correlated certificates are stacked per kind, their patterns
-    carried as in-support masks, and replayed in numpy chunks: every term
-    is the scalar code's expression, evaluated elementwise in its order
-    (no matmul, so no reassociation), with origins base + index * side.
-    ``np.fmax`` skips NaN as Python's ``max`` does, and a zero residual
-    comes out as +0.0, as the scalar's.  Pure certificates take the scalar
-    path."""
+    carried as in-support masks, and replayed in numpy chunks through
+    ``_residual_kernel``.  Pure certificates take the scalar path."""
     res = np.empty(len(indices))
     by_kind: dict = {}
     for k, ix in enumerate(indices):
@@ -990,16 +989,21 @@ def _batch_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
                     certificates[indices[k]], game, gamma,
                     C.origin_of(indices[k]), C.side, ctx.w_floor, ctx.clusters)
             continue
-        m = [game.action_count(i) for i in range(2)]
-        width = (m[0] * m[1] * len(ctx.halfplanes) if kind == "correlated"
-                 else len(ctx.clusters) * (m[0] + m[1]))
-        step = max(1, _BATCH_ELEMENTS // width)
+        step = _chunk_rows(kind, ctx, game)
         for start in range(0, len(rows), step):
             part = rows[start:start + step]
             res[part] = _stacked_residuals(certificates,
                                            [indices[k] for k in part], C,
                                            ctx, game, gamma, kind)
     return res
+
+
+def _chunk_rows(kind: str, ctx: _Context, game: StageGame) -> int:
+    """Certificates of a mixed kind per chunk of ``_residual_kernel``."""
+    m = [game.action_count(i) for i in range(2)]
+    width = (m[0] * m[1] * len(ctx.halfplanes) if kind == "correlated"
+             else len(ctx.clusters) * (m[0] + m[1]))
+    return max(1, _BATCH_ELEMENTS // width)
 
 
 def _stacked_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
@@ -1028,10 +1032,24 @@ def _stacked_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
         flat += cond[1]
         flat += mask
     table = np.fromiter(flat, float, len(flat)).reshape(n, 3, cols)
-    w, q, in_supp = table[:, 0], table[:, 1], table[:, 2] > 0.0
+    index = np.fromiter(chain.from_iterable(indices), float,
+                        2 * n).reshape(n, 2)
+    return _residual_kernel(index, table[:, 0], table[:, 1],
+                            table[:, 2] > 0.0, C, ctx, gamma, kind, m)
+
+
+def _residual_kernel(index, w, q, in_supp, C: CubeSet, ctx: _Context,
+                     gamma: float, kind: str, m) -> np.ndarray:
+    """``certificate_residual`` of certificates of one mixed kind, one row
+    each: its cube's lattice index, and per action of each player (player
+    0's first) its continuation, its conditional payoff and whether its
+    pattern holds it.  Every term is the scalar code's expression,
+    evaluated elementwise in its order (no matmul, so no reassociation),
+    with origins base + index * side.  ``np.fmax`` skips NaN as Python's
+    ``max`` does, and a zero residual comes out as +0.0, as the scalar's.
+    The frozen pass and both verify paths replay through it."""
     player = np.repeat([0, 1], m)
-    origins = np.array(C.base) + np.fromiter(
-        chain.from_iterable(indices), float, 2 * n).reshape(n, 2) * C.side
+    origins = np.array(C.base) + index * C.side
     o = origins[:, player]
     wp = (1.0 - gamma) * q + gamma * w
     dev = (1.0 - gamma) * q + gamma * np.array(ctx.w_floor)[player]
@@ -1061,6 +1079,91 @@ def _stacked_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
     return worst + 0.0
 
 
+# -- certificates as columns ---------------------------------------------------
+
+class _MixedColumns(NamedTuple):
+    """Certificates of one mixed kind, one row each: its cube's lattice
+    index, its pattern's supports, and per action of each player (player
+    0's first) its probability, continuation and utility; each of the last
+    three is None when a row lacks one entry per player and action."""
+
+    index: np.ndarray
+    supports: list
+    alpha: Optional[np.ndarray]
+    w: Optional[np.ndarray]
+    wp: Optional[np.ndarray]
+
+
+def _stack(rows, counts) -> Optional[np.ndarray]:
+    """A field's rows (per certificate, one sequence of numbers per player)
+    as one float array with a column per action, or None unless each row
+    has ``counts[i]`` entries for player i."""
+    if any(list(map(len, row)) != counts for row in rows):
+        return None
+    return np.array([x for row in rows for part in row for x in part],
+                    float).reshape(len(rows), sum(counts))
+
+
+def _certificate_columns(certificates: dict, counts) -> _MixedColumns:
+    sols = [cert.solution for cert in certificates.values()]
+    return _MixedColumns(
+        np.array(list(certificates), float).reshape(len(sols), 2),
+        [sol.pattern.supports for sol in sols],
+        _stack([sol.alpha.probs for sol in sols], counts),
+        _stack([sol.continuations for sol in sols], counts),
+        _stack([sol.utilities for sol in sols], counts))
+
+
+def _fitted_columns(cols: _MixedColumns, game: StageGame):
+    """The in-support mask and conditional payoffs of columns that fit the
+    game, or None: each pattern needs one non-empty row of actions in range
+    per player, each field one entry per action, w and wp only finite
+    numbers (a NaN slips past every residual comparison), and alpha, once
+    clipped at 0, no mass above PROB_TOL outside the pattern.  An alpha row
+    that is no distribution raises MixedProfile's ValueError."""
+    counts = [game.action_count(i) for i in range(2)]
+    masks = {}
+    for supports in set(cols.supports):
+        if len(supports) != 2 or not all(
+                supp and 0 <= min(supp) and max(supp) < m
+                for supp, m in zip(supports, counts)):
+            return None
+        masks[supports] = [a in supports[i] for i in range(2)
+                           for a in range(counts[i])]
+    if cols.alpha is None or cols.w is None or cols.wp is None:
+        return None
+    in_supp = np.array([masks[s] for s in cols.supports],
+                       bool).reshape(len(cols.supports), sum(counts))
+    split = (cols.alpha[:, :counts[0]], cols.alpha[:, counts[0]:])
+    # the messages start with the player, so ties go to player 0
+    errors = [e for e in map(distribution_error, split, (0, 1)) if e]
+    if errors:
+        raise ValueError(min(errors)[1])
+    alpha = np.clip(cols.alpha, 0.0, None)
+    if not (np.isfinite(cols.w).all() and np.isfinite(cols.wp).all()) \
+            or np.any(np.where(in_supp, 0.0, alpha) > PROB_TOL):
+        return None
+    return in_supp, _conditional_columns(alpha, game)
+
+
+def _conditional_columns(alpha: np.ndarray, game: StageGame) -> np.ndarray:
+    """``conditional_payoff_table`` of every row of ``alpha`` (a column per
+    action, player 0's first) in its order: opponent actions ascending,
+    only the terms of positive probability, from 0.0.  For an exact point
+    mass that gives the bits of the game's shared table."""
+    m = [game.action_count(i) for i in range(2)]
+    opponent = (alpha[:, m[0]:], alpha[:, :m[0]])
+    q = []
+    for i in range(2):
+        for a in range(m[i]):
+            val = np.zeros(len(alpha))
+            for b, pb in enumerate(opponent[i].T):
+                r = game.payoff_to((a, b) if i == 0 else (b, a), i)
+                val = np.where(pb > 0.0, val + pb * r, val)
+            q.append(val)
+    return np.stack(q, axis=1)
+
+
 def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
                        C: CubeSet, index) -> bool:
     """Replay a certificate for the cube ``index`` of C against the union C
@@ -1077,53 +1180,73 @@ def verify_union(C: CubeSet, certificates: dict, game: StageGame,
     """Replay one certificate per cube of C against C in one batch per
     kind, building each kind's union context once.  Fails unless the
     certificates name exactly the cubes of C and each fits the game.
-    Payoff tables come from the game, so certificates read from a file
-    need none."""
+    Mixed certificates are gathered into columns and checked and replayed
+    as a final-set file's are, their payoff tables computed from alpha."""
     if sorted(certificates) != C.indices():
         return False
     counts = [game.action_count(i) for i in range(game.player_count)]
-    by_region: dict = {}
-    for ix in C.indices():
-        cert = certificates[ix]
-        if not _fits_game(cert, counts):
-            return False
-        by_region.setdefault(cert.kind == "correlated", []).append(ix)
-    return all(
-        bool(np.all(_batch_residuals(certificates, indices, C,
-                                     _build_context(C, hull), game, gamma)
-                    <= FEAS_TOL))
-        for hull, indices in by_region.items())
+    groups: dict = {}
+    for ix, cert in certificates.items():
+        groups.setdefault(cert.kind, {})[ix] = cert
+    return _verify_groups(C, {
+        kind: _certificate_columns(group, counts) if kind in _MIXED_KINDS
+        else group for kind, group in groups.items()}, game, gamma)
+
+
+_MIXED_KINDS = ("mixed", "correlated")
+
+
+def _verify_groups(C: CubeSet, groups: dict, game: StageGame,
+                   gamma: float) -> bool:
+    """Whether ``_group_residuals`` all fit and replay at the 1e-7
+    feasibility tolerance."""
+    residuals = _group_residuals(C, groups, game, gamma)
+    return residuals is not None and all(np.all(res <= FEAS_TOL)
+                                         for res in residuals.values())
+
+
+def _group_residuals(C: CubeSet, groups: dict, game: StageGame,
+                     gamma: float) -> Optional[dict]:
+    """Per kind, the residuals against C of certificates grouped by kind
+    (pure ones in a dict by cube, each mixed kind as ``_MixedColumns``), in
+    group order, with ``certificate_residual``'s bits; each region's
+    context is built once.  None when a certificate does not fit the game,
+    or its kind is unknown."""
+    counts = [game.action_count(i) for i in range(game.player_count)]
+    fitted = {}
+    for kind, group in groups.items():
+        if kind == "pure":
+            fitted[kind] = all(_fits_game(c, counts) for c in group.values())
+        elif kind in _MIXED_KINDS:
+            fitted[kind] = _fitted_columns(group, game)
+        if not fitted.get(kind):
+            return None
+    contexts: dict = {}
+    residuals = {}
+    for kind, group in groups.items():
+        hull = kind == "correlated"
+        ctx = contexts[hull] = contexts.get(hull) or _build_context(C, hull)
+        if kind == "pure":
+            residuals[kind] = _batch_residuals(group, list(group), C, ctx,
+                                               game, gamma)
+            continue
+        in_supp, q = fitted[kind]
+        step = _chunk_rows(kind, ctx, game)
+        residuals[kind] = np.concatenate([_residual_kernel(
+            group.index[k:k + step], group.w[k:k + step], q[k:k + step],
+            in_supp[k:k + step], C, ctx, gamma, kind, counts)
+            for k in range(0, len(q), step)])
+    return residuals
 
 
 def _fits_game(cert: SupportCertificate, counts) -> bool:
-    """Whether a certificate (read from a file, so unchecked) fits a game
-    with ``counts[i]`` actions for player i: a known kind, one row per
-    player, actions in range, one entry per action in every row, only
-    finite numbers (a NaN slips past every residual comparison), and no
-    alpha mass on an action outside the pattern."""
-    if cert.kind == "pure":
-        return (len(cert.profile) == len(cert.continuation) == len(counts)
-                and all(0 <= a < m for a, m in zip(cert.profile, counts))
-                and all(map(math.isfinite, cert.continuation)))
-    if cert.kind not in ("mixed", "correlated"):
-        return False
-    sol = cert.solution
-    rows = (sol.pattern.supports, sol.alpha.probs, sol.continuations,
-            sol.utilities)
-    if list(map(len, rows)) != [len(counts)] * len(rows):
-        return False
-    for supp, probs, w, wp, m in zip(*rows, counts):
-        if not supp or min(supp) < 0 or max(supp) >= m \
-                or not len(probs) == len(w) == len(wp) == m:
-            return False
-        outside = probs.tolist()
-        if not all(map(math.isfinite, chain(outside, w, wp))):
-            return False
-        for a in supp:
-            outside[a] = 0.0
-        if max(outside) > PROB_TOL:
-            return False
-    return True
+    """Whether a pure certificate (read from a file, so unchecked) fits a
+    game with ``counts[i]`` actions for player i: one action in range and
+    one finite continuation per player (a NaN slips past every residual
+    comparison)."""
+    return (len(cert.profile) == len(cert.continuation) == len(counts)
+            and all(0 <= a < m for a, m in zip(cert.profile, counts))
+            and all(map(math.isfinite, cert.continuation)))
 
 
 def _refresh_certificate(cert: SupportCertificate, w_floor, gamma: float,

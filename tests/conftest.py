@@ -20,7 +20,9 @@ are only read by tests, so they live here rather than in the library.
 from __future__ import annotations
 
 import itertools
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +56,34 @@ def random_game(rng, shape=(2, 2), lo=-3.0, hi=3.0) -> sg.StageGame:
     actions = tuple(tuple(f"a{k}" for k in range(m)) for m in shape)
     tensor = rng.uniform(lo, hi, size=shape + (len(shape),))
     return sg.StageGame(actions, tensor)
+
+
+def check_written_final_set(report, game: sg.StageGame, gamma: float) -> None:
+    """Write a report's final set and require two things: ``--verify``
+    accepts it, and the residuals of its certificates read as columns are,
+    bit for bit (``float.hex``), those of the frozen pass's gather over
+    ``read_final_set``'s certificates."""
+    from spegrid import cli, solver
+
+    C = report.final
+    snap = sg.SolveSnapshot(iteration=report.iterations[-1].iteration,
+                            generation=C.generation, side=C.side, base=C.base,
+                            indices=tuple(C.indices()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "final_set.txt"
+        cli.write_final_set(path, snap, report.status, report.certificates)
+        assert cli.verify_final_set(path, game, gamma)
+        C, groups = cli._certificate_groups(path, game)
+        certs = cli.read_final_set(path)[2]
+    residuals = solver._group_residuals(C, groups, game, gamma)
+    assert sorted(residuals) == sorted(groups) and groups
+    for kind, group in groups.items():
+        indices = (list(group) if kind == "pure" else
+                   list(map(tuple, group.index.astype(int).tolist())))
+        ctx = solver._build_context(C, hull=kind == "correlated")
+        batch = solver._batch_residuals(certs, indices, C, ctx, game, gamma)
+        assert list(map(float.hex, residuals[kind].tolist())) == \
+            list(map(float.hex, batch.tolist()))
 
 
 # -- stage-game helpers ---------------------------------------------------------

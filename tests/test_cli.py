@@ -6,7 +6,7 @@ from spegrid.cli import (RunManifest, main, read_final_set, run,
                          verify_final_set)
 from spegrid.game import conditional_payoff_table
 from spegrid.gamefile import resolve_game_path
-from spegrid.solver import _conditional_payoffs
+from spegrid.solver import _conditional_payoffs, verify_union
 
 
 class TestGameFormat:
@@ -314,17 +314,38 @@ def _write_sections(path, header, cubes, blocks):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _outcome(path, game, gamma=0.7):
+    """What ``verify_final_set`` makes of a file (True, False or the type of
+    the error it raises), after checking that ``verify_union`` over
+    ``read_final_set``'s certificates makes the same of it."""
+    def read_and_verify():
+        C, _, certs = read_final_set(path)
+        return verify_union(C, certs, game, gamma)
+
+    outcomes = []
+    for check in (lambda: verify_final_set(path, game, gamma),
+                  read_and_verify):
+        try:
+            outcomes.append(check())
+        except (ValueError, KeyError) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
 class TestTamperedFinalSet:
     DROP = 37  # any cube of the 216
 
     def test_untampered_set_verifies(self, pd_final_set, pd):
         assert verify_final_set(pd_final_set, pd, 0.7)
+        assert _outcome(pd_final_set, pd) is True
 
     def test_missing_certificate_fails(self, pd_final_set, pd, tmp_path):
         header, cubes, blocks = _sections(pd_final_set)
         del blocks[self.DROP]
         _write_sections(tmp_path / "f.txt", header, cubes, blocks)
         assert not verify_final_set(tmp_path / "f.txt", pd, 0.7)
+        assert _outcome(tmp_path / "f.txt", pd) is False
 
     def test_cube_count_below_header_fails(self, pd_final_set, pd, tmp_path):
         header, cubes, blocks = _sections(pd_final_set)
@@ -334,6 +355,34 @@ class TestTamperedFinalSet:
         _write_sections(tmp_path / "f.txt", header, cubes, blocks)
         with pytest.raises(ValueError, match="216"):
             verify_final_set(tmp_path / "f.txt", pd, 0.7)
+        assert _outcome(tmp_path / "f.txt", pd) is ValueError
+
+    def test_repeated_cube_line_fails(self, pd_final_set, pd, tmp_path):
+        # 217 lines match the raised header, but they name 216 cubes
+        header, cubes, blocks = _sections(pd_final_set)
+        header[-1] = "cubes: 217"
+        cubes.insert(self.DROP, cubes[self.DROP])
+        _write_sections(tmp_path / "f.txt", header, cubes, blocks)
+        with pytest.raises(ValueError, match="217"):
+            verify_final_set(tmp_path / "f.txt", pd, 0.7)
+        assert _outcome(tmp_path / "f.txt", pd) is ValueError
+
+    @pytest.mark.parametrize("valid_copy", [False, True])
+    def test_repeated_certificate_block_fails(self, pd_final_set, pd,
+                                              tmp_path, valid_copy):
+        # a second block for one cube, before its own: an exact copy, or a
+        # copy whose continuations cannot replay
+        header, cubes, blocks = _sections(pd_final_set)
+        copy = list(blocks[5])
+        if not valid_copy:
+            copy = [("continuation: 100.0 100.0" if line.startswith(
+                "continuation:") else "w: 100.0 100.0 | 100.0 100.0"
+                if line.startswith("w:") else line) for line in copy]
+            assert copy != blocks[5]
+        blocks.insert(5, copy)
+        _write_sections(tmp_path / "f.txt", header, cubes, blocks)
+        assert not verify_final_set(tmp_path / "f.txt", pd, 0.7)
+        assert _outcome(tmp_path / "f.txt", pd) is False
 
     def test_certificate_outside_the_set_fails(self, pd_final_set, pd,
                                                tmp_path):
@@ -342,10 +391,11 @@ class TestTamperedFinalSet:
         del cubes[self.DROP]
         _write_sections(tmp_path / "f.txt", header, cubes, blocks)
         assert not verify_final_set(tmp_path / "f.txt", pd, 0.7)
+        assert _outcome(tmp_path / "f.txt", pd) is False
 
     @pytest.mark.parametrize("edit", range(7))
     def test_certificate_that_does_not_fit_the_game_fails(
-            self, pd_final_set, tmp_path, capsys, edit):
+            self, pd_final_set, pd, tmp_path, capsys, edit):
         # PD has two actions per player; each edit breaks one certificate
         # by an out-of-range action, a row of the wrong length, (mixed)
         # alpha mass on an action outside the pattern, or NaN continuations
@@ -375,6 +425,7 @@ class TestTamperedFinalSet:
                      "3.2", "--verify", str(path)])
         assert code == 1
         assert "verification FAILED" in capsys.readouterr().out
+        assert _outcome(path, pd) is False
 
     @pytest.mark.parametrize("pd_final_set", ["mixed", "correlated"],
                              indirect=True)
@@ -401,6 +452,7 @@ class TestTamperedFinalSet:
         near = tmp_path / "near.txt"
         _write_sections(near, header, cubes, blocks)
         assert verify_final_set(near, pd, 0.7)
+        assert _outcome(near, pd) is True
 
         C, _, certs = read_final_set(near)
         index = C.index_of(map(float, block[0][len("cube: "):].split()))

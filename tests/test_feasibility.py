@@ -161,6 +161,20 @@ class TestNonFiniteInputs:
             sg.solve_feasibility(arrays._replace(
                 low=np.array([low, -np.inf]), high=np.array([high, np.inf])))
 
+    @pytest.mark.parametrize("low, high", [(np.inf, np.inf),
+                                           (-np.inf, -np.inf)])
+    def test_bound_without_a_finite_value(self, low, high):
+        # low <= high holds, yet no number lies in [low, high]; the solver
+        # used to end in "simplex returned a point with residual inf"
+        sys = self.xy()
+        with pytest.raises(ValueError, match="no finite value"):
+            sys.add_variable("z", low, high)
+        sys.add_constraint({"x": 1.0, "y": 1.0}, ">=", 0.5)
+        arrays = sys.compile()
+        with pytest.raises(ValueError, match="no finite value"):
+            sg.solve_feasibility(arrays._replace(
+                low=np.array([low, -np.inf]), high=np.array([high, np.inf])))
+
     def test_infinite_bounds_stay_legal(self):
         sys = self.xy()
         sys.add_variable("z", -np.inf, np.inf)

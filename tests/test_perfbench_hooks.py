@@ -149,3 +149,30 @@ def test_traced_clusters_bos_solve_keeps_its_lp_shape(tracer_module,
     assert counts["feasibility.lps"] == 331
     assert counts["feasibility.lps_infeasible"] == 0
     assert counts["feasibility.support_programs"] == 1784
+
+
+def test_traced_verify_keeps_identities(tracer_module, worker_module,
+                                        tmp_path):
+    # the frozen_pd workload's write and --verify step under the verify
+    # phase, as a --trace 1 benchmark run takes it
+    import spegrid.cli as sg_cli
+
+    spec = worker_module.WORKLOADS["frozen_pd"]
+    game = sg.load_bundled(spec["game"])
+    config = sg.SolverConfig(gamma=spec["gamma"], epsilon=spec["epsilon"],
+                             mode=spec["mode"],
+                             frozen_passes=spec["frozen_passes"])
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        with tracer.phase_span("solve"):
+            report = sg.solve(game, config)
+        with tracer.phase_span("verify"):
+            assert worker_module.write_and_verify(
+                sg, sg_cli, game, config, report, tmp_path / "final_set.txt")
+    finally:
+        tracer.uninstall()
+    counts, times = tracer.metrics(report,
+                                   {p: 1 for p in tracer_module.PHASES})
+    assert tracer_module.check_identities(counts) == []
+    assert times["cli.write_s"] > 0.0
