@@ -87,7 +87,8 @@ def _manifest_text(m: RunManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _snapshot_text(snap: SolveSnapshot, status: str | None = None) -> str:
+def _snapshot_text(snap: SolveSnapshot, origins,
+                   status: str | None = None) -> str:
     lines = ["# spegrid cube-set snapshot",
              f"iteration: {snap.iteration}",
              f"generation: {snap.generation}",
@@ -96,7 +97,7 @@ def _snapshot_text(snap: SolveSnapshot, status: str | None = None) -> str:
     if status is not None:
         lines.append(f"status: {status}")
     lines.append(f"cubes: {len(snap.indices)}")
-    lines.extend(" ".join(map(repr, origin)) for origin in snap.origins())
+    lines.extend(" ".join(map(repr, origin)) for origin in origins)
     return "\n".join(lines) + "\n"
 
 
@@ -127,9 +128,11 @@ def _parse_rows(text: str, conv=float) -> tuple:
 
 def write_final_set(path: Path, snap: SolveSnapshot, status: str,
                     certificates: dict) -> None:
-    lines = [_snapshot_text(snap, status=status).rstrip("\n"), "certificates:"]
+    origins = dict(zip(snap.indices, snap.origins()))
+    lines = [_snapshot_text(snap, origins.values(), status=status).rstrip("\n"),
+             "certificates:"]
     for idx in sorted(certificates):
-        lines.extend(_certificate_text(snap.origin_of(idx), certificates[idx]))
+        lines.extend(_certificate_text(origins[idx], certificates[idx]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -292,7 +295,7 @@ def run(manifest: RunManifest) -> tuple[int, SolveReport]:
     def on_snapshot(snap: SolveSnapshot) -> None:
         snapshots.append(snap)
         if manifest.snapshot_every and snap.iteration % manifest.snapshot_every == 0:
-            text = _snapshot_text(snap)
+            text = _snapshot_text(snap, snap.origins())
             (out / "snapshots" / f"iter_{snap.iteration:05d}.txt").write_text(text)
             if manifest.svg:
                 image = render_svg(snap.origins(), snap.side, bounds,

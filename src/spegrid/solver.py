@@ -50,13 +50,14 @@ at the pass end; it can only delay removals by one pass (never removes
 more) and makes large runs much cheaper.  Between passes the previous
 certificate of a cube is replayed against the current context before any
 fresh search runs; a valid stored witness proves feasibility, so this is a
-pure optimisation.  A frozen pass replays all its stored certificates in
-one numpy batch against its one context (``_batch_residuals``, with the
-scalar ``certificate_residual``'s bits), and each cube's replay reads its
-verdict.  For the cubes left to search it then decides the closed-form
-rejections (out-of-support rows, a singleton's interval, the box screen)
-of every (region, pattern) pair in one numpy mask (``_pattern_mask``, with
-the scalar bits), and each search walks only the pairs the mask keeps.
+pure optimisation.  Each support row is one function that the deciders,
+screens and replays share, so a decider rejects exactly where replay would.
+A frozen pass replays all its stored certificates in one numpy batch
+against its one context (``_batch_residuals``, with the scalar
+``certificate_residual``'s bits), and each cube's replay reads its verdict.
+For the cubes left to search it then evaluates the box screen's rows of
+every (region, pattern) pair in one numpy mask (``_pattern_mask``), and
+each search walks only the pairs the mask keeps.
 The literal loop, whose context moves with every withdrawal, replays cube
 by cube and searches without a mask.  A certificate carries only its
 witness and the floor its out-of-support continuations sit at: every
@@ -122,6 +123,9 @@ class SolverConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.completion not in COMPLETIONS:
             raise ValueError(f"completion must be one of {COMPLETIONS}")
+        if not isinstance(self.max_generations, int) \
+                or self.max_generations < 0:
+            raise ValueError("max_generations must be an integer >= 0")
 
     @property
     def bound_threshold(self) -> float:
@@ -190,11 +194,9 @@ class SolveSnapshot:
     base: tuple[float, ...]
     indices: tuple[tuple[int, ...], ...]
 
-    def origin_of(self, ix) -> tuple[float, ...]:
-        return tuple(b + k * self.side for b, k in zip(self.base, ix))
-
     def origins(self) -> list[tuple[float, ...]]:
-        return [self.origin_of(ix) for ix in self.indices]
+        return [tuple(b + k * self.side for b, k in zip(self.base, ix))
+                for ix in self.indices]
 
 
 @dataclass
@@ -280,6 +282,37 @@ def _conditional_payoffs(cert: SupportCertificate, game: StageGame):
     return conditional_payoff_table(game, alpha)
 
 
+# -- support rows ---------------------------------------------------------------
+# Each row of the support program once, valued as its left side less its
+# right side: deciders reject, and replay fails, where a value exceeds the
+# tolerance.  Only +, -, * and /, so floats and float64 arrays agree bitwise.
+
+def _utility(q, w, gamma):
+    """w' = (1-g) q + g w, for stage payoff q and continuation w."""
+    return (1.0 - gamma) * q + gamma * w
+
+
+def _continuation(wp, q, gamma):
+    """The continuation whose ``_utility`` with q is wp (gamma > 0)."""
+    return (wp - (1.0 - gamma) * q) / gamma
+
+
+def _deviation(q, w_floor, bound, gamma):
+    """A deviation's utility at the floor over the cube origin (out of
+    support) or the profile's utility (a pure profile's best deviation)."""
+    return _utility(q, w_floor, gamma) - bound
+
+
+def _below(x, lo):
+    """How far x lies below the interval [lo, lo + side]."""
+    return lo - x
+
+
+def _above(x, lo, side):
+    """How far x lies above the interval [lo, lo + side]."""
+    return x - (lo + side)
+
+
 # -- support LPs --------------------------------------------------------------
 
 def _cluster_box(cluster: Cluster):
@@ -318,9 +351,10 @@ class _SupportTemplate:
     alpha_i(a), w_i(a) in the region's box and w'_i(a) in the cube per
     in-support action, w_i(a) in the floor's box and w'_i(a) <= the cube's
     origin per other action; rows sum the alphas to 1 and set w'_i(a) =
-    (1-g) sum_b alpha_opp(b) r_i(a, b) + g w_i(a).  Those rows are compiled
-    once; a cube fills in the bounds and, for the hull, a half-plane row
-    per (in-support pair, half-plane)."""
+    (1-g) sum_b alpha_opp(b) r_i(a, b) + g w_i(a).  This defines the program
+    whose in-cube, out-of-support and utility rows the support-row functions
+    evaluate.  Those rows are compiled once; a cube fills in the bounds and,
+    for the hull, a half-plane row per (in-support pair, half-plane)."""
 
     def __init__(self, game: StageGame, gamma: float, supports):
         # bounds as slots of the vector ``system`` fills (0, 1, -inf, then per
@@ -383,38 +417,26 @@ class _SupportTemplate:
 # -- closed-form deciders --------------------------------------------------------
 
 def _pure_witness(cube_origin, side, cluster, w_floor, game, gamma, profile,
-                  r_vals, br_vals):
-    """Interval solution of the pure support system; None if infeasible."""
+                  r_vals, br_vals) -> Optional[SupportCertificate]:
+    """The pure support system's least witness in the cluster (the top when
+    its interval is empty), as a certificate; None unless it replays."""
     w = []
     for i in range(game.player_count):
         lo = cluster.origin[i]
-        hi = cluster.origin[i] + cluster.lengths[i]
+        hi = lo + cluster.lengths[i]
         if gamma > 0.0:
-            lo = max(lo,
-                     (cube_origin[i] - (1.0 - gamma) * r_vals[i]) / gamma,
-                     w_floor[i] + (1.0 - gamma) * (br_vals[i] - r_vals[i]) / gamma)
-            hi = min(hi, (cube_origin[i] + side - (1.0 - gamma) * r_vals[i]) / gamma)
-        else:
-            if not cube_origin[i] - FEAS_TOL <= r_vals[i] <= cube_origin[i] + side + FEAS_TOL:
-                return None
-            if r_vals[i] < br_vals[i] - FEAS_TOL:
-                return None
-        if lo > hi + FEAS_TOL:
-            return None
+            deviation = _utility(br_vals[i], w_floor[i], gamma)
+            lo = max(lo, _continuation(cube_origin[i], r_vals[i], gamma),
+                     _continuation(deviation, r_vals[i], gamma))
+            hi = min(hi, _continuation(cube_origin[i] + side, r_vals[i],
+                                       gamma))
         w.append(min(lo, hi))
-    return tuple(w)
-
-
-def _out_of_support_ok(cube_origin, w_floor, gamma, cond, supports):
-    for i in range(2):
-        in_supp = set(supports[i])
-        for a in range(len(cond[i])):
-            if a in in_supp:
-                continue
-            if (1.0 - gamma) * cond[i][a] + gamma * w_floor[i] \
-                    > cube_origin[i] + FEAS_TOL:
-                return False
-    return True
+    cert = SupportCertificate(kind="pure", w_floor=tuple(w_floor),
+                              profile=profile, continuation=tuple(w))
+    if certificate_residual(cert, game, gamma, cube_origin, side, w_floor,
+                            [cluster]) > FEAS_TOL:
+        return None
+    return cert
 
 
 def _point_mass_solution(game, gamma, pattern, w_floor, w_in, cond):
@@ -426,7 +448,7 @@ def _point_mass_solution(game, gamma, pattern, w_floor, w_in, cond):
         for a in range(game.action_count(i)):
             wv = w_in[i] if a == profile[i] else w_floor[i]
             crow.append(wv)
-            urow.append((1.0 - gamma) * cond[i][a] + gamma * wv)
+            urow.append(_utility(cond[i][a], wv, gamma))
         conts.append(tuple(crow))
         utils.append(tuple(urow))
     return SupportSolution(game.tables.point_masses[profile],
@@ -435,28 +457,21 @@ def _point_mass_solution(game, gamma, pattern, w_floor, w_in, cond):
 
 def _singleton_cluster_solution(cube_origin, side, cluster, w_floor, game,
                                 gamma, pattern):
+    """A singleton's witness; its test is the box screen in the cluster."""
+    c_lo, c_hi = _cluster_box(cluster)
+    if not _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor,
+                           c_lo, c_hi, FEAS_TOL):
+        return None
     profile = tuple(s[0] for s in pattern.supports)
     cond = game.tables.conditional[profile]
-    if not _out_of_support_ok(cube_origin, w_floor, gamma, cond, pattern.supports):
-        return None
-    w_in = []
-    for i in range(2):
-        r_i = cond[i][profile[i]]
-        c_lo = cluster.origin[i]
-        c_hi = cluster.origin[i] + cluster.lengths[i]
-        if gamma > 0.0:
-            lo = max(cube_origin[i], (1.0 - gamma) * r_i + gamma * c_lo)
-            hi = min(cube_origin[i] + side, (1.0 - gamma) * r_i + gamma * c_hi)
-            if lo > hi + FEAS_TOL:
-                return None
-            wp = min(lo, hi)
-            w = (wp - (1.0 - gamma) * r_i) / gamma
-            w = min(max(w, c_lo), c_hi)
-        else:
-            if not cube_origin[i] - FEAS_TOL <= r_i <= cube_origin[i] + side + FEAS_TOL:
-                return None
-            w = c_lo
-        w_in.append(w)
+    w_in = list(c_lo)
+    if gamma > 0.0:
+        for i in range(2):
+            r_i = cond[i][profile[i]]
+            wp = min(max(cube_origin[i], _utility(r_i, c_lo[i], gamma)),
+                     cube_origin[i] + side, _utility(r_i, c_hi[i], gamma))
+            w_in[i] = min(max(_continuation(wp, r_i, gamma), c_lo[i]),
+                          c_hi[i])
     return _point_mass_solution(game, gamma, pattern, w_floor, w_in, cond)
 
 
@@ -526,25 +541,23 @@ def _clip_box(lo, hi, rows):
 
 def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
                                    bounds, game, gamma, pattern):
+    """A singleton's witness: the box screen in the payoff box, then the
+    continuation interval (gamma > 0) clipped by the hull."""
+    lo, hi = (bounds.low,) * 2, (bounds.high,) * 2
+    if not _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor,
+                           lo, hi, FEAS_TOL):
+        return None
     profile = tuple(s[0] for s in pattern.supports)
     cond = game.tables.conditional[profile]
-    if not _out_of_support_ok(cube_origin, w_floor, gamma, cond, pattern.supports):
-        return None
-    lo, hi = [], []
-    for i in range(2):
-        r_i = cond[i][profile[i]]
-        if gamma > 0.0:
-            wlo = max(bounds.low, (cube_origin[i] - (1.0 - gamma) * r_i) / gamma)
-            whi = min(bounds.high,
-                      (cube_origin[i] + side - (1.0 - gamma) * r_i) / gamma)
-        else:
-            if not cube_origin[i] - FEAS_TOL <= r_i <= cube_origin[i] + side + FEAS_TOL:
+    if gamma > 0.0:
+        lo, hi = list(lo), list(hi)
+        for i in range(2):
+            r_i = cond[i][profile[i]]
+            lo[i] = max(lo[i], _continuation(cube_origin[i], r_i, gamma))
+            hi[i] = min(hi[i], _continuation(cube_origin[i] + side, r_i, gamma))
+            if lo[i] - hi[i] > FEAS_TOL:
                 return None
-            wlo, whi = bounds.low, bounds.high
-        if wlo > whi + FEAS_TOL:
-            return None
-        lo.append(wlo)
-        hi.append(max(whi, wlo))
+            hi[i] = max(hi[i], lo[i])
     poly = _clip_box(lo, hi, halfplanes)
     if not poly:
         return None
@@ -553,21 +566,19 @@ def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
 
 
 def _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor,
-                    win_lo, win_hi):
-    """Cheap necessary conditions for a pattern; False only when the pattern
-    is certainly infeasible regardless of the mixture probabilities: some
-    utility row misses by more than the screens' margin at every mixture."""
-    margin = game.tables.screen_margin
+                    win_lo, win_hi, tol):
+    """Necessary conditions for a pattern: False only when a row misses by
+    more than ``tol`` (the screens' margin; FEAS_TOL for a singleton) at
+    every mixture, with continuations in the window [win_lo, win_hi]."""
     for i, rows in enumerate(game.tables.screens[pattern.supports]):
+        o = cube_origin[i]
         for in_supp, v_min, v_max, _ in rows:
             if in_supp:
-                lo = (1.0 - gamma) * v_min + gamma * win_lo[i]
-                hi = (1.0 - gamma) * v_max + gamma * win_hi[i]
-                if hi < cube_origin[i] - margin \
-                        or lo > cube_origin[i] + side + margin:
+                if _below(_utility(v_max, win_hi[i], gamma), o) > tol \
+                        or _above(_utility(v_min, win_lo[i], gamma), o,
+                                  side) > tol:
                     return False
-            elif (1.0 - gamma) * v_min + gamma * w_floor[i] \
-                    > cube_origin[i] + margin:
+            elif _deviation(v_min, w_floor[i], o, gamma) > tol:
                 return False
     return True
 
@@ -597,8 +608,8 @@ def _screen_mixtures(cube_origin, side, pattern, game, gamma, w_floor,
         if simplex is None:
             continue
         o = cube_origin[i]
-        # (1-g) E[r] + g win_hi >= o, (1-g) E[r] + g win_lo <= o + side in
-        # support, (1-g) E[r] + g floor <= o out of it
+        # clip planes of the box screen's rows, _below and _above of the
+        # window's _utility in support and _deviation out of it
         reach = gamma * win_hi[i] - o + margin
         stay = o + side - gamma * win_lo[i] + margin
         deviate = o - gamma * w_floor[i] + margin
@@ -659,9 +670,9 @@ def _slice_window(cube_origin, side, pattern, game, gamma, window, hull):
     the opponent's in-support continuations can reach (gamma > 0); None
     when a cut leaves nothing.  ``hull`` is the union's context.
 
-    The opponent's utility row for an in-support action b confines its
-    continuation w_opp(b) to the box screen's interval J(b), a slab of the
-    plane.  Player i's in-support continuations are paired with w_opp(b) in
+    The opponent's in-cube rows for an in-support action b confine its
+    continuation w_opp(b) to J(b), their ``_continuation`` interval: a
+    slab.  Player i's in-support continuations are paired with w_opp(b) in
     the hull, so each lies in the projection onto axis i of the hull cut by
     that slab, for every b.  Both are widened so that no pattern the LP
     accepts is cut (see ``_HULL_SLACK``).  A slab that holds the hull's
@@ -709,7 +720,8 @@ def _screen_hull_slices(cube_origin, side, pattern, game, gamma, w_floor,
     if cut == window:
         return True
     args = (cube_origin, side, pattern, game, gamma, w_floor, *cut)
-    return _screen_pattern(*args) and _screen_mixtures(*args)
+    return _screen_pattern(*args, game.tables.screen_margin) \
+        and _screen_mixtures(*args)
 
 
 # -- cube tests -------------------------------------------------------------------
@@ -728,11 +740,10 @@ def cube_supported_pure(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
     tables = game.tables.pure.items()
     for cluster in clusters:
         for profile, (r_vals, br_vals) in tables:
-            w = _pure_witness(cube.origin, cube.side, cluster, w_floor, game,
-                              gamma, profile, r_vals, br_vals)
-            if w is not None:
-                return SupportCertificate(kind="pure", w_floor=tuple(w_floor),
-                                          profile=profile, continuation=w)
+            cert = _pure_witness(cube.origin, cube.side, cluster, w_floor,
+                                 game, gamma, profile, r_vals, br_vals)
+            if cert is not None:
+                return cert
     return None
 
 
@@ -759,17 +770,15 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
         def shortcut(pattern):
             if pattern.is_pure():
                 return singleton(pattern)
-            args = (cube.origin, cube.side, pattern, game, gamma, w_floor,
-                    *window)
+            args = (cube.origin, cube.side, pattern, game, gamma, w_floor)
             # the box screen reads precomputed bounds and rejects most
             # hopeless patterns before the clipper runs, and the hull cut
             # runs only after both
-            if not _screen_pattern(*args) or not _screen_mixtures(*args):
+            if not _screen_pattern(*args, *window, game.tables.screen_margin) \
+                    or not _screen_mixtures(*args, *window):
                 return None
             if hull is not None and gamma > 0.0 and \
-                    not _screen_hull_slices(cube.origin, cube.side, pattern,
-                                            game, gamma, w_floor, window,
-                                            hull):
+                    not _screen_hull_slices(*args, window, hull):
                 return None
             return UNDECIDED
 
@@ -846,17 +855,15 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
     regions are ctx's clusters, or its single hull region, with the
     windows the searches screen in.
 
-    Every row of the pattern's player tables is tested, with the scalar
-    expressions evaluated elementwise in the scalar order: an
-    out-of-support row (``_out_of_support_ok`` for a pure pattern, the box
-    screen's row otherwise), a pure pattern's interval before any clip
-    (the w' interval of ``_singleton_cluster_solution``, or the w interval
-    of ``_singleton_correlated_solution``; the same test for both at
-    gamma = 0), and a box-screen row of ``_screen_pattern``.  Cubes are
-    taken in chunks, as in ``_batch_residuals``."""
+    Every row of the pattern's player tables is a box-screen row of
+    ``_screen_pattern``, by the same row functions on broadcast arrays: at
+    FEAS_TOL for a pure pattern (its singleton decider's screen), else at
+    the screens' margin.  With the hull and gamma > 0, a pure pattern's
+    in-support rows are its continuation interval within the payoff bounds
+    instead (``_singleton_correlated_solution``).  Cubes are taken in
+    chunks, as in ``_residual_kernel``."""
     tables = game.tables
-    margin, bounds = tables.screen_margin, tables.bounds
-    g1 = 1.0 - gamma
+    bounds = tables.bounds
     hull = ctx.halfplanes is not None
     windows = np.array([_hull_window(ctx, bounds)] if hull else
                        [_cluster_box(cl) for cl in ctx.clusters])
@@ -869,7 +876,7 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
              for p in patterns], dtype=float).T[:, :, None, None]
             for i in range(2)]
     pure = np.array([p.is_pure() for p in patterns])
-    tol = np.where(pure, FEAS_TOL, margin)
+    tol = np.where(pure, FEAS_TOL, tables.screen_margin)
     origins = np.array(C.base) + np.array(indices, float).reshape(-1, 2) \
         * C.side
     ok = np.ones((len(indices), len(windows), len(patterns)), dtype=bool)
@@ -877,24 +884,18 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
         game.action_count(i) for i in range(2))))
     for i, rows in enumerate(tables.templates[key]):
         in_supp, v_min, v_max = rows[0] > 0.0, rows[1], rows[2]
-        single_rows, screen_rows = in_supp & pure, in_supp & ~pure
-        lo = g1 * v_min + gamma * windows[:, 0, i, None]
-        hi = g1 * v_max + gamma * windows[:, 1, i, None]
-        dev = g1 * v_min + gamma * ctx.w_floor[i]
+        lo = _utility(v_min, windows[:, 0, i, None], gamma)
+        hi = _utility(v_max, windows[:, 1, i, None], gamma)
         for start in range(0, len(indices), step):
             o = origins[start:start + step, i, None, None]
-            top = o + C.side
-            if gamma == 0.0:
-                single = ~((o - FEAS_TOL <= v_min) & (v_min <= top + FEAS_TOL))
-            elif hull:
-                single = np.maximum(bounds.low, (o - g1 * v_min) / gamma) \
-                    > np.minimum(bounds.high, (top - g1 * v_min) / gamma) \
-                    + FEAS_TOL
-            else:
-                single = np.maximum(o, lo) > np.minimum(top, hi) + FEAS_TOL
-            screen = (hi < o - margin) | (lo > top + margin)
-            reject = single & single_rows | screen & screen_rows \
-                | (dev > o + tol) & ~in_supp
+            reject = np.where(
+                in_supp, (_below(hi, o) > tol) | (_above(lo, o, C.side) > tol),
+                _deviation(v_min, ctx.w_floor[i], o, gamma) > tol)
+            if hull and gamma > 0.0:
+                empty = np.maximum(bounds.low, _continuation(o, v_min, gamma)) \
+                    - np.minimum(bounds.high, _continuation(o + C.side, v_min,
+                                                           gamma)) > FEAS_TOL
+                reject = np.where(in_supp & pure, empty, reject)
             ok[start:start + step] &= ~reject.any(axis=0)
     return ok
 
@@ -918,10 +919,10 @@ def certificate_residual(cert: SupportCertificate, game: StageGame,
         r_vals, br_vals = game.tables.pure[cert.profile]
         worst = _cluster_violation(region, [[x] for x in w])
         for i in range(len(w)):
-            wp = (1.0 - gamma) * r_vals[i] + gamma * w[i]
-            worst = max(worst, cube_origin[i] - wp, wp - cube_origin[i] - side)
-            worst = max(worst, (1.0 - gamma) * (br_vals[i] - r_vals[i])
-                        + gamma * (w_floor[i] - w[i]))
+            wp = _utility(r_vals[i], w[i], gamma)
+            worst = max(worst, _below(wp, cube_origin[i]),
+                        _above(wp, cube_origin[i], side),
+                        _deviation(br_vals[i], w_floor[i], wp, gamma))
         return worst
 
     sol = cert.solution
@@ -943,12 +944,12 @@ def certificate_residual(cert: SupportCertificate, game: StageGame,
         in_supp = set(supports[i])
         for a in range(game.action_count(i)):
             if a in in_supp:
-                wp = (1.0 - gamma) * cond[i][a] + gamma * sol.continuation(i, a)
-                worst = max(worst, cube_origin[i] - wp,
-                            wp - cube_origin[i] - side)
+                wp = _utility(cond[i][a], sol.continuation(i, a), gamma)
+                worst = max(worst, _below(wp, cube_origin[i]),
+                            _above(wp, cube_origin[i], side))
             else:
-                dev = (1.0 - gamma) * cond[i][a] + gamma * w_floor[i]
-                worst = max(worst, dev - cube_origin[i])
+                worst = max(worst, _deviation(cond[i][a], w_floor[i],
+                                              cube_origin[i], gamma))
     return worst
 
 
@@ -961,7 +962,8 @@ def _cluster_violation(pool, values) -> float:
         viol = 0.0
         for i, vals in enumerate(values):
             for v in vals:
-                viol = max(viol, s.origin[i] - v, v - s.origin[i] - s.lengths[i])
+                viol = max(viol, _below(v, s.origin[i]),
+                           _above(v, s.origin[i], s.lengths[i]))
         best = min(best, viol)
     return best
 
@@ -976,8 +978,8 @@ def _batch_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
     against ``ctx``, for every ix of ``indices``, with the scalar's bits.
 
     Mixed and correlated certificates are stacked per kind, their patterns
-    carried as in-support masks, and replayed in numpy chunks through
-    ``_residual_kernel``.  Pure certificates take the scalar path."""
+    carried as in-support masks, and replayed through ``_residual_kernel``.
+    Pure certificates take the scalar path."""
     res = np.empty(len(indices))
     by_kind: dict = {}
     for k, ix in enumerate(indices):
@@ -989,26 +991,15 @@ def _batch_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
                     certificates[indices[k]], game, gamma,
                     C.origin_of(indices[k]), C.side, ctx.w_floor, ctx.clusters)
             continue
-        step = _chunk_rows(kind, ctx, game)
-        for start in range(0, len(rows), step):
-            part = rows[start:start + step]
-            res[part] = _stacked_residuals(certificates,
-                                           [indices[k] for k in part], C,
-                                           ctx, game, gamma, kind)
+        res[rows] = _stacked_residuals(certificates,
+                                       [indices[k] for k in rows], C, ctx,
+                                       game, gamma, kind)
     return res
-
-
-def _chunk_rows(kind: str, ctx: _Context, game: StageGame) -> int:
-    """Certificates of a mixed kind per chunk of ``_residual_kernel``."""
-    m = [game.action_count(i) for i in range(2)]
-    width = (m[0] * m[1] * len(ctx.halfplanes) if kind == "correlated"
-             else len(ctx.clusters) * (m[0] + m[1]))
-    return max(1, _BATCH_ELEMENTS // width)
 
 
 def _stacked_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
                        game: StageGame, gamma: float, kind: str) -> np.ndarray:
-    # One chunk of _batch_residuals: certificates of one mixed kind.  Each
+    # The certificates of one mixed kind for _batch_residuals.  Each
     # certificate gives one table row: its continuations, its conditional
     # payoffs and its in-support mask, one column per action of each player.
     n = len(indices)
@@ -1047,13 +1038,22 @@ def _residual_kernel(index, w, q, in_supp, C: CubeSet, ctx: _Context,
     evaluated elementwise in its order (no matmul, so no reassociation),
     with origins base + index * side.  ``np.fmax`` skips NaN as Python's
     ``max`` does, and a zero residual comes out as +0.0, as the scalar's.
-    The frozen pass and both verify paths replay through it."""
+    The frozen pass and both verify paths replay through it, in chunks
+    whose widest intermediate array has about ``_BATCH_ELEMENTS`` elements."""
+    step = max(1, _BATCH_ELEMENTS // (
+        m[0] * m[1] * len(ctx.halfplanes) if kind == "correlated"
+        else len(ctx.clusters) * (m[0] + m[1])))
+    if len(index) > step:
+        return np.concatenate([_residual_kernel(
+            index[k:k + step], w[k:k + step], q[k:k + step],
+            in_supp[k:k + step], C, ctx, gamma, kind, m)
+            for k in range(0, len(index), step)])
     player = np.repeat([0, 1], m)
     origins = np.array(C.base) + index * C.side
     o = origins[:, player]
-    wp = (1.0 - gamma) * q + gamma * w
-    dev = (1.0 - gamma) * q + gamma * np.array(ctx.w_floor)[player]
-    terms = np.where(in_supp, np.fmax(o - wp, wp - o - C.side), dev - o)
+    wp = _utility(q, w, gamma)
+    terms = np.where(in_supp, np.fmax(_below(wp, o), _above(wp, o, C.side)),
+                     _deviation(q, np.array(ctx.w_floor)[player], o, gamma))
     worst = np.fmax.reduce(terms, axis=1, initial=0.0)
     if kind == "correlated":
         # every in-support pair against every hull row, then the largest
@@ -1073,7 +1073,7 @@ def _residual_kernel(index, w, q, in_supp, C: CubeSet, ctx: _Context,
         low = np.array([cl.origin for cl in ctx.clusters])[:, player]
         lengths = np.array([cl.lengths for cl in ctx.clusters])[:, player]
         v = np.where(in_supp, w, np.nan)[:, None, :]
-        out = np.fmax(low - v, v - low - lengths)
+        out = np.fmax(_below(v, low), _above(v, low, lengths))
         worst = np.fmax(worst, np.fmax.reduce(out, axis=2,
                                               initial=0.0).min(axis=1))
     return worst + 0.0
@@ -1231,11 +1231,8 @@ def _group_residuals(C: CubeSet, groups: dict, game: StageGame,
                                                game, gamma)
             continue
         in_supp, q = fitted[kind]
-        step = _chunk_rows(kind, ctx, game)
-        residuals[kind] = np.concatenate([_residual_kernel(
-            group.index[k:k + step], group.w[k:k + step], q[k:k + step],
-            in_supp[k:k + step], C, ctx, gamma, kind, counts)
-            for k in range(0, len(q), step)])
+        residuals[kind] = _residual_kernel(group.index, group.w, q, in_supp,
+                                           C, ctx, gamma, kind, counts)
     return residuals
 
 
@@ -1266,7 +1263,7 @@ def _refresh_certificate(cert: SupportCertificate, w_floor, gamma: float,
         for a in range(game.action_count(i)):
             if a not in supp:
                 crow[a] = w_floor[i]
-                urow[a] = (1.0 - gamma) * cond[i][a] + gamma * w_floor[i]
+                urow[a] = _utility(cond[i][a], w_floor[i], gamma)
         conts.append(tuple(crow))
         utils.append(tuple(urow))
     new_sol = SupportSolution(sol.alpha, tuple(conts), tuple(utils), sol.pattern)
@@ -1459,7 +1456,7 @@ def _utility_values(cert: SupportCertificate, dim: int, game: StageGame,
     """The in-cube utility values of a certificate along one dimension."""
     if cert.kind == "pure":
         r = game.tables.pure[cert.profile][0][dim]
-        return [(1.0 - gamma) * r + gamma * cert.continuation[dim]]
+        return [_utility(r, cert.continuation[dim], gamma)]
     sol = cert.solution
     return [sol.utility(dim, a) for a in sol.pattern.supports[dim]]
 

@@ -249,6 +249,20 @@ class TestMain:
         assert err.startswith("error: numerical failure: ")
         assert "simplex iteration limit reached" in err
 
+    def test_negative_max_generations_exits_before_solving(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr("spegrid.cli.solve", no_solve)
+        code = main(["prisoners_dilemma", "--gamma", "0.7", "--epsilon",
+                     "0.5", "--max-generations", "-3",
+                     "--out", str(tmp_path / "bad")])
+        assert code == 1
+        assert "max_generations" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("flag,value", [("--epsilon", "nan"),
                                             ("--epsilon", "inf"),
                                             ("--gamma", "nan"),

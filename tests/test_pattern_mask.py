@@ -104,7 +104,7 @@ def scalar_verdict(game, gamma, C, ix, ctx, region, pattern):
     if not pattern.is_pure():
         window = region_windows(ctx, game)[region]
         return _screen_pattern(origin, side, pattern, game, gamma,
-                               ctx.w_floor, *window)
+                               ctx.w_floor, *window, game.tables.screen_margin)
     if ctx.halfplanes is None:
         return _singleton_cluster_solution(
             origin, side, ctx.clusters[region], ctx.w_floor, game, gamma,

@@ -57,7 +57,7 @@ def screens_reject(cube, pattern, game, gamma, floor, window, hull=None):
     ``hull`` context of a cube set (and gamma > 0) they run again with the
     window cut to the hull slices."""
     args = (cube.origin, cube.side, pattern, game, gamma, floor)
-    if not _screen_pattern(*args, *window) \
+    if not _screen_pattern(*args, *window, game.tables.screen_margin) \
             or not _screen_mixtures(*args, *window):
         return True
     return hull is not None and gamma > 0.0 \

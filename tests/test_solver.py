@@ -216,6 +216,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="gamma"):
             sg.SolverConfig(gamma=gamma, epsilon=0.5)
 
+    @pytest.mark.parametrize("generations", [-1, 2.5, 3.0, "3", None])
+    def test_rejects_max_generations_that_is_not_an_int_from_0(self,
+                                                               generations):
+        with pytest.raises(ValueError, match="max_generations"):
+            sg.SolverConfig(gamma=0.5, epsilon=0.5,
+                            max_generations=generations)
+
+    def test_zero_generations_is_a_valid_guard(self):
+        assert sg.SolverConfig(gamma=0.5, epsilon=0.5,
+                               max_generations=0).max_generations == 0
+
 
 class TestCubeCompleted:
     def test_bound_threshold_arithmetic(self, pd):

@@ -1,0 +1,158 @@
+"""Property tests of the support-row functions and of the deciders that
+call them.
+
+Each row of the support program is one function in ``spegrid.solver``
+that the scalar deciders, the frozen pass's mask and both replays call, on
+Python floats or on float64 arrays.  The functions must give the same bits
+either way; and every witness a closed-form decider accepts must replay,
+since both test a row by the same value against FEAS_TOL.  Random 2x2, 2x3
+and 3x3 games on a 0.1 grid, the clusters or the hull of a random union,
+and cubes with, per player, one row tight up to a jitter of +-{0.5, 1, 1.5}
+tolerances.  Examples are derandomised so the suite is reproducible.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import spegrid as sg  # noqa: E402
+from spegrid.feasibility import (FEAS_TOL,  # noqa: E402
+                                 enumerate_support_patterns)
+from spegrid.solver import (SupportCertificate, _above,  # noqa: E402
+                            _below, _build_context, _cluster_box,
+                            _continuation, _deviation, _hull_window,
+                            _pure_witness, _singleton_cluster_solution,
+                            _singleton_correlated_solution, _utility,
+                            certificate_residual)
+
+SHAPES = [(2, 2), (2, 3), (3, 3)]
+JITTERS = [sign * k for k in (0.5, 1.0, 1.5) for sign in (-1, 1)]
+GAMMAS = [0.0, 0.3, 0.7, 0.9]
+PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                    max_examples=500)
+
+
+def tenths(lo, hi):
+    return st.integers(round(lo * 10), round(hi * 10)).map(lambda k: k / 10.0)
+
+
+def operands():
+    """A 0.1 grid value, jittered by up to 1.5e-7, or -0.0."""
+    jittered = st.tuples(tenths(-3.0, 3.0),
+                         st.sampled_from([0.0] + JITTERS)).map(
+        lambda t: t[0] + t[1] * FEAS_TOL)
+    return st.one_of(jittered, st.just(-0.0))
+
+
+ROWS = [  # (row function, operand count, its gammas or None)
+    (_utility, 2, GAMMAS),
+    (_continuation, 2, GAMMAS[1:]),
+    (_deviation, 3, GAMMAS),
+    (_below, 2, None),
+    (_above, 3, None),
+]
+
+
+@PROPERTY
+@given(st.data())
+def test_rows_give_the_same_bits_on_floats_and_arrays(data):
+    for row, count, gammas in ROWS:
+        columns = [data.draw(st.lists(operands(), min_size=8, max_size=8))
+                   for _ in range(count)]
+        extra = () if gammas is None else (data.draw(st.sampled_from(gammas)),)
+        batch = row(*(np.array(c) for c in columns), *extra)
+        for k, args in enumerate(zip(*columns)):
+            assert float(batch[k]).hex() == row(*args, *extra).hex(), \
+                (row.__name__, args, extra)
+
+
+@st.composite
+def games(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    size = int(np.prod(shape)) * 2
+    values = draw(st.lists(tenths(-3.0, 3.0), min_size=size, max_size=size))
+    actions = tuple(tuple(f"a{k}" for k in range(m)) for m in shape)
+    return sg.StageGame(actions, np.array(values).reshape(shape + (2,)))
+
+
+@st.composite
+def decider_cases(draw):
+    """A game, gamma, the context of a random union (clusters or hull), a
+    pure profile, and a cube that puts, per player, the profile's tightest
+    row at its flip up to a jitter of FEAS_TOL or, for the hull's
+    continuation interval, gamma * FEAS_TOL.  With the payoff r of the
+    profile and a window [lo, hi] (a cluster box, the hull's window or the
+    payoff box) the origin o must lie in [A, B]: B = g1 r + g hi, and A the
+    largest of g1 r + g lo - side, an out-of-support payoff's utility at
+    the floor, and the best deviation's less the side (pure back-end)."""
+    game = draw(games())
+    gamma = draw(st.sampled_from(GAMMAS))
+    bounds = game.tables.bounds
+    cells = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=6))
+    union = sg.CubeSet((bounds.low, bounds.low),
+                       max(bounds.spread, 0.5) / 4.0, cells)
+    ctx = _build_context(union, hull=draw(st.booleans()))
+    windows = ([_hull_window(ctx, bounds)] if ctx.halfplanes is not None
+               else [_cluster_box(cl) for cl in ctx.clusters])
+    window = draw(st.sampled_from(
+        windows + [((bounds.low,) * 2, (bounds.high,) * 2)]))
+    profile = draw(st.sampled_from(list(game.profiles())))
+    side = draw(tenths(0.1, 1.0))
+    origin = []
+    for i in range(2):
+        others = [game.payoff_to(profile[:i] + (a,) + profile[i + 1:], i)
+                  for a in range(game.action_count(i)) if a != profile[i]]
+        r, br = (payoffs[i] for payoffs in game.tables.pure[profile])
+        lows = [_utility(r, window[0][i], gamma) - side,
+                _utility(br, ctx.w_floor[i], gamma) - side]
+        lows += [_utility(q, ctx.w_floor[i], gamma) for q in others]
+        edge = draw(st.sampled_from([max(lows),
+                                     _utility(r, window[1][i], gamma)]))
+        tol = draw(st.sampled_from([FEAS_TOL, gamma * FEAS_TOL]))
+        origin.append(edge + draw(st.sampled_from([0.0] + JITTERS)) * tol)
+    return game, gamma, ctx, tuple(origin), side
+
+
+def singleton_patterns(game):
+    return [p for p in enumerate_support_patterns(
+        [game.action_count(i) for i in range(2)]) if p.is_pure()]
+
+
+def witnesses(game, gamma, ctx, origin, side):
+    """Every witness the closed-form deciders accept for the cube, as a
+    certificate with the region its replay reads."""
+    floor = ctx.w_floor
+    if ctx.halfplanes is not None:
+        for pattern in singleton_patterns(game):
+            sol = _singleton_correlated_solution(
+                origin, side, ctx.halfplanes, floor, game.tables.bounds, game,
+                gamma, pattern)
+            if sol is not None:
+                yield SupportCertificate("correlated", floor, solution=sol), \
+                    ctx.halfplanes
+        return
+    for cluster in ctx.clusters:
+        for profile, (r_vals, br_vals) in game.tables.pure.items():
+            cert = _pure_witness(origin, side, cluster, floor, game, gamma,
+                                 profile, r_vals, br_vals)
+            if cert is not None:
+                yield cert, [cluster]
+        for pattern in singleton_patterns(game):
+            sol = _singleton_cluster_solution(origin, side, cluster, floor,
+                                              game, gamma, pattern)
+            if sol is not None:
+                yield SupportCertificate("mixed", floor, solution=sol), \
+                    [cluster]
+
+
+@PROPERTY
+@given(decider_cases())
+def test_every_accepted_witness_replays(case):
+    game, gamma, ctx, origin, side = case
+    for cert, region in witnesses(game, gamma, ctx, origin, side):
+        residual = certificate_residual(cert, game, gamma, origin, side,
+                                        ctx.w_floor, region)
+        assert residual <= FEAS_TOL, (cert.kind, residual)
