@@ -290,10 +290,11 @@ def run(manifest: RunManifest) -> tuple[int, SolveReport]:
         (out / "svg").mkdir(exist_ok=True)
     (out / "manifest.txt").write_text(_manifest_text(manifest))
 
-    snapshots: list[SolveSnapshot] = []
+    final_snap: SolveSnapshot | None = None
 
     def on_snapshot(snap: SolveSnapshot) -> None:
-        snapshots.append(snap)
+        nonlocal final_snap
+        final_snap = snap
         if manifest.snapshot_every and snap.iteration % manifest.snapshot_every == 0:
             text = _snapshot_text(snap, snap.origins())
             (out / "snapshots" / f"iter_{snap.iteration:05d}.txt").write_text(text)
@@ -306,7 +307,6 @@ def run(manifest: RunManifest) -> tuple[int, SolveReport]:
     report = solve(game, config, snapshot_callback=on_snapshot)
     elapsed = time.perf_counter() - started
 
-    final_snap = snapshots[-1]
     write_final_set(out / "final_set.txt", final_snap, report.status,
                     report.certificates)
     if manifest.svg:
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
         print(f"status: {report.status}  cubes: {len(report.final)}  "
               f"side: {report.final.side}  iterations: {len(report.iterations)}")
         return code
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -21,10 +21,10 @@ differ only in the continuation region (a cluster box, or the payoff box
 cut by the hull's half-planes).  They emulate the associated mixed-integer
 programs exactly by support enumeration (see the feasibility module), each
 pattern's LP filled from a template made on its first LP
-(``_SupportTemplate``).  Singleton patterns are decided in closed form
-before touching the LP (for the hull by clipping a box, passing over the
-rows that cannot act on it), and two screens reject hopeless patterns: a box
-screen on per-action payoff ranges, then a mixture screen that clips each
+(``_SupportTemplate``).  A box screen on per-action payoff ranges tests
+every pattern first.  A singleton that passes it gets its witness in closed
+form (for the hull by clipping a box, passing over the rows that cannot act
+on it); any other pattern then meets a mixture screen that clips each
 player's simplex of opponent mixtures (a segment or a triangle) by that
 player's utility rows.  Without hull rows the support LP splits into
 exactly these per-player problems, so the two screens decide the cluster
@@ -55,21 +55,20 @@ screens and replays share, so a decider rejects exactly where replay would.
 A frozen pass replays all its stored certificates in one numpy batch
 against its one context (``_batch_residuals``, with the scalar
 ``certificate_residual``'s bits), and each cube's replay reads its verdict.
-For the cubes left to search it then evaluates the box screen's rows of
-every (region, pattern) pair in one numpy mask (``_pattern_mask``), and
-each search walks only the pairs the mask keeps.
+For the cubes left to search it then runs the box screen of every (region,
+pattern) pair in one numpy mask (``_pattern_mask``), its only box screen.
 The literal loop, whose context moves with every withdrawal, replays cube
-by cube and searches without a mask.  A certificate carries only its
-witness and the floor its out-of-support continuations sit at: every
-replay takes the cube's position, the floor and the continuation region
-from the cube set, so a certificate passes unchanged through a replay and
-down a split.  Nothing in the loop reads its out-of-support entries (the
-completion check's automata follow in-support outcomes, the split reads
-in-pattern utilities, replay takes the floor from the context), so they are
-re-anchored at the final floor once, for the report.  The loop,
-``verify_certificate`` and ``verify_union`` derive that context from a
-cube set in one place.  ``verify_union`` and ``--verify`` build it once
-per cube set and kind, check each mixed kind's certificates as columns
+by cube and screens each pair by the mask's scalar entry.  A certificate
+carries only its witness and the floor its out-of-support continuations sit
+at: every replay takes the cube's position, the floor and the continuation
+region from the cube set, so a certificate passes unchanged through a
+replay and down a split.  Nothing in the loop reads its out-of-support
+entries (the completion check's automata follow in-support outcomes, the
+split reads in-pattern utilities, replay takes the floor from the context),
+so they are re-anchored at the final floor once, for the report.  The loop,
+``verify_certificate`` and ``verify_union`` derive that context from a cube
+set in one place.  ``verify_union`` and ``--verify`` build it once per cube
+set and kind, check each mixed kind's certificates as columns
 (``_MixedColumns``: gathered from the certificates, or read from the file
 without building any) and replay them through the frozen pass's kernel
 (``_residual_kernel``).
@@ -313,6 +312,11 @@ def _above(x, lo, side):
     return x - (lo + side)
 
 
+def _hull_row(phi, psi, lam, x, y):
+    """How far (x, y) lies outside the half-plane phi x + psi y <= lam."""
+    return phi * x + psi * y - lam
+
+
 # -- support LPs --------------------------------------------------------------
 
 def _cluster_box(cluster: Cluster):
@@ -457,11 +461,8 @@ def _point_mass_solution(game, gamma, pattern, w_floor, w_in, cond):
 
 def _singleton_cluster_solution(cube_origin, side, cluster, w_floor, game,
                                 gamma, pattern):
-    """A singleton's witness; its test is the box screen in the cluster."""
+    """A singleton's witness, once the box screen in the cluster passed."""
     c_lo, c_hi = _cluster_box(cluster)
-    if not _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor,
-                           c_lo, c_hi, FEAS_TOL):
-        return None
     profile = tuple(s[0] for s in pattern.supports)
     cond = game.tables.conditional[profile]
     w_in = list(c_lo)
@@ -487,6 +488,7 @@ def _clip(poly, rows, tol=FEAS_TOL):
             return []
         vals = []
         for p in poly:
+            # _hull_row of the point p, in any dimension
             v = row[0] * p[0]
             for k in range(1, dim):
                 v += row[k] * p[k]
@@ -527,9 +529,9 @@ def _clip_box(lo, hi, rows):
             phi, psi, lam = row
             x_max, x_min = (hi[0], lo[0]) if phi > 0.0 else (lo[0], hi[0])
             y_max, y_min = (hi[1], lo[1]) if psi > 0.0 else (lo[1], hi[1])
-            if phi * x_max + psi * y_max - lam <= FEAS_TOL:
+            if _hull_row(phi, psi, lam, x_max, y_max) <= FEAS_TOL:
                 continue
-            if phi * x_min + psi * y_min - lam > FEAS_TOL:
+            if _hull_row(phi, psi, lam, x_min, y_min) > FEAS_TOL:
                 return []
         poly = _clip(poly, (row,))
         if not poly:
@@ -541,16 +543,12 @@ def _clip_box(lo, hi, rows):
 
 def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
                                    bounds, game, gamma, pattern):
-    """A singleton's witness: the box screen in the payoff box, then the
-    continuation interval (gamma > 0) clipped by the hull."""
-    lo, hi = (bounds.low,) * 2, (bounds.high,) * 2
-    if not _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor,
-                           lo, hi, FEAS_TOL):
-        return None
+    """A singleton's witness, once the box screen passed: its continuation
+    interval (gamma > 0, its in-support rows) clipped by the hull."""
+    lo, hi = [bounds.low] * 2, [bounds.high] * 2
     profile = tuple(s[0] for s in pattern.supports)
     cond = game.tables.conditional[profile]
     if gamma > 0.0:
-        lo, hi = list(lo), list(hi)
         for i in range(2):
             r_i = cond[i][profile[i]]
             lo[i] = max(lo[i], _continuation(cube_origin[i], r_i, gamma))
@@ -561,24 +559,24 @@ def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
     poly = _clip_box(lo, hi, halfplanes)
     if not poly:
         return None
-    w_in = min(poly)
-    return _point_mass_solution(game, gamma, pattern, w_floor, list(w_in), cond)
+    return _point_mass_solution(game, gamma, pattern, w_floor, min(poly), cond)
 
 
 def _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor,
-                    win_lo, win_hi, tol):
-    """Necessary conditions for a pattern: False only when a row misses by
-    more than ``tol`` (the screens' margin; FEAS_TOL for a singleton) at
-    every mixture, with continuations in the window [win_lo, win_hi]."""
+                    win_lo, win_hi, tol, in_support=True):
+    """Necessary conditions for a pattern: False only when a row (in
+    support only if ``in_support``) misses by more than ``tol`` at every
+    mixture, with continuations in the window [win_lo, win_hi]."""
     for i, rows in enumerate(game.tables.screens[pattern.supports]):
         o = cube_origin[i]
         for in_supp, v_min, v_max, _ in rows:
-            if in_supp:
-                if _below(_utility(v_max, win_hi[i], gamma), o) > tol \
-                        or _above(_utility(v_min, win_lo[i], gamma), o,
-                                  side) > tol:
+            if not in_supp:
+                if _deviation(v_min, w_floor[i], o, gamma) > tol:
                     return False
-            elif _deviation(v_min, w_floor[i], o, gamma) > tol:
+            elif in_support and (
+                    _below(_utility(v_max, win_hi[i], gamma), o) > tol
+                    or _above(_utility(v_min, win_lo[i], gamma), o,
+                              side) > tol):
                 return False
     return True
 
@@ -755,12 +753,14 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
     None) tuple; the first region whose support program finds a pattern
     yields the certificate, pure patterns first.  ``mask``, a frozen pass's
     rows of ``_pattern_mask`` for this cube (one per region, over
-    ``patterns``), leaves out the patterns the closed forms reject, and a
-    region with none left."""
+    ``patterns``), holds the box screen's verdicts: the searches leave out
+    the patterns it rejects, and a region with none left."""
     if game.player_count != 2:
         raise ValueError("mixed cube tests require exactly two players")
+    margin = game.tables.screen_margin
     for (singleton, builder, window, hull), keep in zip(
             regions, repeat(None) if mask is None else mask):
+        cut = hull is not None and gamma > 0.0  # the hull-slice cut runs
         live = patterns
         if keep is not None:
             live = list(compress(patterns, keep))
@@ -768,17 +768,20 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
                 continue
 
         def shortcut(pattern):
-            if pattern.is_pure():
-                return singleton(pattern)
+            pure = pattern.is_pure()
             args = (cube.origin, cube.side, pattern, game, gamma, w_floor)
-            # the box screen reads precomputed bounds and rejects most
-            # hopeless patterns before the clipper runs, and the hull cut
-            # runs only after both
-            if not _screen_pattern(*args, *window, game.tables.screen_margin) \
-                    or not _screen_mixtures(*args, *window):
+            # the box screen, where no mask holds its verdict, is the mask's
+            # entry; it rejects most hopeless patterns before the clipper
+            # runs, and the cut runs only after both
+            if keep is None and not _screen_pattern(
+                    *args, *window, FEAS_TOL if pure else margin,
+                    not (pure and cut)):
                 return None
-            if hull is not None and gamma > 0.0 and \
-                    not _screen_hull_slices(*args, window, hull):
+            if pure:
+                return singleton(pattern)
+            if not _screen_mixtures(*args, *window):
+                return None
+            if cut and not _screen_hull_slices(*args, window, hull):
                 return None
             return UNDECIDED
 
@@ -848,20 +851,17 @@ def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
 
 def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
                   gamma: float, patterns) -> np.ndarray:
-    """Which (region, pattern) pairs survive the closed-form rejections of
-    the searches of the cubes ``indices`` of C against ``ctx``: a boolean
-    array of shape (cubes, regions, patterns), False exactly where the
-    search rejects the pair before any clip, mixture screen or LP.  The
-    regions are ctx's clusters, or its single hull region, with the
-    windows the searches screen in.
+    """The box screen of the searches of the cubes ``indices`` of C against
+    ``ctx``, their only one: a boolean array of shape (cubes, regions,
+    patterns), False where it rejects the pair.  The regions are ctx's
+    clusters, or its single hull region, with their screen windows.
 
-    Every row of the pattern's player tables is a box-screen row of
-    ``_screen_pattern``, by the same row functions on broadcast arrays: at
-    FEAS_TOL for a pure pattern (its singleton decider's screen), else at
-    the screens' margin.  With the hull and gamma > 0, a pure pattern's
-    in-support rows are its continuation interval within the payoff bounds
-    instead (``_singleton_correlated_solution``).  Cubes are taken in
-    chunks, as in ``_residual_kernel``."""
+    Each entry is the search's scalar ``_screen_pattern`` call, by the same
+    row functions on broadcast arrays: at FEAS_TOL for a pure pattern, else
+    at the screens' margin.  With the hull and gamma > 0, a pure pattern's
+    in-support rows are instead its continuation interval within the payoff
+    bounds, which ``_singleton_correlated_solution`` tests.  Cubes are taken
+    in chunks, as in ``_residual_kernel``."""
     tables = game.tables
     bounds = tables.bounds
     hull = ctx.halfplanes is not None
@@ -938,8 +938,8 @@ def certificate_residual(cert: SupportCertificate, game: StageGame,
             w1 = sol.continuation(0, a1)
             for a2 in supports[1]:
                 w2 = sol.continuation(1, a2)
-                for pl in region:
-                    worst = max(worst, pl.phi * w1 + pl.psi * w2 - pl.lam)
+                for phi, psi, lam in region:
+                    worst = max(worst, _hull_row(phi, psi, lam, w1, w2))
     for i in range(2):
         in_supp = set(supports[i])
         for a in range(game.action_count(i)):
@@ -1061,8 +1061,8 @@ def _residual_kernel(index, w, q, in_supp, C: CubeSet, ctx: _Context,
         owner, a1, a2 = np.nonzero(in_supp[:, :m[0], None]
                                    & in_supp[:, None, m[0]:])
         phi, psi, lam = np.array(ctx.halfplanes, dtype=float).T
-        rows = (w[owner, a1, None] * phi + w[owner, m[0] + a2, None] * psi
-                - lam)
+        rows = _hull_row(phi, psi, lam, w[owner, a1, None],
+                         w[owner, m[0] + a2, None])
         first = np.flatnonzero(np.diff(owner, prepend=-1))
         worst = np.fmax(worst, np.fmax.reduceat(
             np.fmax.reduce(rows, axis=1), first))

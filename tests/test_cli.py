@@ -236,6 +236,21 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["verify_a_directory",
+                                      "out_an_existing_file"])
+    def test_an_unusable_path_is_an_input_error(self, tmp_path, capsys,
+                                                 path):
+        # reading a directory or making a directory over a file raises an
+        # OSError other than FileNotFoundError
+        args = ["prisoners_dilemma", "--gamma", "0.7", "--epsilon", "3.2"]
+        if path == "verify_a_directory":
+            args += ["--verify", str(tmp_path)]
+        else:
+            (tmp_path / "taken").write_text("")
+            args += ["--out", str(tmp_path / "taken")]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_numerical_failure_exit_status(self, tmp_path, capsys,
                                            monkeypatch):
         def failing(system):

@@ -1,13 +1,18 @@
-"""A frozen pass's pattern mask only skips what the scalar search rejects.
+"""A frozen pass's pattern mask is its searches' box screen, and their only
+one.
 
 Frozen solves of both mixed back-ends, on random 2x2, 2x3 and 3x3 games on
 a 0.1 grid and on two benchmark workloads (BoS over clusters, PD over the
-hull), run once as they are and once with ``_pattern_mask`` replaced by an
-all-True mask, which makes every search walk every (region, pattern) pair
+hull), run once as they are and once with the mask withheld, which makes
+every search screen each (region, pattern) pair through the scalar entry,
 as the literal loop does.  The pass trace, the ``final_set.txt`` bytes and
-every certificate's bits must be identical.
+every certificate's bits must be identical.  With the mask, no search or
+singleton decider calls the scalar box screen; only the hull-slice screen
+does, with its cut window.
 """
 
+import sys
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -26,9 +31,9 @@ def random_grid_game(seed):
                         rng.integers(-30, 31, size=shape + (2,)) / 10.0)
 
 
-def all_true(indices, C, ctx, game, gamma, patterns):
-    regions = 1 if ctx.halfplanes is not None else len(ctx.clusters)
-    return np.ones((len(indices), regions, len(patterns)), dtype=bool)
+def withheld(indices, C, ctx, game, gamma, patterns):
+    # no mask rows: each search gets None and screens every pair itself
+    return np.full(len(indices), None, dtype=object)
 
 
 def bits(values) -> bytes:
@@ -71,7 +76,7 @@ def assert_mask_changes_nothing(game, config, tmp_path):
     real = solver._pattern_mask
     with mock.patch.object(solver, "_pattern_mask", spy):
         masked = run(game, config, tmp_path, "masked")
-    with mock.patch.object(solver, "_pattern_mask", all_true):
+    with mock.patch.object(solver, "_pattern_mask", withheld):
         full = run(game, config, tmp_path, "full")
     assert masked[0] == full[0]
     assert masked[1] == full[1]
@@ -100,3 +105,48 @@ def test_benchmark_workloads(tmp_path, name, gamma, epsilon, mode):
     # the mask must skip pairs here, or the comparison shows nothing
     assert assert_mask_changes_nothing(sg.load_bundled(name), config,
                                        tmp_path) > 1000
+
+
+WORKLOADS = {  # game, gamma, epsilon, mode, frozen passes
+    "frozen_pd": ("prisoners_dilemma", 0.7, 1.6, "mixed-correlated", True),
+    "clusters_bos": ("battle_of_sexes", 0.5, 0.4, "mixed-clusters", True),
+    "literal_pd_verify": ("prisoners_dilemma", 0.7, 1.6, "mixed-correlated",
+                          False),
+}
+
+
+def screen_callers(name):
+    """The functions that call ``_screen_pattern`` in one solve of a
+    benchmark workload, with their call counts."""
+    game, gamma, epsilon, mode, frozen = WORKLOADS[name]
+    callers = Counter()
+    real = solver._screen_pattern
+
+    def spy(*args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(*args)
+
+    with mock.patch.object(solver, "_screen_pattern", spy):
+        sg.solve(sg.load_bundled(game), sg.SolverConfig(
+            gamma=gamma, epsilon=epsilon, mode=mode, frozen_passes=frozen))
+    return callers
+
+
+@pytest.mark.parametrize("name", ["frozen_pd", "clusters_bos"])
+def test_frozen_searches_screen_only_through_the_mask(name):
+    # the mask holds the box screen's verdicts, so only the cut screens
+    # again, in its narrower window (1,709 and 1,838 calls per solve came
+    # from the searches and deciders when they screened for themselves)
+    callers = screen_callers(name)
+    assert set(callers) <= {"_screen_hull_slices"}
+    # the hull's patterns reach the cut, so the spy sees calls
+    assert (callers["_screen_hull_slices"] > 0) == (name == "frozen_pd")
+
+
+def test_literal_searches_screen_once_per_pair():
+    # one scalar entry per (cube, region, pattern) a search walks, plus the
+    # cut's: at most the 5,329 calls per solve made when the deciders
+    # screened for themselves
+    callers = screen_callers("literal_pd_verify")
+    assert set(callers) == {"shortcut", "_screen_hull_slices"}
+    assert sum(callers.values()) <= 5329

@@ -1,9 +1,13 @@
-"""Property test of ``_pattern_mask``, the closed-form rejections a frozen
-pass decides for all its searched cubes at once.
+"""Property test of ``_pattern_mask``, the box screen a frozen pass runs
+for all its searched cubes at once, and the only one its searches run.
 
-Every entry must be the verdict of the scalar code it stands in for: a
-pure pattern's singleton decider (for the hull region, before its clip)
-and any other pattern's box screen.  Random 2x2, 2x3 and 3x3 games on a
+Every entry must be the scalar entry a search without a mask computes for
+that (cube, region, pattern), the one call of ``_screen_pattern`` that
+``box_screen_entry`` states: in the region's window, at FEAS_TOL for a pure
+pattern and at the screens' margin otherwise.  For the hull with gamma > 0
+a pure pattern's in-support rows are its singleton decider's continuation
+interval instead, so there the entry also holds that decider's verdict
+before its clip, as in the search.  Random 2x2, 2x3 and 3x3 games on a
 0.1 grid, gamma 0 or random, the clusters or the hull region of a random
 union, and lattice cubes of which one has, per player, a row of some
 pattern tight up to a jitter of +-{0.5, 1, 1.5} tolerances (``FEAS_TOL``,
@@ -23,9 +27,9 @@ import spegrid as sg  # noqa: E402
 import spegrid.solver as solver  # noqa: E402
 from spegrid.feasibility import (FEAS_TOL,  # noqa: E402
                                  enumerate_support_patterns)
+from conftest import box_screen_entry  # noqa: E402
 from spegrid.solver import (_build_context, _cluster_box,  # noqa: E402
-                            _hull_window, _pattern_mask, _screen_pattern,
-                            _singleton_cluster_solution,
+                            _hull_window, _pattern_mask,
                             _singleton_correlated_solution)
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
@@ -97,18 +101,17 @@ def patterns_of(game):
 
 
 def scalar_verdict(game, gamma, C, ix, ctx, region, pattern):
-    """Whether the scalar search passes the pattern on to what follows the
-    mask: the singleton decider (the hull's before its clip; the caller
-    patches the clip away) or, for a mixing pattern, the box screen."""
+    """The search's scalar box-screen entry for the pair, and for the hull's
+    pure patterns with gamma > 0 the singleton decider's continuation
+    interval (its verdict before the clip; the caller patches the clip
+    away)."""
     origin, side = C.origin_of(ix), C.side
-    if not pattern.is_pure():
-        window = region_windows(ctx, game)[region]
-        return _screen_pattern(origin, side, pattern, game, gamma,
-                               ctx.w_floor, *window, game.tables.screen_margin)
-    if ctx.halfplanes is None:
-        return _singleton_cluster_solution(
-            origin, side, ctx.clusters[region], ctx.w_floor, game, gamma,
-            pattern) is not None
+    hull = ctx.halfplanes is not None
+    if not box_screen_entry(origin, side, pattern, game, gamma, ctx.w_floor,
+                            region_windows(ctx, game)[region], hull):
+        return False
+    if not (hull and pattern.is_pure() and gamma > 0.0):
+        return True
     return _singleton_correlated_solution(
         origin, side, ctx.halfplanes, ctx.w_floor, game.tables.bounds, game,
         gamma, pattern) is not None

@@ -2,9 +2,10 @@
 
 Random 2x2, 2x3 and 3x3 games with payoffs on a 0.1 grid.  Every table
 entry must equal the value read directly off the payoff tensor; the
-closed-form deciders that read the tables must agree with the support LP
-they stand in for; and a solve must not depend on whether the tables were
-built before it started.  Examples are derandomised so the suite is
+closed-form verdicts that read the tables (for a single-action pattern the
+box screen's scalar entry and then its decider) must agree with the
+support LP they stand in for; and a solve must not depend on whether the
+tables were built before it started.  Examples are derandomised so the suite is
 reproducible.
 """
 
@@ -17,11 +18,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import spegrid as sg  # noqa: E402
+from conftest import box_screen_entry  # noqa: E402
 from spegrid.cli import write_final_set  # noqa: E402
 from spegrid.feasibility import enumerate_support_patterns  # noqa: E402
 from spegrid.solver import (MODES, _build_context, _clip,  # noqa: E402
                             _screen_hull_slices, _screen_mixtures,
-                            _screen_pattern, _singleton_cluster_solution,
+                            _singleton_cluster_solution,
                             _singleton_correlated_solution)
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
@@ -57,7 +59,7 @@ def screens_reject(cube, pattern, game, gamma, floor, window, hull=None):
     ``hull`` context of a cube set (and gamma > 0) they run again with the
     window cut to the hull slices."""
     args = (cube.origin, cube.side, pattern, game, gamma, floor)
-    if not _screen_pattern(*args, *window, game.tables.screen_margin) \
+    if not box_screen_entry(*args, window, hull is not None) \
             or not _screen_mixtures(*args, *window):
         return True
     return hull is not None and gamma > 0.0 \
@@ -121,9 +123,12 @@ def test_cluster_deciders_agree_with_the_support_lp(scenario):
         lp = sg.solve_feasibility(sg.mixed_cluster_system(
             cube, cluster, floor, game, gamma, pattern))
         if pattern.is_pure():
-            fast = _singleton_cluster_solution(cube.origin, cube.side, cluster,
-                                               floor, game, gamma, pattern)
-            assert (fast is not None) == (lp is not None)
+            fast = box_screen_entry(cube.origin, cube.side, pattern, game,
+                                    gamma, floor, window, False) \
+                and _singleton_cluster_solution(cube.origin, cube.side,
+                                                cluster, floor, game, gamma,
+                                                pattern) is not None
+            assert fast == (lp is not None)
             continue
         # without hull rows the two screens decide the LP itself: the box
         # screen a player facing one action, the mixture screen the rest
@@ -158,12 +163,14 @@ def test_correlated_deciders_agree_with_the_support_lp(scenario):
                                               game, gamma, pattern)
         lp = sg.solve_feasibility(system)
         if pattern.is_pure():
-            fast = _singleton_correlated_solution(
-                cube.origin, cube.side, planes, floor, bounds, game, gamma,
-                pattern)
-            if (fast is None) != (lp is None):
+            fast = box_screen_entry(cube.origin, cube.side, pattern, game,
+                                    gamma, floor, window, True) \
+                and _singleton_correlated_solution(
+                    cube.origin, cube.side, planes, floor, bounds, game,
+                    gamma, pattern) is not None
+            if fast != (lp is not None):
                 # only hairline cases on the feasibility boundary
-                assert fast is None and system.residual(lp) <= 1e-7
+                assert not fast and system.residual(lp) <= 1e-7
             continue
         rejected = screens_reject(cube, pattern, game, gamma, floor, window,
                                   hull)

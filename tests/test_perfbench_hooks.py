@@ -176,3 +176,18 @@ def test_traced_verify_keeps_identities(tracer_module, worker_module,
                                    {p: 1 for p in tracer_module.PHASES})
     assert tracer_module.check_identities(counts) == []
     assert times["cli.write_s"] > 0.0
+
+
+def test_traced_frozen_pd_solve_keeps_its_counts(tracer_module,
+                                                 worker_module):
+    # the frozen pass's mask is its searches' only box screen: moving the
+    # screen out of the searches leaves every LP, support program, search
+    # and replay of the frozen_pd solve as it was
+    counts = _traced_solve_counts(tracer_module,
+                                  worker_module.WORKLOADS["frozen_pd"])
+    assert counts["feasibility.lps"] == 70
+    assert counts["feasibility.lps_infeasible"] == 0
+    assert counts["feasibility.support_programs"] == 1438
+    assert counts["solver.searches"] == 1518
+    assert counts["solver.replays"] == 4797
+    assert counts["solver.replay_hits"] == 4191

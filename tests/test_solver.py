@@ -5,10 +5,12 @@ import pytest
 
 import spegrid as sg
 from spegrid.feasibility import enumerate_support_patterns
-from spegrid.solver import (_singleton_cluster_solution,
+from spegrid.solver import (_build_context, _cluster_box, _hull_window,
+                            _singleton_cluster_solution,
                             _singleton_correlated_solution, _pure_witness,
                             certificate_residual, verify_union)
-from conftest import pure_support_system, random_game, stage_equilibria
+from conftest import (box_screen_entry, pure_support_system, random_game,
+                      stage_equilibria)
 
 
 class TestCubeSupportedPure:
@@ -127,11 +129,15 @@ class TestCubeSupportedMixed:
             floor = tuple(rng.uniform(-3, -1, size=2))
             gamma = float(rng.uniform(0, 0.9))
             for pattern in patterns:
-                fast = _singleton_cluster_solution(origin, side, cluster,
-                                                   floor, game, gamma, pattern)
+                # a search's verdict: the box screen, then the decider
+                fast = box_screen_entry(origin, side, pattern, game, gamma,
+                                        floor, _cluster_box(cluster), False) \
+                    and _singleton_cluster_solution(
+                        origin, side, cluster, floor, game, gamma,
+                        pattern) is not None
                 lp = sg.solve_feasibility(sg.mixed_cluster_system(
                     cube, cluster, floor, game, gamma, pattern))
-                assert (fast is not None) == (lp is not None)
+                assert fast == (lp is not None)
 
 
 class TestCubeSupportedCorrelated:
@@ -189,17 +195,21 @@ class TestCubeSupportedCorrelated:
             gamma = float(rng.uniform(0, 0.9))
             ix = sorted(cells)[rng.integers(len(cells))]
             cube = C.cube_at(tuple(ix))
+            window = _hull_window(_build_context(C, hull=True), bounds)
             for pattern in patterns:
-                fast = _singleton_correlated_solution(
-                    cube.origin, cube.side, planes, floor, bounds, game,
-                    gamma, pattern)
+                # a search's verdict: the box screen, then the decider
+                fast = box_screen_entry(cube.origin, cube.side, pattern, game,
+                                        gamma, floor, window, True) \
+                    and _singleton_correlated_solution(
+                        cube.origin, cube.side, planes, floor, bounds, game,
+                        gamma, pattern) is not None
                 lp = sg.solve_feasibility(sg.correlated_support_system(
                     cube, planes, floor, bounds, game, gamma, pattern))
-                if (fast is None) != (lp is None):
+                if fast != (lp is not None):
                     # tolerate only hairline cases on the feasibility boundary
                     sys2 = sg.correlated_support_system(
                         cube, planes, floor, bounds, game, gamma, pattern)
-                    assert fast is None and lp is not None
+                    assert not fast and lp is not None
                     assert sys2.residual(lp) <= 1e-7
 
 

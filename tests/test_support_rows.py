@@ -4,12 +4,18 @@ call them.
 Each row of the support program is one function in ``spegrid.solver``
 that the scalar deciders, the frozen pass's mask and both replays call, on
 Python floats or on float64 arrays.  The functions must give the same bits
-either way; and every witness a closed-form decider accepts must replay,
-since both test a row by the same value against FEAS_TOL.  Random 2x2, 2x3
-and 3x3 games on a 0.1 grid, the clusters or the hull of a random union,
-and cubes with, per player, one row tight up to a jitter of +-{0.5, 1, 1.5}
-tolerances.  Examples are derandomised so the suite is reproducible.
+either way; and every witness a closed-form decider builds for a pattern
+the box screen passes must replay, since both test a row by the same value
+against FEAS_TOL.  Random 2x2, 2x3 and 3x3 games on a 0.1 grid, the
+clusters or the hull of a random union, and cubes with, per player, one row
+tight up to a jitter of +-{0.5, 1, 1.5} tolerances.  Examples are
+derandomised so the suite is reproducible.  A last test reads the solver's
+source: each row's expression is written once there.
 """
+
+import inspect
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +24,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import spegrid as sg  # noqa: E402
+import spegrid.solver as solver  # noqa: E402
+from conftest import box_screen_entry  # noqa: E402
 from spegrid.feasibility import (FEAS_TOL,  # noqa: E402
                                  enumerate_support_patterns)
 from spegrid.solver import (SupportCertificate, _above,  # noqa: E402
                             _below, _build_context, _cluster_box,
-                            _continuation, _deviation, _hull_window,
-                            _pure_witness, _singleton_cluster_solution,
+                            _continuation, _deviation, _hull_row,
+                            _hull_window, _pure_witness, _screen_pattern,
+                            _singleton_cluster_solution,
                             _singleton_correlated_solution, _utility,
                             certificate_residual)
 
@@ -52,6 +61,7 @@ ROWS = [  # (row function, operand count, its gammas or None)
     (_deviation, 3, GAMMAS),
     (_below, 2, None),
     (_above, 3, None),
+    (_hull_row, 5, None),
 ]
 
 
@@ -122,11 +132,17 @@ def singleton_patterns(game):
 
 
 def witnesses(game, gamma, ctx, origin, side):
-    """Every witness the closed-form deciders accept for the cube, as a
-    certificate with the region its replay reads."""
+    """Every witness the closed-form deciders build for the cube, for the
+    singletons the box screen passes in the region's window (a search's
+    verdict is that screen's and the decider's), as a certificate with the
+    region its replay reads."""
     floor = ctx.w_floor
     if ctx.halfplanes is not None:
+        window = _hull_window(ctx, game.tables.bounds)
         for pattern in singleton_patterns(game):
+            if not box_screen_entry(origin, side, pattern, game, gamma, floor,
+                                    window, hull=True):
+                continue
             sol = _singleton_correlated_solution(
                 origin, side, ctx.halfplanes, floor, game.tables.bounds, game,
                 gamma, pattern)
@@ -141,6 +157,9 @@ def witnesses(game, gamma, ctx, origin, side):
             if cert is not None:
                 yield cert, [cluster]
         for pattern in singleton_patterns(game):
+            if not box_screen_entry(origin, side, pattern, game, gamma, floor,
+                                    _cluster_box(cluster), hull=False):
+                continue
             sol = _singleton_cluster_solution(origin, side, cluster, floor,
                                               game, gamma, pattern)
             if sol is not None:
@@ -156,3 +175,81 @@ def test_every_accepted_witness_replays(case):
         residual = certificate_residual(cert, game, gamma, origin, side,
                                         ctx.w_floor, region)
         assert residual <= FEAS_TOL, (cert.kind, residual)
+
+
+@st.composite
+def interval_cases(draw):
+    """A game, gamma near or far from 1, a pure profile and a cube that
+    puts, per player, one in-support row of the payoff box at its flip up
+    to a jitter of +-{0.5, 1, 1.5} * 1e-7: the row through the box's top
+    (origin = g1 r + g high) or its bottom (origin = g1 r + g low - side)."""
+    game = draw(games())
+    gamma = draw(st.sampled_from([0.3, 0.5, 0.7, 0.9, 0.99]))
+    bounds = game.tables.bounds
+    pattern = draw(st.sampled_from(singleton_patterns(game)))
+    profile = tuple(s[0] for s in pattern.supports)
+    side = draw(tenths(0.1, 1.0))
+    origin = []
+    for i in range(2):
+        r = game.payoff_to(profile, i)
+        edge = draw(st.sampled_from([_utility(r, bounds.high, gamma),
+                                     _utility(r, bounds.low, gamma) - side]))
+        origin.append(edge + draw(st.sampled_from(JITTERS)) * FEAS_TOL)
+    floor = (draw(tenths(bounds.low, bounds.high)),) * 2
+    return game, gamma, pattern, tuple(origin), side, floor
+
+
+def unclipped(lo, hi, rows):
+    return [tuple(lo)]
+
+
+def test_the_hull_interval_rejects_where_a_payoff_box_row_does():
+    # The hull's singleton leaves its in-support rows to its continuation
+    # interval in the payoff box (gamma > 0).  Where such a row rejects,
+    # o - (g1 r + g high) > FEAS_TOL or (g1 r + g low) - (o + side) >
+    # FEAS_TOL, the interval is emptier by FEAS_TOL / gamma, so it rejects
+    # too: dropping the rows moves no verdict.
+    rejects = []
+
+    @PROPERTY
+    @given(interval_cases())
+    def check(case):
+        game, gamma, pattern, origin, side, floor = case
+        bounds = game.tables.bounds
+        box = ((bounds.low,) * 2, (bounds.high,) * 2)
+        args = (origin, side, pattern, game, gamma, floor, *box, FEAS_TOL)
+        with mock.patch.object(solver, "_clip_box", unclipped):
+            interval = _singleton_correlated_solution(
+                origin, side, (), floor, bounds, game, gamma,
+                pattern) is not None
+        if _screen_pattern(*args, in_support=False) \
+                and not _screen_pattern(*args):
+            rejects.append(gamma)
+            assert not interval
+
+    check()
+    # rows reject at every gamma, or the implication holds vacuously
+    assert set(rejects) == {0.3, 0.5, 0.7, 0.9, 0.99}, rejects
+
+
+SOURCE = inspect.getsource(solver)
+
+
+def test_each_row_expression_is_written_once():
+    # the hull row: phi and psi are multiplied in _hull_row alone, and the
+    # one loop that sums a half-plane's products in any dimension is
+    # _clip's, which names the row it derives from
+    products = [line.strip() for line in SOURCE.splitlines()
+                if re.search(r"\b(phi|psi)\s*\*|\*\s*[\w.]*\b(phi|psi)\b",
+                             line)]
+    assert products == ["return phi * x + psi * y - lam"]
+    assert SOURCE.count("row[k] * p[k]") == 1
+    clip = inspect.getsource(solver._clip)
+    assert "row[k] * p[k]" in clip and "# _hull_row" in clip
+    # the utility row's weight, in _utility and _continuation and in the
+    # derived forms of the LP template, the mixture screen and the slices
+    assert SOURCE.count("1.0 - gamma") <= 5
+    # every decision is a row's value against a tolerance, never a
+    # comparison with a bound shifted by one
+    assert re.search(r"(>|<|<=|>=) [^#=]*[+-] (FEAS_TOL|margin|tol)\b",
+                     SOURCE) is None
