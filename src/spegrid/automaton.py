@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .feasibility import FEAS_TOL
 from .game import PROB_TOL, MixedProfile, StageGame
 from .geometry import CubeSet, Hypercube, get_halfplanes, hull_vertices, locate
 
@@ -355,14 +356,17 @@ def decompose_into_vertices(point, C: CubeSet):
     inside a cube of the set).
 
     Fan triangulation anchored at the lexicographically smallest hull
-    vertex; weights are non-negative, sum to one, and reconstruct the point
-    to within 1e-9.  Raises ValueError for points outside the hull.  The
-    hull comes from the cube set's cache.
+    vertex; the triangle whose least weight is largest gives the weights,
+    clipped at zero and renormalised.  Raises ValueError unless every hull
+    row (``_hull_row``) is at most FEAS_TOL, the test replay makes of a
+    continuation, so a point just outside the hull may pass.  The hull
+    comes from the cube set's cache.
     """
+    # imported here: a module-level import of solver raised peak RSS
+    from .solver import _hull_row
     x, y = float(point[0]), float(point[1])
-    for pl in get_halfplanes(C):
-        if not pl.holds(x, y, tol=1e-9):
-            raise ValueError(f"point {tuple(point)} lies outside the convex hull")
+    if any(_hull_row(*pl, x, y) > FEAS_TOL for pl in get_halfplanes(C)):
+        raise ValueError(f"point {tuple(point)} lies outside the convex hull")
     verts = hull_vertices(C)  # at least four: every cube has positive side
     for v in verts:
         if abs(v[0] - x) <= 1e-9 and abs(v[1] - y) <= 1e-9:
@@ -385,7 +389,7 @@ def decompose_into_vertices(point, C: CubeSet):
             best = (low, a, b, c, anchor, v1, v2)
         if low >= -1e-9:
             break
-    if best is None or best[0] < -1e-7:
+    if best is None:
         raise ValueError(f"no hull triangle contains {tuple(point)}")
     _, a, b, c, v0, v1, v2 = best
     pairs = [(max(a, 0.0), v0), (max(b, 0.0), v1), (max(c, 0.0), v2)]

@@ -25,13 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .automaton import extract_automaton
-from .feasibility import SupportPattern, SupportSolution
+from .feasibility import FEAS_TOL, SupportPattern, SupportSolution
 from .game import MixedProfile, StageGame, payoff_bounds
 from .gamefile import parse_game_file, resolve_game_path
 from .geometry import CubeSet
 from .solver import (_MIXED_KINDS, SolveReport, SolveSnapshot, SolverConfig,
-                     SupportCertificate, _MixedColumns, _verify_groups,
-                     solve)
+                     SupportCertificate, _group_residuals, _MixedColumns,
+                     check_gamma, solve)
 # Part of this module's namespace: perfbench/tracer.py hooks cli-level
 # certificate checks under this name.
 from .solver import verify_certificate  # noqa: F401
@@ -141,13 +141,14 @@ def _parse_vector(text: str) -> tuple[float, ...]:
 
 
 def _lattice_indices(lines, base, side) -> list[tuple[int, ...]]:
-    """``CubeSet.index_of`` of the origin on each line (rounded half to
-    even, as ``round``)."""
+    """The lattice index k of each line's origin, which must be exactly
+    base + k * side, the writer's formula (``CubeSet.origin_of``'s)."""
     origins = np.array([line.split() for line in lines],
                        float).reshape(len(lines), len(base))
     ix = np.rint((origins - base) / side)
-    if not np.all(np.abs(ix) < 2.0 ** 53):
-        raise ValueError("a cube origin is not a finite lattice point")
+    if not (np.all(np.abs(ix) < 2.0 ** 53)
+            and np.array_equal(base + ix * side, origins)):
+        raise ValueError("a cube origin is not a lattice point")
     return list(map(tuple, ix.astype(np.int64).tolist()))
 
 
@@ -242,7 +243,7 @@ def _field_array(values: list[str], counts) -> np.ndarray | None:
 
 def _certificate_groups(path, game: StageGame):
     """The cube set of a final-set file and its certificates grouped by
-    kind for ``_verify_groups``: each mixed kind's read into columns
+    kind for ``_group_residuals``: each mixed kind's read into columns
     (``_MixedColumns``), pure ones built one by one.  No groups when the
     certificates do not name each cube of the set exactly once."""
     C, _, cubes, fields = _read_final_set(path)
@@ -272,9 +273,15 @@ def _certificate_groups(path, game: StageGame):
 
 def verify_final_set(path, game: StageGame, gamma: float) -> bool:
     """Replay the certificates stored in a final-set file against the cube
-    set stored alongside it; every cube needs exactly one certificate."""
+    set stored alongside it, at the 1e-7 feasibility tolerance; every cube
+    needs exactly one certificate that fits the game."""
+    check_gamma(gamma)
     C, groups = _certificate_groups(path, game)
-    return groups is not None and _verify_groups(C, groups, game, gamma)
+    if groups is None:
+        return False
+    residuals = _group_residuals(C, groups, game, gamma)
+    return residuals is not None and all(np.all(res <= FEAS_TOL)
+                                         for res in residuals.values())
 
 
 def run(manifest: RunManifest) -> tuple[int, SolveReport]:

@@ -462,7 +462,8 @@ def solve_support_program(
     patterns: Optional[Sequence[SupportPattern]] = None,
     shortcut: Optional[Callable[[SupportPattern], object]] = None,
 ) -> Optional[SupportSolution]:
-    """First feasible support pattern, searching in ascending cardinality.
+    """First feasible support pattern of ``patterns`` (by default
+    ``game.tables.patterns``), searching in ascending cardinality.
 
     ``builder`` turns a pattern into the LinearSystem that fixes the
     pattern's indicator variables.  ``shortcut``, when given, may decide a
@@ -474,8 +475,7 @@ def solve_support_program(
     Returns None after exhausting all patterns.
     """
     if patterns is None:
-        patterns = enumerate_support_patterns(
-            [game.action_count(i) for i in range(game.player_count)])
+        patterns = game.tables.patterns
     for pattern in patterns:
         if shortcut is not None:
             res = shortcut(pattern)

@@ -223,6 +223,7 @@ class PayoffTables:
       payoffs per player);
     * ``conditional``: pure profile -> ``conditional_payoff_table`` of its
       point mass (two players);
+    * ``patterns``: every support pattern, in search order (two players);
     * ``screens``: support pattern -> ``_screen_rows`` (two players);
     * ``screen_margin``: the tolerance of the solver's pattern screens;
     * ``templates``: support-LP templates and mask rows, filled by the solver.
@@ -298,10 +299,13 @@ class PayoffTables:
                 for p, mass in self.point_masses.items()}
 
     @cached_property
-    def screens(self) -> dict:
+    def patterns(self) -> list:
         from .feasibility import enumerate_support_patterns
 
-        game = self._game
-        patterns = enumerate_support_patterns(
-            [game.action_count(i) for i in range(2)])
-        return {p.supports: _screen_rows(game, p.supports) for p in patterns}
+        return enumerate_support_patterns(
+            [self._game.action_count(i) for i in range(2)])
+
+    @cached_property
+    def screens(self) -> dict:
+        return {p.supports: _screen_rows(self._game, p.supports)
+                for p in self.patterns}

@@ -60,9 +60,6 @@ class HalfPlane(NamedTuple):
     psi: float
     lam: float
 
-    def holds(self, x: float, y: float, tol: float = 1e-9) -> bool:
-        return self.phi * x + self.psi * y <= self.lam + tol
-
 
 class CubeSet:
     """A set of same-side cubes on the lattice base + side * Z^n.

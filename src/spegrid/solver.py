@@ -66,12 +66,11 @@ replay and down a split.  Nothing in the loop reads its out-of-support
 entries (the completion check's automata follow in-support outcomes, the
 split reads in-pattern utilities, replay takes the floor from the context),
 so they are re-anchored at the final floor once, for the report.  The loop,
-``verify_certificate`` and ``verify_union`` derive that context from a cube
-set in one place.  ``verify_union`` and ``--verify`` build it once per cube
-set and kind, check each mixed kind's certificates as columns
-(``_MixedColumns``: gathered from the certificates, or read from the file
-without building any) and replay them through the frozen pass's kernel
-(``_residual_kernel``).
+``verify_certificate`` and ``--verify`` derive that context from a cube set
+in one place.  ``--verify`` builds it once per kind, checks each mixed
+kind's certificates as columns read from the final-set file
+(``_MixedColumns``, without building any certificate) and replays them
+through the frozen pass's kernel (``_residual_kernel``).
 """
 
 from __future__ import annotations
@@ -88,8 +87,7 @@ import numpy as np
 
 from .feasibility import (_LE, FEAS_TOL, UNDECIDED, ArraySystem,
                           LinearSystem, SupportPattern, SupportSolution,
-                          alpha_var, enumerate_support_patterns,
-                          solve_support_program, w_var, wp_var)
+                          alpha_var, solve_support_program, w_var, wp_var)
 from .game import (PROB_TOL, MixedProfile, StageGame,
                    conditional_payoff_table, distribution_error)
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
@@ -98,6 +96,14 @@ from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
 
 MODES = ("pure", "mixed-clusters", "mixed-correlated")
 COMPLETIONS = ("bound", "exact")
+
+
+def check_gamma(gamma: float) -> None:
+    """The discount factor's rule, for a solve and for every verifier:
+    finite and in [0, 1).  NaN fails every comparison, so the one chained
+    test refuses it as it refuses the infinities."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,8 @@ class SolverConfig:
     frozen_passes: bool = False
 
     def __post_init__(self):
-        # NaN fails every comparison, so the finiteness checks come first
-        if not math.isfinite(self.gamma) or not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+        check_gamma(self.gamma)
+        # NaN fails every comparison, so the finiteness check comes first
         if not math.isfinite(self.epsilon) or self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive and finite")
         if self.mode not in MODES:
@@ -746,18 +751,19 @@ def cube_supported_pure(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
 
 
 def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
-                    patterns, kind: str, regions, mask=None
+                    kind: str, regions, mask=None
                     ) -> Optional[SupportCertificate]:
     """The search driver of both mixed back-ends.  Each region is a
     (singleton decider, support-LP builder, screen window, hull context or
     None) tuple; the first region whose support program finds a pattern
     yields the certificate, pure patterns first.  ``mask``, a frozen pass's
     rows of ``_pattern_mask`` for this cube (one per region, over
-    ``patterns``), holds the box screen's verdicts: the searches leave out
-    the patterns it rejects, and a region with none left."""
+    ``game.tables.patterns``), holds the box screen's verdicts: the searches
+    leave out the patterns it rejects, and a region with none left."""
     if game.player_count != 2:
         raise ValueError("mixed cube tests require exactly two players")
     margin = game.tables.screen_margin
+    patterns = game.tables.patterns
     for (singleton, builder, window, hull), keep in zip(
             regions, repeat(None) if mask is None else mask):
         cut = hull is not None and gamma > 0.0  # the hull-slice cut runs
@@ -801,7 +807,6 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
 def cube_supported_mixed(cube: Hypercube, C: CubeSet, w_floor,
                          game: StageGame, gamma: float,
                          clusters: Optional[Sequence[Cluster]] = None,
-                         patterns: Optional[Sequence[SupportPattern]] = None,
                          mask=None) -> Optional[SupportCertificate]:
     """Mixed-strategy cube test over hyperrectangular clusters (2 players).
 
@@ -816,8 +821,7 @@ def cube_supported_mixed(cube: Hypercube, C: CubeSet, w_floor,
                 partial(mixed_cluster_system, cube, cl, w_floor, game, gamma),
                 _cluster_box(cl), None)
                for cl in clusters)
-    return _search_regions(cube, w_floor, game, gamma, patterns, "mixed",
-                           regions, mask)
+    return _search_regions(cube, w_floor, game, gamma, "mixed", regions, mask)
 
 
 def _hull_window(ctx: _Context, bounds):
@@ -829,7 +833,6 @@ def _hull_window(ctx: _Context, bounds):
 
 def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
                               gamma: float, ctx: Optional[_Context] = None,
-                              patterns: Optional[Sequence[SupportPattern]] = None,
                               mask=None) -> Optional[SupportCertificate]:
     """Cube test with public correlation: continuations anywhere in the
     convex hull of the union.  The single region is the payoff box cut by
@@ -845,16 +848,17 @@ def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
               partial(correlated_support_system, cube, ctx.halfplanes,
                       ctx.w_floor, bounds, game, gamma),
               _hull_window(ctx, bounds), ctx)
-    return _search_regions(cube, ctx.w_floor, game, gamma, patterns,
-                           "correlated", [region], mask)
+    return _search_regions(cube, ctx.w_floor, game, gamma, "correlated",
+                           [region], mask)
 
 
 def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
-                  gamma: float, patterns) -> np.ndarray:
+                  gamma: float) -> np.ndarray:
     """The box screen of the searches of the cubes ``indices`` of C against
     ``ctx``, their only one: a boolean array of shape (cubes, regions,
-    patterns), False where it rejects the pair.  The regions are ctx's
-    clusters, or its single hull region, with their screen windows.
+    patterns), over ``game.tables.patterns``, False where it rejects the
+    pair.  The regions are ctx's clusters, or its single hull region, with
+    their screen windows.
 
     Each entry is the search's scalar ``_screen_pattern`` call, by the same
     row functions on broadcast arrays: at FEAS_TOL for a pure pattern, else
@@ -864,14 +868,14 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
     in chunks, as in ``_residual_kernel``."""
     tables = game.tables
     bounds = tables.bounds
+    patterns = tables.patterns
     hull = ctx.halfplanes is not None
     windows = np.array([_hull_window(ctx, bounds)] if hull else
                        [_cluster_box(cl) for cl in ctx.clusters])
     # per player (in support, min, max) per own action and pattern, broadcast
     # over (own action, cube, region, pattern) so that the rows reduce fast
-    key = ("mask", tuple(p.supports for p in patterns))
-    if key not in tables.templates:
-        tables.templates[key] = [np.array(
+    if "mask" not in tables.templates:
+        tables.templates["mask"] = [np.array(
             [[row[:3] for row in tables.screens[p.supports][i]]
              for p in patterns], dtype=float).T[:, :, None, None]
             for i in range(2)]
@@ -882,7 +886,7 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
     ok = np.ones((len(indices), len(windows), len(patterns)), dtype=bool)
     step = max(1, _BATCH_ELEMENTS // (len(windows) * len(patterns) * max(
         game.action_count(i) for i in range(2))))
-    for i, rows in enumerate(tables.templates[key]):
+    for i, rows in enumerate(tables.templates["mask"]):
         in_supp, v_min, v_max = rows[0] > 0.0, rows[1], rows[2]
         lo = _utility(v_min, windows[:, 0, i, None], gamma)
         hi = _utility(v_max, windows[:, 1, i, None], gamma)
@@ -1038,7 +1042,7 @@ def _residual_kernel(index, w, q, in_supp, C: CubeSet, ctx: _Context,
     evaluated elementwise in its order (no matmul, so no reassociation),
     with origins base + index * side.  ``np.fmax`` skips NaN as Python's
     ``max`` does, and a zero residual comes out as +0.0, as the scalar's.
-    The frozen pass and both verify paths replay through it, in chunks
+    The frozen pass and ``--verify`` replay through it, in chunks
     whose widest intermediate array has about ``_BATCH_ELEMENTS`` elements."""
     step = max(1, _BATCH_ELEMENTS // (
         m[0] * m[1] * len(ctx.halfplanes) if kind == "correlated"
@@ -1092,26 +1096,6 @@ class _MixedColumns(NamedTuple):
     alpha: Optional[np.ndarray]
     w: Optional[np.ndarray]
     wp: Optional[np.ndarray]
-
-
-def _stack(rows, counts) -> Optional[np.ndarray]:
-    """A field's rows (per certificate, one sequence of numbers per player)
-    as one float array with a column per action, or None unless each row
-    has ``counts[i]`` entries for player i."""
-    if any(list(map(len, row)) != counts for row in rows):
-        return None
-    return np.array([x for row in rows for part in row for x in part],
-                    float).reshape(len(rows), sum(counts))
-
-
-def _certificate_columns(certificates: dict, counts) -> _MixedColumns:
-    sols = [cert.solution for cert in certificates.values()]
-    return _MixedColumns(
-        np.array(list(certificates), float).reshape(len(sols), 2),
-        [sol.pattern.supports for sol in sols],
-        _stack([sol.alpha.probs for sol in sols], counts),
-        _stack([sol.continuations for sol in sols], counts),
-        _stack([sol.utilities for sol in sols], counts))
 
 
 def _fitted_columns(cols: _MixedColumns, game: StageGame):
@@ -1169,40 +1153,14 @@ def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
     """Replay a certificate for the cube ``index`` of C against the union C
     (floor, clusters or hull) at the 1e-7 feasibility tolerance.  False
     when C has no such cube."""
+    check_gamma(gamma)
     if index not in C:
         return False
     ctx = _build_context(C, hull=cert.kind == "correlated")
     return _replay_ok(cert, ctx, C, index, game, gamma)
 
 
-def verify_union(C: CubeSet, certificates: dict, game: StageGame,
-                 gamma: float) -> bool:
-    """Replay one certificate per cube of C against C in one batch per
-    kind, building each kind's union context once.  Fails unless the
-    certificates name exactly the cubes of C and each fits the game.
-    Mixed certificates are gathered into columns and checked and replayed
-    as a final-set file's are, their payoff tables computed from alpha."""
-    if sorted(certificates) != C.indices():
-        return False
-    counts = [game.action_count(i) for i in range(game.player_count)]
-    groups: dict = {}
-    for ix, cert in certificates.items():
-        groups.setdefault(cert.kind, {})[ix] = cert
-    return _verify_groups(C, {
-        kind: _certificate_columns(group, counts) if kind in _MIXED_KINDS
-        else group for kind, group in groups.items()}, game, gamma)
-
-
 _MIXED_KINDS = ("mixed", "correlated")
-
-
-def _verify_groups(C: CubeSet, groups: dict, game: StageGame,
-                   gamma: float) -> bool:
-    """Whether ``_group_residuals`` all fit and replay at the 1e-7
-    feasibility tolerance."""
-    residuals = _group_residuals(C, groups, game, gamma)
-    return residuals is not None and all(np.all(res <= FEAS_TOL)
-                                         for res in residuals.values())
 
 
 def _group_residuals(C: CubeSet, groups: dict, game: StageGame,
@@ -1346,10 +1304,6 @@ def solve(game: StageGame, config: SolverConfig,
     if config.mode != "pure" and game.player_count != 2:
         raise ValueError(f"mode {config.mode} requires exactly two players")
     C = initial_cube(game.tables.bounds, game.player_count)
-    patterns = None
-    if config.mode != "pure":
-        patterns = enumerate_support_patterns(
-            [game.action_count(i) for i in range(game.player_count)])
     certificates: dict = {}
     trace: list[IterationStats] = []
     iteration = 0
@@ -1370,10 +1324,9 @@ def solve(game: StageGame, config: SolverConfig,
         if config.mode == "mixed-clusters":
             return cube_supported_mixed(cube, C, ctx.w_floor, game,
                                         config.gamma, clusters=ctx.clusters,
-                                        patterns=patterns, mask=mask)
+                                        mask=mask)
         return cube_supported_correlated(cube, C, game, config.gamma,
-                                         ctx=ctx, patterns=patterns,
-                                         mask=mask)
+                                         ctx=ctx, mask=mask)
 
     while True:
         iteration += 1
@@ -1391,12 +1344,11 @@ def solve(game: StageGame, config: SolverConfig,
             residuals = _batch_residuals(certificates, stored, C, frozen_ctx,
                                          game, config.gamma)
             verdicts = dict(zip(stored, (residuals <= FEAS_TOL).tolist()))
-            if patterns is not None:
+            if config.mode != "pure":
                 # and so does every search: reject their patterns at once
                 searched = [idx for idx in order if not verdicts.get(idx)]
                 masks = dict(zip(searched, _pattern_mask(
-                    searched, C, frozen_ctx, game, config.gamma,
-                    patterns).tolist()))
+                    searched, C, frozen_ctx, game, config.gamma).tolist()))
         for idx in order:
             ctx = frozen_ctx if config.frozen_passes else current_context()
             cert = certificates.get(idx)

@@ -61,6 +61,20 @@ def random_game(rng, shape=(2, 2), lo=-3.0, hi=3.0) -> sg.StageGame:
     return sg.StageGame(actions, tensor)
 
 
+def write_report(report, path, certificates=None) -> None:
+    """Write a report's final set to ``path`` as a run does, with
+    ``certificates`` in place of the report's own when given."""
+    from spegrid import cli
+
+    C = report.final
+    snap = sg.SolveSnapshot(iteration=report.iterations[-1].iteration,
+                            generation=C.generation, side=C.side, base=C.base,
+                            indices=tuple(C.indices()))
+    cli.write_final_set(path, snap, report.status,
+                        report.certificates if certificates is None
+                        else certificates)
+
+
 def check_written_final_set(report, game: sg.StageGame, gamma: float) -> None:
     """Write a report's final set and require two things: ``--verify``
     accepts it, and the residuals of its certificates read as columns are,
@@ -68,13 +82,9 @@ def check_written_final_set(report, game: sg.StageGame, gamma: float) -> None:
     ``read_final_set``'s certificates."""
     from spegrid import cli, solver
 
-    C = report.final
-    snap = sg.SolveSnapshot(iteration=report.iterations[-1].iteration,
-                            generation=C.generation, side=C.side, base=C.base,
-                            indices=tuple(C.indices()))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "final_set.txt"
-        cli.write_final_set(path, snap, report.status, report.certificates)
+        write_report(report, path)
         assert cli.verify_final_set(path, game, gamma)
         C, groups = cli._certificate_groups(path, game)
         certs = cli.read_final_set(path)[2]

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import spegrid as sg
 from conftest import discounted_average
-from spegrid.solver import SupportCertificate
+from spegrid.feasibility import FEAS_TOL
+from spegrid.solver import SupportCertificate, _hull_row
 
 
 def pure_cert(profile, continuation, floor):
@@ -179,6 +182,50 @@ class TestDecompose:
         C = sg.CubeSet((0.0, 0.0), 1.0, [(0, 0)])
         with pytest.raises(ValueError):
             sg.decompose_into_vertices((5.0, 5.0), C)
+
+    def test_a_point_that_replays_decomposes(self):
+        # (1.5, 0.5) on the hull edge x - y = 1, moved 5e-8 outward: its
+        # hull row is within FEAS_TOL, so a certificate's continuation may
+        # sit there, and extraction must find it a lottery
+        C = sg.CubeSet((0.0, 0.0), 1.0, [(0, 0), (1, 1)])
+        step = 5e-8 / math.sqrt(2.0)
+        point = (1.5 + step, 0.5 - step)
+        worst = max(_hull_row(*p, *point) for p in sg.get_halfplanes(C))
+        assert 4e-8 < worst <= FEAS_TOL
+        lot = sg.decompose_into_vertices(point, C)
+        assert sorted(v for _, v in lot) == [(1.0, 0.0), (2.0, 1.0)]
+        assert [w for w, _ in lot] == pytest.approx([0.5, 0.5])
+
+    def test_refuses_exactly_the_points_outside_some_hull_row(self):
+        # points on a hull edge, pushed along its normal by up to twice
+        # FEAS_TOL either way: extraction refuses a point if and only if
+        # some hull row exceeds FEAS_TOL, and gives any other a lottery
+        rng = np.random.default_rng(44)
+        refused = 0
+        for _ in range(200):
+            cells = {tuple(rng.integers(0, 5, size=2))
+                     for _ in range(rng.integers(1, 8))}
+            C = sg.CubeSet((-1.0, -1.0), 0.5, cells)
+            verts = sg.hull_vertices(C)
+            planes = sg.get_halfplanes(C)
+            k = int(rng.integers(len(verts)))
+            (x0, y0), (x1, y1) = verts[k], verts[(k + 1) % len(verts)]
+            t = rng.uniform(0.05, 0.95)
+            x, y = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+            edge = min(planes, key=lambda p: abs(_hull_row(*p, x, y)))
+            d = rng.uniform(-2.0, 2.0) * FEAS_TOL
+            point = (x + d * edge.phi, y + d * edge.psi)
+            if max(_hull_row(*p, *point) for p in planes) > FEAS_TOL:
+                refused += 1
+                with pytest.raises(ValueError, match="outside"):
+                    sg.decompose_into_vertices(point, C)
+                continue
+            lot = sg.decompose_into_vertices(point, C)
+            assert all(w >= 0.0 and v in verts for w, v in lot)
+            assert sum(w for w, _ in lot) == pytest.approx(1.0, abs=1e-12)
+            rebuilt = [sum(w * v[dim] for w, v in lot) for dim in range(2)]
+            assert rebuilt == pytest.approx(point, abs=1e-6)
+        assert 40 <= refused <= 160
 
 
 class TestSimulate:

@@ -1,7 +1,7 @@
 """The batched forms of the solver's per-cube steps agree with the scalar
 ones bit for bit.
 
-* ``_batch_residuals`` (a frozen pass's replay, and ``verify_union``) must
+* ``_batch_residuals`` (a frozen pass's replay) must
   give every certificate the residual bits and the verdict of
   ``certificate_residual``.  Random 2x2, 2x3 and 3x3 games on a 0.1 grid;
   point-mass and genuinely mixed certificates whose in-support

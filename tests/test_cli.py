@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import spegrid as sg
-from spegrid.cli import (RunManifest, main, read_final_set, run,
-                         verify_final_set)
+from spegrid.cli import (RunManifest, _certificate_text, main,
+                         read_final_set, run, verify_final_set)
 from spegrid.game import conditional_payoff_table
 from spegrid.gamefile import resolve_game_path
-from spegrid.solver import _conditional_payoffs, verify_union
+from spegrid.solver import _conditional_payoffs
 
 
 class TestGameFormat:
@@ -344,22 +344,36 @@ def _write_sections(path, header, cubes, blocks):
 
 
 def _outcome(path, game, gamma=0.7):
-    """What ``verify_final_set`` makes of a file (True, False or the type of
-    the error it raises), after checking that ``verify_union`` over
-    ``read_final_set``'s certificates makes the same of it."""
-    def read_and_verify():
-        C, _, certs = read_final_set(path)
-        return verify_union(C, certs, game, gamma)
+    """What ``verify_final_set`` makes of a file: True, False or the type of
+    the error it raises."""
+    try:
+        return verify_final_set(path, game, gamma)
+    except (ValueError, KeyError) as exc:
+        return type(exc)
 
-    outcomes = []
-    for check in (lambda: verify_final_set(path, game, gamma),
-                  read_and_verify):
-        try:
-            outcomes.append(check())
-        except (ValueError, KeyError) as exc:
-            outcomes.append(type(exc))
-    assert outcomes[0] == outcomes[1]
-    return outcomes[0]
+
+def _misfit(block, edit):
+    """A certificate block with one of 7 edits that break its fit to PD (two
+    actions per player): an out-of-range action, a row of the wrong length,
+    (mixed) alpha mass on an action outside the pattern, or NaN
+    continuations."""
+    fields = dict(line.split(": ", 1) for line in block)
+    if fields["kind"] == "pure":
+        tampers = [{"profile": "5 0"}, {"profile": "0 -1"},
+                   {"profile": "0"}, {"profile": "0 0 0"},
+                   {"continuation": "0.5"},
+                   {"continuation": "0.5 0.5 0.5"},
+                   {"continuation": "nan nan"}]
+    else:
+        w0, w1 = fields["w"].split(" | ")
+        short = w0.split()[0] + " | " + w1
+        tampers = [{"pattern": "5 | 0"}, {"pattern": "0 | -1"},
+                   {"alpha": "1.0 | 1.0"}, {"w": short}, {"wp": short},
+                   {"pattern": "0 | 0", "alpha": "0.0 1.0 | 1.0 0.0"},
+                   {"w": "nan nan | nan nan"}]
+    tamper = tampers[edit]
+    return [f"{key}: {tamper[key]}" if key in tamper else line
+            for key, line in ((line.split(":")[0], line) for line in block)]
 
 
 class TestTamperedFinalSet:
@@ -422,32 +436,67 @@ class TestTamperedFinalSet:
         assert not verify_final_set(tmp_path / "f.txt", pd, 0.7)
         assert _outcome(tmp_path / "f.txt", pd) is False
 
+    def test_off_lattice_cube_fails(self, pd_final_set, pd, tmp_path,
+                                    capsys):
+        # one cube moved by 0.3 side, in its cube line and in its block's
+        # cube: line; rounding it back onto the lattice would verify the
+        # cube it left
+        header, cubes, blocks = _sections(pd_final_set)
+        side = float(next(line for line in header
+                          if line.startswith("side:")).split()[1])
+        assert blocks[self.DROP][0] == f"cube: {cubes[self.DROP]}"
+        x, y = map(float, cubes[self.DROP].split())
+        cubes[self.DROP] = f"{x + 0.3 * side!r} {y!r}"
+        blocks[self.DROP][0] = f"cube: {cubes[self.DROP]}"
+        path = tmp_path / "f.txt"
+        _write_sections(path, header, cubes, blocks)
+        with pytest.raises(ValueError, match="not a lattice point"):
+            verify_final_set(path, pd, 0.7)
+        code = main(["prisoners_dilemma", "--gamma", "0.7", "--epsilon",
+                     "3.2", "--verify", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("gamma", ["nan", "1.5", "1.0", "-0.1", "inf"])
+    def test_verify_refuses_a_discount_factor_outside_its_range(
+            self, pd_final_set, pd, capsys, gamma):
+        # NaN utility rows are skipped by every max, so a NaN gamma would
+        # accept any set; the rule is SolverConfig's
+        code = main(["prisoners_dilemma", "--gamma", gamma, "--epsilon",
+                     "3.2", "--verify", str(pd_final_set)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: gamma must lie in [0, 1)\n"
+        assert "verified" not in captured.out
+        C, _, certs = read_final_set(pd_final_set)
+        ix = C.indices()[self.DROP]
+        with pytest.raises(ValueError, match="gamma"):
+            sg.verify_certificate(certs[ix], pd, float(gamma), C, ix)
+
+    def test_read_final_set_keeps_what_verify_refuses(self, pd_final_set,
+                                                       tmp_path):
+        # the reader builds what the file says, unchecked, except that a
+        # cube whose certificate block repeats gets none
+        header, cubes, blocks = _sections(pd_final_set)
+        path = tmp_path / "f.txt"
+        _write_sections(path, header, cubes, [blocks[5]] + blocks)
+        C, status, certs = read_final_set(path)
+        assert status == "converged" and len(C) == 216
+        assert sorted(certs) == C.indices()[:5] + C.indices()[6:]
+        for edit in range(7):
+            misfit = _misfit(blocks[self.DROP], edit)
+            _write_sections(path, header, cubes, blocks[:self.DROP]
+                            + [misfit] + blocks[self.DROP + 1:])
+            C, _, certs = read_final_set(path)
+            assert sorted(certs) == C.indices()
+            ix = C.indices()[self.DROP]
+            assert _certificate_text(C.origin_of(ix), certs[ix]) == misfit
+
     @pytest.mark.parametrize("edit", range(7))
     def test_certificate_that_does_not_fit_the_game_fails(
             self, pd_final_set, pd, tmp_path, capsys, edit):
-        # PD has two actions per player; each edit breaks one certificate
-        # by an out-of-range action, a row of the wrong length, (mixed)
-        # alpha mass on an action outside the pattern, or NaN continuations
         header, cubes, blocks = _sections(pd_final_set)
-        block = blocks[self.DROP]
-        fields = dict(line.split(": ", 1) for line in block)
-        if fields["kind"] == "pure":
-            tampers = [{"profile": "5 0"}, {"profile": "0 -1"},
-                       {"profile": "0"}, {"profile": "0 0 0"},
-                       {"continuation": "0.5"},
-                       {"continuation": "0.5 0.5 0.5"},
-                       {"continuation": "nan nan"}]
-        else:
-            w0, w1 = fields["w"].split(" | ")
-            short = w0.split()[0] + " | " + w1
-            tampers = [{"pattern": "5 | 0"}, {"pattern": "0 | -1"},
-                       {"alpha": "1.0 | 1.0"}, {"w": short}, {"wp": short},
-                       {"pattern": "0 | 0", "alpha": "0.0 1.0 | 1.0 0.0"},
-                       {"w": "nan nan | nan nan"}]
-        tamper = tampers[edit]
-        blocks[self.DROP] = [
-            f"{key}: {tamper[key]}" if key in tamper else line
-            for key, line in ((line.split(":")[0], line) for line in block)]
+        blocks[self.DROP] = _misfit(blocks[self.DROP], edit)
         path = tmp_path / "f.txt"
         _write_sections(path, header, cubes, blocks)
         code = main(["prisoners_dilemma", "--gamma", "0.7", "--epsilon",

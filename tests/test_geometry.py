@@ -4,6 +4,7 @@ import pytest
 import spegrid as sg
 from conftest import hull_oracle
 from spegrid.geometry import _corner_candidates, hull_box
+from spegrid.solver import _hull_row
 
 
 class TestInitialCube:
@@ -144,8 +145,8 @@ class TestHalfplanes:
         planes = sg.get_halfplanes(sg.CubeSet((0.0, 0.0), 1.0, [(0, 0)]))
         assert len(planes) == 4
         for x, y in [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]:
-            assert all(p.holds(x, y) for p in planes)
-        assert not all(p.holds(1.5, 0.5) for p in planes)
+            assert all(_hull_row(*p, x, y) <= 1e-9 for p in planes)
+        assert not all(_hull_row(*p, 1.5, 0.5) <= 1e-9 for p in planes)
 
     def test_diagonal_pair_hull(self):
         C = sg.CubeSet((0.0, 0.0), 1.0, [(0, 0), (1, 1)])
@@ -176,8 +177,8 @@ class TestHalfplanes:
                 o = C.origin_of(ix)
                 for dx in (0, C.side):
                     for dy in (0, C.side):
-                        assert all(p.holds(o[0] + dx, o[1] + dy, tol=1e-9)
-                                   for p in planes)
+                        assert all(_hull_row(*p, o[0] + dx, o[1] + dy)
+                                   <= 1e-9 for p in planes)
 
     def test_hull_vertices_are_cube_vertices_and_area_dominates(self):
         rng = np.random.default_rng(41)

@@ -31,7 +31,7 @@ def random_grid_game(seed):
                         rng.integers(-30, 31, size=shape + (2,)) / 10.0)
 
 
-def withheld(indices, C, ctx, game, gamma, patterns):
+def withheld(indices, C, ctx, game, gamma):
     # no mask rows: each search gets None and screens every pair itself
     return np.full(len(indices), None, dtype=object)
 

@@ -127,7 +127,7 @@ def test_mask_entries_are_the_scalar_verdicts(case):
     game, gamma, C, ctx, _ = case
     patterns = patterns_of(game)
     indices = C.indices()
-    mask = _pattern_mask(indices, C, ctx, game, gamma, patterns)
+    mask = _pattern_mask(indices, C, ctx, game, gamma)
     assert mask.shape == (len(indices), len(region_windows(ctx, game)),
                           len(patterns))
     with mock.patch.object(solver, "_clip_box", unclipped):
@@ -150,7 +150,7 @@ def test_tight_cubes_reach_both_verdicts():
         game, gamma, C, ctx, anchor = case
         patterns = patterns_of(game)
         k = C.indices().index(anchor)
-        mask = _pattern_mask(C.indices(), C, ctx, game, gamma, patterns)[k]
+        mask = _pattern_mask(C.indices(), C, ctx, game, gamma)[k]
         kind = "hull" if ctx.halfplanes is not None else "clusters"
         for keep, pattern in zip(mask.any(axis=0).tolist(), patterns):
             key = (kind, pattern.is_pure(), keep)
@@ -166,5 +166,5 @@ def test_tight_cubes_reach_both_verdicts():
 def test_an_empty_pass_builds_an_empty_mask(pd):
     C = sg.CubeSet((0.0, 0.0), 1.0, [(0, 0)])
     ctx = _build_context(C, hull=True)
-    mask = _pattern_mask([], C, ctx, pd, 0.5, patterns_of(pd))
+    mask = _pattern_mask([], C, ctx, pd, 0.5)
     assert mask.shape == (0, 1, len(patterns_of(pd)))

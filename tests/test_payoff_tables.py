@@ -88,6 +88,7 @@ def test_every_table_entry_matches_the_payoff_tensor(game):
             tuple(float(P[a, p[1], 0]) for a in range(P.shape[0])),
             tuple(float(P[p[0], a, 1]) for a in range(P.shape[1])))
     patterns = patterns_of(game)
+    assert tables.patterns == patterns
     assert len(tables.screens) == len(patterns)
     for pattern in patterns:
         rows = tables.screens[pattern.supports]

@@ -5,12 +5,13 @@ import pytest
 
 import spegrid as sg
 from spegrid.feasibility import enumerate_support_patterns
-from spegrid.solver import (_build_context, _cluster_box, _hull_window,
-                            _singleton_cluster_solution,
+from spegrid.cli import verify_final_set
+from spegrid.solver import (_build_context, _cluster_box, _hull_row,
+                            _hull_window, _singleton_cluster_solution,
                             _singleton_correlated_solution, _pure_witness,
-                            certificate_residual, verify_union)
+                            certificate_residual)
 from conftest import (box_screen_entry, pure_support_system, random_game,
-                      stage_equilibria)
+                      stage_equilibria, write_report)
 
 
 class TestCubeSupportedPure:
@@ -167,7 +168,7 @@ class TestCubeSupportedCorrelated:
         for a1 in sol.pattern.supports[0]:
             for a2 in sol.pattern.supports[1]:
                 w1, w2 = sol.continuation(0, a1), sol.continuation(1, a2)
-                assert all(p.holds(w1, w2, tol=1e-7) for p in planes)
+                assert all(_hull_row(*p, w1, w2) <= 1e-7 for p in planes)
 
     def test_gamma_zero_reduces_to_stage_equilibrium(self, pd):
         # with no future, w' = r(alpha): a cube away from every stage
@@ -417,13 +418,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["pure", "mixed-clusters",
                                       "mixed-correlated"])
-    def test_non_finite_certificate_fails_verification(self, pd, mode):
+    def test_non_finite_certificate_fails_verification(self, pd, mode,
+                                                       tmp_path):
         # A NaN slips past every residual comparison, so a certificate
         # carrying one must be refused before its replay.
         report = sg.solve(pd, sg.SolverConfig(gamma=0.7, epsilon=3.2,
                                               mode=mode))
         C, certs = report.final, report.certificates
-        assert verify_union(C, certs, pd, 0.7)
+        path = tmp_path / "final_set.txt"
+        write_report(report, path)
+        assert verify_final_set(path, pd, 0.7)
         ix = C.indices()[37]
         cert = certs[ix]
         nan = float("nan")
@@ -441,4 +445,5 @@ class TestSolve:
                         for change in ({"continuations": tuple(in_supp)},
                                        {"utilities": ((nan,) * 2,) * 2})]
         for bad in tampered:
-            assert not verify_union(C, {**certs, ix: bad}, pd, 0.7)
+            write_report(report, path, {**certs, ix: bad})
+            assert not verify_final_set(path, pd, 0.7)

@@ -9,8 +9,8 @@ the box screen passes must replay, since both test a row by the same value
 against FEAS_TOL.  Random 2x2, 2x3 and 3x3 games on a 0.1 grid, the
 clusters or the hull of a random union, and cubes with, per player, one row
 tight up to a jitter of +-{0.5, 1, 1.5} tolerances.  Examples are
-derandomised so the suite is reproducible.  A last test reads the solver's
-source: each row's expression is written once there.
+derandomised so the suite is reproducible.  A last test reads the source
+of the solver and of extraction: each row's expression is written once.
 """
 
 import inspect
@@ -24,6 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import spegrid as sg  # noqa: E402
+import spegrid.automaton as automaton  # noqa: E402
 import spegrid.solver as solver  # noqa: E402
 from conftest import box_screen_entry  # noqa: E402
 from spegrid.feasibility import (FEAS_TOL,  # noqa: E402
@@ -233,16 +234,21 @@ def test_the_hull_interval_rejects_where_a_payoff_box_row_does():
 
 
 SOURCE = inspect.getsource(solver)
+# the row readers: the solver, and extraction's hull membership test
+READERS = SOURCE + inspect.getsource(automaton)
 
 
 def test_each_row_expression_is_written_once():
     # the hull row: phi and psi are multiplied in _hull_row alone, and the
     # one loop that sums a half-plane's products in any dimension is
-    # _clip's, which names the row it derives from
-    products = [line.strip() for line in SOURCE.splitlines()
+    # _clip's, which names the row it derives from; extraction tests hull
+    # membership by _hull_row, as replay does
+    products = [line.strip() for line in READERS.splitlines()
                 if re.search(r"\b(phi|psi)\s*\*|\*\s*[\w.]*\b(phi|psi)\b",
                              line)]
     assert products == ["return phi * x + psi * y - lam"]
+    assert "_hull_row(" in inspect.getsource(automaton.decompose_into_vertices)
+    assert not hasattr(sg.HalfPlane, "holds")
     assert SOURCE.count("row[k] * p[k]") == 1
     clip = inspect.getsource(solver._clip)
     assert "row[k] * p[k]" in clip and "# _hull_row" in clip
@@ -252,4 +258,4 @@ def test_each_row_expression_is_written_once():
     # every decision is a row's value against a tolerance, never a
     # comparison with a bound shifted by one
     assert re.search(r"(>|<|<=|>=) [^#=]*[+-] (FEAS_TOL|margin|tol)\b",
-                     SOURCE) is None
+                     READERS) is None
