@@ -23,10 +23,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .feasibility import FEAS_TOL
-from .game import PROB_TOL, MixedProfile, StageGame
+from .game import PROB_TOL, MixedProfile, StageGame, check_gamma
 from .geometry import CubeSet, Hypercube, get_halfplanes, hull_vertices, locate
 
 _LOCATE_TOL = 1e-6   # continuations carry LP tolerance; widen point location
+# deviation values: the largest automaton solved by policy iteration (one
+# dense solve per policy); a larger one costs less by value iteration
+_POLICY_STATES = 128
+_SWITCH_TOL = 1e-12  # a policy switch must gain more than this
 
 
 @dataclass(frozen=True)
@@ -284,6 +288,7 @@ def automaton_value(M: Automaton, gamma: float) -> np.ndarray:
     Solves u(q) = (1-g) E[r] + g E[u(next)] over all states; lotteries are
     resolved in expectation.  Unique since gamma < 1.
     """
+    check_gamma(gamma)
     table = M._outcomes
     Q, n = len(M.states), M.game.player_count
     p = table.probs.prod(axis=0)   # player order: the rounding depends on it
@@ -314,12 +319,19 @@ def automaton_value(M: Automaton, gamma: float) -> np.ndarray:
 def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
     """Per-state value of the best unilateral deviation by `player`.
 
-    Value iteration with the opponents' play fixed by the automaton.  The
-    deviator maximises over all own pure actions; out-of-support actions
-    transition to the deviator's punishment state, in-support ones follow
-    the equilibrium transitions.  Iterates until the sup-norm change is at
-    most 1e-9 * (1 - gamma).
+    The opponents' play is fixed by the automaton.  The deviator maximises
+    over all own pure actions; out-of-support actions transition to the
+    deviator's punishment state, in-support ones follow the equilibrium
+    transitions.  Automata of at most ``_POLICY_STATES`` (128) states are
+    solved by policy iteration: from the myopic policy, each policy is
+    evaluated by one dense linear solve, and a state switches action only
+    when another action's value beats its current one by more than
+    ``_SWITCH_TOL`` (1e-12), which rules out cycling on rounding ties; the
+    values of the first policy no state switches from are returned.  Larger
+    automata run value iteration until the sup-norm step is at most
+    1e-9 * (1 - gamma), cheaper there than a dense solve per policy.
     """
+    check_gamma(gamma)
     game = M.game
     table = M._outcomes
     Q, A = len(M.states), game.action_count(player)
@@ -331,6 +343,8 @@ def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
     if gamma == 0.0:
         return imm.max(axis=1)
     srcs, dsts, wts = _weighted_entries(table, p, bins)
+    if Q <= _POLICY_STATES:
+        return _policy_iteration(imm, srcs * Q + dsts, wts, gamma)
     V = np.zeros(Q)
     tol = 1e-9 * (1.0 - gamma)
     for _ in range(1000000):
@@ -341,6 +355,29 @@ def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
         if step <= tol:
             return V
     raise RuntimeError("deviation value iteration did not converge")
+
+
+def _policy_iteration(imm: np.ndarray, cells: np.ndarray, wts: np.ndarray,
+                      gamma: float) -> np.ndarray:
+    """Optimal values of the deviator's MDP: stage payoffs ``imm`` (Q x A)
+    and transition mass ``wts`` at flat cells (state * A + action) * Q +
+    next state of the (Q * A) x Q transition matrix."""
+    Q, A = imm.shape
+    T = np.bincount(cells, weights=wts, minlength=Q * A * Q).reshape(Q * A, Q)
+    r = (1.0 - gamma) * imm
+    states = np.arange(Q)
+    policy = r.argmax(axis=1)
+    system = np.eye(Q)
+    for _ in range(10000):
+        rows = states * A + policy
+        V = np.linalg.solve(system - gamma * T[rows], r[states, policy])
+        values = r + gamma * (T @ V).reshape(Q, A)
+        best = values.argmax(axis=1)
+        switch = values[states, best] > values[states, policy] + _SWITCH_TOL
+        if not switch.any():
+            return V
+        policy = np.where(switch, best, policy)
+    raise RuntimeError("deviation policy iteration did not converge")
 
 
 def best_deviation(M: Automaton, player: int, gamma: float) -> float:
@@ -420,7 +457,12 @@ def simulate(M: Automaton, gamma: float, seed: int,
     seeded generator drives action sampling and the public signal; the draw
     order per stage is fixed (actions by player, then the lottery signal,
     then the continuation coin), so a seed fully determines the run.
+    Episodes must be at least one: with gamma in [0, 1) each ends with
+    probability one.
     """
+    check_gamma(gamma)
+    if episodes < 1:
+        raise ValueError("episodes must be at least 1")
     rng = np.random.default_rng(seed)
     game = M.game
     n = game.player_count

@@ -26,12 +26,12 @@ import numpy as np
 
 from .automaton import extract_automaton
 from .feasibility import FEAS_TOL, SupportPattern, SupportSolution
-from .game import MixedProfile, StageGame, payoff_bounds
+from .game import MixedProfile, StageGame, check_gamma, payoff_bounds
 from .gamefile import parse_game_file, resolve_game_path
 from .geometry import CubeSet
 from .solver import (_MIXED_KINDS, SolveReport, SolveSnapshot, SolverConfig,
                      SupportCertificate, _group_residuals, _MixedColumns,
-                     check_gamma, solve)
+                     solve)
 # Part of this module's namespace: perfbench/tracer.py hooks cli-level
 # certificate checks under this name.
 from .solver import verify_certificate  # noqa: F401

@@ -28,6 +28,15 @@ import numpy as np
 PROB_TOL = 1e-9
 
 
+def check_gamma(gamma: float) -> None:
+    """The discount factor's rule, for a solve, for every verifier and for
+    every automaton evaluation: finite and in [0, 1).  NaN fails every
+    comparison, so the one chained test refuses it as it refuses the
+    infinities."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must lie in [0, 1)")
+
+
 @dataclass(frozen=True)
 class StageGame:
     """A finite normal-form game.

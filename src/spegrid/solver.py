@@ -88,7 +88,7 @@ import numpy as np
 from .feasibility import (_LE, FEAS_TOL, UNDECIDED, ArraySystem,
                           LinearSystem, SupportPattern, SupportSolution,
                           alpha_var, solve_support_program, w_var, wp_var)
-from .game import (PROB_TOL, MixedProfile, StageGame,
+from .game import (PROB_TOL, MixedProfile, StageGame, check_gamma,
                    conditional_payoff_table, distribution_error)
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
                        get_halfplanes, hull_box, hull_vertices, initial_cube,
@@ -96,14 +96,6 @@ from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
 
 MODES = ("pure", "mixed-clusters", "mixed-correlated")
 COMPLETIONS = ("bound", "exact")
-
-
-def check_gamma(gamma: float) -> None:
-    """The discount factor's rule, for a solve and for every verifier:
-    finite and in [0, 1).  NaN fails every comparison, so the one chained
-    test refuses it as it refuses the infinities."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

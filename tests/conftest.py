@@ -7,10 +7,11 @@ feasibility in exact arithmetic, the stage-equilibrium oracle enumerates
 supports and solves indifference systems with plain linear algebra, the
 minmax oracle sweeps a fine grid of opponent mixtures, the hull oracle
 is a brute-force quadratic scan, the automaton oracle walks every
-state's transitions in plain Python loops, the reference tableau is the
-simplex's phase-1 tableau built row by row from named constraints, and the
-reference simplex is the simplex's kernel with its tableau and cost row
-kept apart.
+state's transitions in plain Python loops (and, for deviations, evaluates
+every deterministic deviator policy in exact fractions), the reference
+tableau is the simplex's phase-1 tableau built row by row from named
+constraints, and the reference simplex is the simplex's kernel with its
+tableau and cost row kept apart.
 The helpers (expected payoffs, best responses, discounted averages of
 payoff streams) and the support LPs built by name (the pure back-end's,
 and the mixed back-ends' that the solver fills from per-pattern templates)
@@ -672,8 +673,10 @@ def reference_solve(system) -> dict | None:
 # -- automaton evaluation oracle: per-state Python loops over transitions ----
 #
 # The loop bodies that evaluated automata before the outcome table; the
-# library's ``automaton_value`` and ``deviation_values`` must reproduce
-# their bits.
+# library's ``automaton_value``, and its ``deviation_values`` where it still
+# takes the max (gamma = 0) or iterates (above the policy-iteration cut-off),
+# must reproduce their bits.  Where ``deviation_values`` runs policy
+# iteration, ``exact_deviation_values`` is the oracle instead.
 
 def _oracle_targets(tr, p):
     return ((tr, p),) if isinstance(tr, int) else [(t, p * w) for w, t in tr]
@@ -718,37 +721,45 @@ def reference_automaton_value(M, gamma: float) -> np.ndarray:
             return u
 
 
-def reference_deviation_values(M, player: int, gamma: float) -> np.ndarray:
+def deviation_rows(M, player: int, num=float) -> list:
+    """Row q * A + a is the deviator `player` playing a at state q: its
+    stage payoff and its (next state, probability) entries, with every
+    opponent in support and every number in ``num`` (float or Fraction)."""
     game = M.game
-    Q = len(M.states)
-    A = game.action_count(player)
-    imm = np.zeros((Q, A))
-    srcs, dsts, wts = [], [], []
     others = [j for j in range(game.player_count) if j != player]
-    for q in range(Q):
-        st = M.states[q]
+    rows = []
+    for st in M.states:
         opp_support = [st.mixed.support(j) for j in others]
-        for a in range(A):
-            row = q * A + a
+        for a in range(game.action_count(player)):
+            stage, entries = num(0), []
             for combo in itertools.product(*opp_support):
-                p = 1.0
+                p = num(1)
                 for j, b in zip(others, combo):
-                    p *= float(st.mixed.probs[j][b])
-                if p <= 0.0:
+                    p *= num(float(st.mixed.probs[j][b]))
+                if p <= 0:
                     continue
                 profile = [0] * game.player_count
                 profile[player] = a
                 for j, b in zip(others, combo):
                     profile[j] = b
                 profile = tuple(profile)
-                imm[q, a] += p * game.payoff_to(profile, player)
-                for t, w in _oracle_targets(st.transitions[profile], p):
-                    srcs.append(row)
-                    dsts.append(t)
-                    wts.append(w)
-    srcs = np.array(srcs, dtype=np.int64)
-    dsts = np.array(dsts, dtype=np.int64)
-    wts = np.array(wts)
+                stage += p * num(game.payoff_to(profile, player))
+                tr = st.transitions[profile]
+                entries.extend(((tr, p),) if isinstance(tr, int) else
+                               [(t, p * num(w)) for w, t in tr])
+            rows.append((stage, entries))
+    return rows
+
+
+def reference_deviation_values(M, player: int, gamma: float) -> np.ndarray:
+    Q, A = len(M.states), M.game.action_count(player)
+    rows = deviation_rows(M, player)
+    imm = np.array([stage for stage, _ in rows]).reshape(Q, A)
+    srcs = np.array([r for r, (_, entries) in enumerate(rows)
+                     for _ in entries], dtype=np.int64)
+    dsts = np.array([t for _, entries in rows for t, _ in entries],
+                    dtype=np.int64)
+    wts = np.array([w for _, entries in rows for _, w in entries])
     if gamma == 0.0:
         return imm.max(axis=1)
     V = np.zeros(Q)
@@ -760,6 +771,51 @@ def reference_deviation_values(M, player: int, gamma: float) -> np.ndarray:
         V = newV
         if step <= tol:
             return V
+
+
+def deviation_action_values(M, player: int, gamma: float, V) -> np.ndarray:
+    """(1 - gamma) * stage + gamma * E[V(next)] per state and deviator
+    action: one Bellman step on V, whose row maximum is V at the optimum."""
+    Q, A = len(M.states), M.game.action_count(player)
+    return np.array([(1.0 - gamma) * stage
+                     + gamma * sum(w * V[t] for t, w in entries)
+                     for stage, entries in deviation_rows(M, player)]
+                    ).reshape(Q, A)
+
+
+def exact_deviation_values(M, player: int, gamma: float) -> list[Fraction]:
+    """The best deviation's value per state in exact arithmetic: every
+    deterministic stationary deviator policy (A^Q of them) evaluated by
+    solving (I - gamma P) V = (1 - gamma) r in fractions, then the pointwise
+    maximum, which a discounted finite MDP attains at one such policy."""
+    Q, A = len(M.states), M.game.action_count(player)
+    g = Fraction(gamma)
+    rows = deviation_rows(M, player, Fraction)
+    best = None
+    for policy in itertools.product(range(A), repeat=Q):
+        system = []
+        for q, a in enumerate(policy):
+            stage, entries = rows[q * A + a]
+            row = [Fraction(int(q == s)) for s in range(Q)]
+            for t, w in entries:
+                row[t] -= g * w
+            system.append(row + [(1 - g) * stage])
+        V = _solve_fractions(system)
+        best = V if best is None else [max(x, y) for x, y in zip(best, V)]
+    return best
+
+
+def _solve_fractions(system: list) -> list[Fraction]:
+    """Gauss-Jordan elimination on an augmented square system whose matrix
+    is strictly diagonally dominant, so every diagonal pivot is nonzero."""
+    n = len(system)
+    for k in range(n):
+        pivot = system[k]
+        for r in range(n):
+            if r != k and system[r][k]:
+                f = system[r][k] / pivot[k]
+                system[r] = [x - f * y for x, y in zip(system[r], pivot)]
+    return [system[k][n] / system[k][k] for k in range(n)]
 
 
 # -- brute force convex hull ---------------------------------------------------

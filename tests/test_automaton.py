@@ -25,6 +25,19 @@ def grim():
     return C, certs
 
 
+@pytest.fixture()
+def defection(pd):
+    """One state: both defect for ever."""
+    C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
+    cert = pure_cert((1, 1), (0.0, 0.0), (0.0, 0.0))
+    return sg.extract_automaton(C, {(2, 2): cert}, (0.0, 0.0), pd)
+
+
+# outside [0, 1): each used to spin, return NaN or return a meaningless
+# number in some evaluator
+BAD_GAMMAS = (math.nan, 1.5, 1.0, -0.1, math.inf)
+
+
 class TestExtraction:
     def test_single_state_stationary_equilibrium(self, pd):
         C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
@@ -67,10 +80,8 @@ class TestExtraction:
 
 
 class TestAutomatonValue:
-    def test_stationary_defection_is_zero(self, pd):
-        C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
-        cert = pure_cert((1, 1), (0.0, 0.0), (0.0, 0.0))
-        M = sg.extract_automaton(C, {(2, 2): cert}, (0.0, 0.0), pd)
+    def test_stationary_defection_is_zero(self, defection):
+        M = defection
         for gamma in (0.0, 0.5, 0.95):
             assert sg.automaton_value(M, gamma)[M.initial] == pytest.approx(
                 [0.0, 0.0])
@@ -100,8 +111,22 @@ class TestAutomatonValue:
             discounted_average([], [-1.0, 3.0], 0.5))
         assert value[0] == pytest.approx(5 / 3)
 
+    @pytest.mark.parametrize("gamma", BAD_GAMMAS)
+    def test_rejects_a_discount_factor_outside_the_rule(self, defection,
+                                                         gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            sg.automaton_value(defection, gamma)
+
 
 class TestBestDeviation:
+    @pytest.mark.parametrize("gamma", BAD_GAMMAS)
+    def test_rejects_a_discount_factor_outside_the_rule(self, defection,
+                                                         gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            sg.deviation_values(defection, 0, gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            sg.best_deviation(defection, 1, gamma)
+
     def test_grim_equilibrium_at_high_gamma(self, pd, grim):
         C, certs = grim
         M = sg.extract_automaton(C, certs, (2.0, 2.0), pd)
@@ -229,11 +254,21 @@ class TestDecompose:
 
 
 class TestSimulate:
-    def test_stationary_defection_is_exact(self, pd):
-        C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
-        cert = pure_cert((1, 1), (0.0, 0.0), (0.0, 0.0))
-        M = sg.extract_automaton(C, {(2, 2): cert}, (0.0, 0.0), pd)
-        result = sg.simulate(M, 0.6, seed=123, episodes=500)
+    # with no episodes the episode loop never starts, so a simulator
+    # without the rule returns instead of looping for ever at gamma = 1
+    @pytest.mark.parametrize("gamma", BAD_GAMMAS)
+    def test_rejects_a_discount_factor_outside_the_rule(self, defection,
+                                                         gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            sg.simulate(defection, gamma, seed=1, episodes=0)
+
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_rejects_fewer_than_one_episode(self, defection, episodes):
+        with pytest.raises(ValueError, match="episodes"):
+            sg.simulate(defection, 0.5, seed=1, episodes=episodes)
+
+    def test_stationary_defection_is_exact(self, defection):
+        result = sg.simulate(defection, 0.6, seed=123, episodes=500)
         assert result.mean == pytest.approx([0.0, 0.0])
 
     def test_grim_matches_value_within_three_stderr(self, pd, grim):

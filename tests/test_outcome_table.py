@@ -1,11 +1,17 @@
-"""Automaton evaluation from the outcome table keeps the loops' bits.
+"""Automaton evaluation from the outcome table: the loops' bits where the
+arithmetic is the loops', an exact oracle where it is not.
 
 ``automaton_value`` and ``deviation_values`` read one cached table of an
 automaton's outcomes instead of walking its transitions per call.  Every
-value they return must have the bytes of the per-state Python loops that
-came before (``reference_automaton_value`` and
-``reference_deviation_values`` in conftest), on solved, extracted and
-hand-built automata: the benchmark workloads, gamma = 0, lotteries, mixed
+value ``automaton_value`` returns must have the bytes of the per-state
+Python loops that came before (``reference_automaton_value`` in conftest),
+and so must ``deviation_values`` where it still takes the max (gamma = 0)
+or iterates (more than ``_POLICY_STATES`` states), against
+``reference_deviation_values``.  Below that cut-off ``deviation_values``
+runs policy iteration: there its values must be a fixed point of the
+Bellman step within 1e-12, and on automata of at most five states match
+the exact fractions oracle within 1e-12.  The cases: solved, extracted and
+hand-built automata, the benchmark workloads, gamma = 0, lotteries, mixed
 supports with sub-tolerance mass, three players, and more states than the
 dense solve takes.  The table is built from one walk over the transitions
 and never handed out.
@@ -17,8 +23,11 @@ import numpy as np
 import pytest
 
 import spegrid as sg
-from conftest import reference_automaton_value, reference_deviation_values
-from spegrid.automaton import Automaton, AutomatonState, PunishmentProfile
+from conftest import (deviation_action_values, exact_deviation_values,
+                      reference_automaton_value, reference_deviation_values)
+from spegrid import automaton
+from spegrid.automaton import (_POLICY_STATES, Automaton, AutomatonState,
+                               PunishmentProfile)
 from test_benchmark_digests import BENCHMARKED, WORKLOADS
 
 
@@ -27,13 +36,31 @@ def _bits(x) -> bytes:
 
 
 def assert_same_bits(M: Automaton, gamma: float):
+    """The loops' bits for the value everywhere and for the deviation
+    values where the library takes the max or iterates; policy iteration's
+    values are checked by ``assert_optimal_deviation`` instead."""
     assert _bits(sg.automaton_value(M, gamma)) \
         == _bits(reference_automaton_value(M, gamma))
     for i in range(M.game.player_count):
-        expected = reference_deviation_values(M, i, gamma)
-        assert _bits(sg.deviation_values(M, i, gamma)) == _bits(expected)
+        V = sg.deviation_values(M, i, gamma)
         assert struct.pack("d", sg.best_deviation(M, i, gamma)) \
-            == struct.pack("d", float(expected[M.initial]))
+            == struct.pack("d", float(V[M.initial]))
+        if gamma == 0.0 or len(M.states) > _POLICY_STATES:
+            assert _bits(V) == _bits(reference_deviation_values(M, i, gamma))
+        else:
+            assert_optimal_deviation(M, i, gamma, V)
+
+
+def assert_optimal_deviation(M: Automaton, player: int, gamma: float, V):
+    """V is a fixed point of the deviator's Bellman step within 1e-12 and,
+    on at most five states, the exact optimum within 1e-12: at least 500
+    times tighter than value iteration's own error, gamma * 1e-9."""
+    step = deviation_action_values(M, player, gamma, V).max(axis=1)
+    assert np.max(np.abs(step - V)) <= 1e-12
+    if len(M.states) <= 5:
+        exact = exact_deviation_values(M, player, gamma)
+        assert np.max(np.abs(np.array([float(x) for x in exact]) - V)) \
+            <= 1e-12
 
 
 def _solved_automata(game, config, targets=5, seed=0):
@@ -51,7 +78,7 @@ def _solved_automata(game, config, targets=5, seed=0):
 
 
 @pytest.mark.parametrize("workload", BENCHMARKED)
-def test_benchmark_automata_keep_their_bits(workload):
+def test_benchmark_automata_keep_their_bits(workload, monkeypatch):
     spec = WORKLOADS[workload]
     config = sg.SolverConfig(gamma=spec["gamma"], epsilon=spec["epsilon"],
                              mode=spec["mode"],
@@ -59,6 +86,31 @@ def test_benchmark_automata_keep_their_bits(workload):
     for M in _solved_automata(sg.load_bundled(spec["game"]), config):
         for gamma in (config.gamma, 0.0):
             assert_same_bits(M, gamma)
+        # the full automata of 308 and 624 states run value iteration
+        if len(M.states) <= _POLICY_STATES:
+            assert_no_worse_than_following(M, config.gamma)
+        else:
+            assert_iteration_agrees(M, config.gamma, monkeypatch)
+
+
+def assert_no_worse_than_following(M: Automaton, gamma: float):
+    """Following the automaton is one of the deviator's strategies."""
+    u = sg.automaton_value(M, gamma)
+    for i in range(M.game.player_count):
+        assert np.all(sg.deviation_values(M, i, gamma) >= u[:, i] - 1e-12)
+
+
+def assert_iteration_agrees(M: Automaton, gamma: float, monkeypatch):
+    """Value iteration, which runs above the cut-off, stops within
+    gamma * 1e-9 of policy iteration's values on the same automaton."""
+    players = range(M.game.player_count)
+    iterated = [sg.deviation_values(M, i, gamma) for i in players]
+    monkeypatch.setattr(automaton, "_POLICY_STATES", len(M.states))
+    for i in players:
+        solved = sg.deviation_values(M, i, gamma)
+        assert_optimal_deviation(M, i, gamma, solved)
+        assert np.max(np.abs(iterated[i] - solved)) <= gamma * 1e-9
+    monkeypatch.undo()
 
 
 def test_gamma_zero_solve_keeps_its_bits(pd):
@@ -104,9 +156,11 @@ def test_three_player_pure_automata_keep_their_bits():
             assert_same_bits(M, gamma)
 
 
-def random_automaton(rng, game: sg.StageGame, states: int) -> Automaton:
-    """Random mixtures (some actions at zero or below PROB_TOL) and random
-    transitions, a third of them lotteries over up to three states."""
+def random_automaton(rng, game: sg.StageGame, states: int,
+                     tiny: float = 0.3) -> Automaton:
+    """Random mixtures (some actions at zero, a ``tiny`` share of states
+    with one below PROB_TOL) and random transitions, a third of them
+    lotteries over up to three states."""
     shapes = [game.action_count(i) for i in range(game.player_count)]
     built = []
     for _ in range(states):
@@ -115,7 +169,7 @@ def random_automaton(rng, game: sg.StageGame, states: int) -> Automaton:
             v = rng.random(m) * (rng.random(m) < 0.7)
             v[rng.integers(m)] += 0.5
             v /= v.sum()
-            if rng.random() < 0.3:
+            if rng.random() < tiny:
                 # move all but 5e-10 of the smallest entry to another one
                 low = int(np.argmin(v))
                 high = int(np.argmax(np.where(np.arange(m) == low, -1.0, v)))
@@ -144,15 +198,40 @@ def random_game(rng, shape) -> sg.StageGame:
 
 
 # 1600 states take the iterative value path instead of the dense solve;
-# with three mixing players the product order of the probabilities shows
+# with three mixing players the product order of the probabilities shows;
+# five states or fewer meet the exact deviation oracle
 @pytest.mark.parametrize("shape,states", [((2, 3), 1), ((2, 3), 7),
                                           ((2, 3), 60), ((2, 3), 1600),
-                                          ((2, 2, 3), 40)])
+                                          ((2, 2, 3), 40), ((2, 3), 5),
+                                          ((2, 2, 3), 4)])
 def test_random_automata_keep_their_bits(shape, states):
     rng = np.random.default_rng(states)
     M = random_automaton(rng, random_game(rng, shape), states)
     for gamma in (0.6, 0.0):
         assert_same_bits(M, gamma)
+
+
+# without sub-tolerance mass: both evaluations drop mass at or below
+# PROB_TOL, the value also the deviator's own, so a row of the value then
+# carries 1 - 5e-10 of the probability and V >= u holds only to about that
+@pytest.mark.parametrize("shape,states", [((2, 3), 3), ((3, 3), 5),
+                                          ((2, 2), 17), ((3, 2), 64),
+                                          ((2, 3), _POLICY_STATES)])
+def test_random_deviation_values_are_optimal(shape, states):
+    rng = np.random.default_rng(1000 + states)
+    M = random_automaton(rng, random_game(rng, shape), states, tiny=0.0)
+    for gamma in (0.3, 0.6, 0.95):
+        for i in range(M.game.player_count):
+            assert_optimal_deviation(M, i, gamma,
+                                     sg.deviation_values(M, i, gamma))
+        assert_no_worse_than_following(M, gamma)
+
+
+def test_iteration_just_above_the_cut_off_agrees(monkeypatch):
+    rng = np.random.default_rng(_POLICY_STATES)
+    M = random_automaton(rng, random_game(rng, (2, 3)), _POLICY_STATES + 1)
+    for gamma in (0.6, 0.95):
+        assert_iteration_agrees(M, gamma, monkeypatch)
 
 
 class CountingDict(dict):
