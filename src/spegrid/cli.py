@@ -64,6 +64,8 @@ class RunManifest:
         self.solver_config()  # gamma, epsilon, completion
         if self.snapshot_every < 0:
             raise ValueError("snapshot cadence must be non-negative")
+        if not np.isfinite(np.array(self.extract, float)).all():
+            raise ValueError("extract targets must be finite")
         resolve_game_path(self.game)
 
     def solver_config(self) -> SolverConfig:

@@ -70,10 +70,11 @@ class CubeSet:
 
     def __init__(self, base, side: float, indices: Iterable[tuple[int, ...]],
                  generation: int = 0):
-        if side <= 0:
-            raise ValueError("side must be positive")
         self.base = tuple(float(b) for b in base)
         self.side = float(side)
+        if not (all(map(math.isfinite, self.base + (self.side,)))
+                and self.side > 0.0):
+            raise ValueError("base and side must be finite, side positive")
         self.generation = int(generation)
         self._cells: set[tuple[int, ...]] = set(tuple(int(i) for i in ix)
                                                 for ix in indices)
@@ -373,8 +374,11 @@ def locate(point, cube_set: CubeSet, tol: float = 0.0) -> Optional[Hypercube]:
     """The cube whose closed box contains the point, or None.
 
     A point on a shared face belongs to several closed cubes; the tie goes
-    to the cube with the lexicographically smallest origin.
+    to the cube with the lexicographically smallest origin.  A non-finite
+    point lies in no cube.
     """
+    if not all(map(math.isfinite, point)):
+        return None
     side = cube_set.side
     per_dim = []
     for p, b in zip(point, cube_set.base):

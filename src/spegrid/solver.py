@@ -20,57 +20,44 @@ The two mixed back-ends share one support LP and one search driver; they
 differ only in the continuation region (a cluster box, or the payoff box
 cut by the hull's half-planes).  They emulate the associated mixed-integer
 programs exactly by support enumeration (see the feasibility module), each
-pattern's LP filled from a template made on its first LP
-(``_SupportTemplate``).  A box screen on per-action payoff ranges tests
-every pattern first.  A singleton that passes it gets its witness in closed
-form (for the hull by clipping a box, passing over the rows that cannot act
-on it); any other pattern then meets a mixture screen that clips each
-player's simplex of opponent mixtures (a segment or a triangle) by that
-player's utility rows.  Without hull rows the support LP splits into
-exactly these per-player problems, so the two screens decide the cluster
-LP.  For the hull, a pattern that passes both is screened again with each
-player's window cut to the hull slices the opponent's in-support
-continuations can reach; that makes the screens decide the hull LP when one player is pure,
-and relax it when both mix.  The screens reject only beyond one margin,
-``FEAS_TOL * (1 + max|payoff|)``, and the cut widens its slices, to cover
-the slack the simplex accepts (derived at ``PayoffTables.screen_margin``),
-so they skip only LPs that would fail.  The test suite cross-checks the
-closed forms and the screens against the LP.  The stage payoffs they read
-(point masses, conditional and best-deviation payoffs, per-pattern screen
-rows, payoff bounds, the margin) come from the game's ``tables``, built
-once per game object; the hull comes from the cube set's cache, which a
-withdrawal keeps unless it changes a corner candidate of the hull.
+pattern's LP filled from a template (``_SupportTemplate``).  A box screen
+on per-action payoff ranges, a function of the cube, region and pattern
+alone, tests every pattern first.  A singleton that passes it gets its
+witness in closed form (for the hull by clipping a box); any other pattern
+meets a mixture screen that clips each player's simplex of opponent
+mixtures (a segment or a triangle) by that player's utility rows, which
+decides the cluster LP.  For the hull, a pattern that passes both meets the
+in-support rows and the mixture screen again in a window cut to the hull
+slices the opponent's in-support continuations can reach, which decides the
+hull LP when one player is pure.  The screens reject only beyond one
+margin, ``FEAS_TOL * (1 + max|payoff|)``, and the cut widens its slices, to
+cover the slack the simplex accepts (derived at
+``PayoffTables.screen_margin``), so they skip only LPs that would fail.
+The stage payoffs they read come from the game's ``tables``, built once per
+game object; the hull comes from the cube set's cache, which a withdrawal
+keeps unless it changes a corner candidate of the hull.
 
 The default loop recomputes the punishment floor and the union context
-before every cube test, matching the reference pseudocode exactly; the
-rebuild after a withdrawal re-derives the hull only when the withdrawal
-changed a corner candidate.  The
+before every cube test, matching the reference pseudocode exactly.  The
 opt-in ``frozen_passes`` variant freezes both per pass and applies removals
-at the pass end; it can only delay removals by one pass (never removes
-more) and makes large runs much cheaper.  Between passes the previous
-certificate of a cube is replayed against the current context before any
-fresh search runs; a valid stored witness proves feasibility, so this is a
-pure optimisation.  Each support row is one function that the deciders,
-screens and replays share, so a decider rejects exactly where replay would.
-A frozen pass replays all its stored certificates in one numpy batch
-against its one context (``_batch_residuals``, with the scalar
-``certificate_residual``'s bits), and each cube's replay reads its verdict.
-For the cubes left to search it then runs the box screen of every (region,
-pattern) pair in one numpy mask (``_pattern_mask``), its only box screen.
-The literal loop, whose context moves with every withdrawal, replays cube
-by cube and screens each pair by the mask's scalar entry.  A certificate
-carries only its witness and the floor its out-of-support continuations sit
-at: every replay takes the cube's position, the floor and the continuation
-region from the cube set, so a certificate passes unchanged through a
-replay and down a split.  Nothing in the loop reads its out-of-support
-entries (the completion check's automata follow in-support outcomes, the
-split reads in-pattern utilities, replay takes the floor from the context),
-so they are re-anchored at the final floor once, for the report.  The loop,
-``verify_certificate`` and ``--verify`` derive that context from a cube set
-in one place.  ``--verify`` builds it once per kind, checks each mixed
-kind's certificates as columns read from the final-set file
-(``_MixedColumns``, without building any certificate) and replays them
-through the frozen pass's kernel (``_residual_kernel``).
+at the pass end; it can only delay removals by one pass and makes large
+runs much cheaper.  Before any fresh search, a cube's previous certificate
+is replayed against the current context; a valid stored witness proves
+feasibility.  Each support row is one function that the deciders, screens
+and replays share, so a decider rejects exactly where replay would.  A
+frozen pass replays all its stored certificates in one numpy batch
+(``_batch_residuals``, with the scalar ``certificate_residual``'s bits),
+then runs the box screen of every (cube, region, pattern) it must search in
+one numpy mask (``_pattern_mask``), its only box screen; the literal loop,
+whose context moves with every withdrawal, replays and screens cube by cube
+through the scalar entries.  A certificate carries only its witness and the
+floor its out-of-support continuations sit at: replay takes the cube's
+position, the floor and the region from the cube set, so a certificate
+passes unchanged through a replay and down a split, and its out-of-support
+entries, which nothing in the loop reads, are re-anchored at the final
+floor once, for the report.  ``--verify`` builds one context per kind,
+reads each mixed kind's certificates as columns (``_MixedColumns``) and
+replays them through the frozen pass's kernel (``_residual_kernel``).
 """
 
 from __future__ import annotations
@@ -262,20 +249,12 @@ def _build_context(C: CubeSet, hull: bool) -> _Context:
 
 def _conditional_payoffs(cert: SupportCertificate, game: StageGame):
     """The conditional payoffs a mixed certificate's replay reads: its own
-    table, or for a certificate read from a file (which carries none) the
-    game's table when its alpha is exactly a point mass, else a table
-    computed from its alpha."""
+    table, or for a certificate read from a file (which carries none) a
+    table computed from its alpha, which for an exact point mass has the
+    game's shared table's bits."""
     if cert.conditional_payoffs is not None:
         return cert.conditional_payoffs
-    alpha = cert.solution.alpha
-    supports = cert.solution.pattern.supports
-    if all(len(s) == 1 for s in supports):
-        profile = tuple(s[0] for s in supports)
-        mass = game.tables.point_masses.get(profile)
-        if mass is not None and all(map(np.array_equal, alpha.probs,
-                                        mass.probs)):
-            return game.tables.conditional[profile]
-    return conditional_payoff_table(game, alpha)
+    return conditional_payoff_table(game, cert.solution.alpha)
 
 
 # -- support rows ---------------------------------------------------------------
@@ -541,7 +520,7 @@ def _clip_box(lo, hi, rows):
 def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
                                    bounds, game, gamma, pattern):
     """A singleton's witness, once the box screen passed: its continuation
-    interval (gamma > 0, its in-support rows) clipped by the hull."""
+    interval in the payoff bounds (gamma > 0) clipped by the hull."""
     lo, hi = [bounds.low] * 2, [bounds.high] * 2
     profile = tuple(s[0] for s in pattern.supports)
     cond = game.tables.conditional[profile]
@@ -549,28 +528,52 @@ def _singleton_correlated_solution(cube_origin, side, halfplanes, w_floor,
         for i in range(2):
             r_i = cond[i][profile[i]]
             lo[i] = max(lo[i], _continuation(cube_origin[i], r_i, gamma))
-            hi[i] = min(hi[i], _continuation(cube_origin[i] + side, r_i, gamma))
-            if lo[i] - hi[i] > FEAS_TOL:
-                return None
-            hi[i] = max(hi[i], lo[i])
+            hi[i] = max(min(hi[i], _continuation(cube_origin[i] + side, r_i,
+                                                 gamma)), lo[i])
     poly = _clip_box(lo, hi, halfplanes)
     if not poly:
         return None
     return _point_mass_solution(game, gamma, pattern, w_floor, min(poly), cond)
 
 
-def _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor,
-                    win_lo, win_hi, tol, in_support=True):
-    """Necessary conditions for a pattern: False only when a row (in
-    support only if ``in_support``) misses by more than ``tol`` at every
-    mixture, with continuations in the window [win_lo, win_hi]."""
+def _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor, window,
+                    hull):
+    """The box screen of a pattern in a cluster's box or (``hull`` true) the
+    hull's ``window``: False only when a row misses at every mixture by more
+    than FEAS_TOL for a point mass, else the screens' margin.  It bounds each
+    deviation at the floor by the cube, then runs ``_screen_support``."""
+    tol = FEAS_TOL if pattern.is_pure() else game.tables.screen_margin
     for i, rows in enumerate(game.tables.screens[pattern.supports]):
         o = cube_origin[i]
+        for in_supp, v_min, _, _ in rows:
+            if not in_supp and _deviation(v_min, w_floor[i], o, gamma) > tol:
+                return False
+    return _screen_support(cube_origin, side, pattern, game, gamma, window,
+                           hull)
+
+
+def _screen_support(cube_origin, side, pattern, game, gamma, window, hull):
+    """The box screen's in-support rows: each utility, with continuations in
+    the window, reaches the cube.  For a point mass in the hull (gamma > 0)
+    they are its continuation interval [c0, c1] against the payoff bounds,
+    where its decider clips; by monotone rounding they reject exactly where
+    ``max(low, c0) - min(high, c1) > FEAS_TOL``."""
+    tables = game.tables
+    point = pattern.is_pure()
+    if point and hull and gamma > 0.0:
+        low, high = tables.bounds.low, tables.bounds.high
+        for i, rows in enumerate(tables.screens[pattern.supports]):
+            o, r = cube_origin[i], rows[pattern.supports[i][0]][1]
+            if _below(_continuation(o + side, r, gamma), low) > FEAS_TOL \
+                    or _below(high, _continuation(o, r, gamma)) > FEAS_TOL:
+                return False
+        return True
+    tol = FEAS_TOL if point else tables.screen_margin
+    win_lo, win_hi = window
+    for i, rows in enumerate(tables.screens[pattern.supports]):
+        o = cube_origin[i]
         for in_supp, v_min, v_max, _ in rows:
-            if not in_supp:
-                if _deviation(v_min, w_floor[i], o, gamma) > tol:
-                    return False
-            elif in_support and (
+            if in_supp and (
                     _below(_utility(v_max, win_hi[i], gamma), o) > tol
                     or _above(_utility(v_min, win_lo[i], gamma), o,
                               side) > tol):
@@ -706,17 +709,17 @@ def _slice_window(cube_origin, side, pattern, game, gamma, window, hull):
 def _screen_hull_slices(cube_origin, side, pattern, game, gamma, w_floor,
                         window, hull) -> bool:
     """For the hull region (``hull``, the union's context) with gamma > 0:
-    the box and mixture screens run again with the window cut to the hull
-    slices, for a pattern the plain screens passed.  False only when the
-    support LP certainly fails."""
+    the window-reading screens (in-support rows, mixtures) run again with
+    the window cut to the hull slices, for a pattern the plain screens
+    passed.  False only when the support LP certainly fails."""
     cut = _slice_window(cube_origin, side, pattern, game, gamma, window, hull)
     if cut is None:
         return False
     if cut == window:
         return True
-    args = (cube_origin, side, pattern, game, gamma, w_floor, *cut)
-    return _screen_pattern(*args, game.tables.screen_margin) \
-        and _screen_mixtures(*args)
+    args = (cube_origin, side, pattern, game, gamma)
+    return _screen_support(*args, cut, hull) \
+        and _screen_mixtures(*args, w_floor, *cut)
 
 
 # -- cube tests -------------------------------------------------------------------
@@ -754,7 +757,6 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
     leave out the patterns it rejects, and a region with none left."""
     if game.player_count != 2:
         raise ValueError("mixed cube tests require exactly two players")
-    margin = game.tables.screen_margin
     patterns = game.tables.patterns
     for (singleton, builder, window, hull), keep in zip(
             regions, repeat(None) if mask is None else mask):
@@ -766,16 +768,13 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
                 continue
 
         def shortcut(pattern):
-            pure = pattern.is_pure()
             args = (cube.origin, cube.side, pattern, game, gamma, w_floor)
             # the box screen, where no mask holds its verdict, is the mask's
             # entry; it rejects most hopeless patterns before the clipper
             # runs, and the cut runs only after both
-            if keep is None and not _screen_pattern(
-                    *args, *window, FEAS_TOL if pure else margin,
-                    not (pure and cut)):
+            if keep is None and not _screen_pattern(*args, window, hull):
                 return None
-            if pure:
+            if pattern.is_pure():
                 return singleton(pattern)
             if not _screen_mixtures(*args, *window):
                 return None
@@ -849,15 +848,10 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
     """The box screen of the searches of the cubes ``indices`` of C against
     ``ctx``, their only one: a boolean array of shape (cubes, regions,
     patterns), over ``game.tables.patterns``, False where it rejects the
-    pair.  The regions are ctx's clusters, or its single hull region, with
-    their screen windows.
-
-    Each entry is the search's scalar ``_screen_pattern`` call, by the same
-    row functions on broadcast arrays: at FEAS_TOL for a pure pattern, else
-    at the screens' margin.  With the hull and gamma > 0, a pure pattern's
-    in-support rows are instead its continuation interval within the payoff
-    bounds, which ``_singleton_correlated_solution`` tests.  Cubes are taken
-    in chunks, as in ``_residual_kernel``."""
+    pair; the regions are ctx's clusters, or its hull.  Each entry is the
+    search's scalar ``_screen_pattern`` call, by the same rows and
+    tolerances on broadcast arrays.  Cubes are taken in chunks, as in
+    ``_residual_kernel``."""
     tables = game.tables
     bounds = tables.bounds
     patterns = tables.patterns
@@ -888,9 +882,10 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
                 in_supp, (_below(hi, o) > tol) | (_above(lo, o, C.side) > tol),
                 _deviation(v_min, ctx.w_floor[i], o, gamma) > tol)
             if hull and gamma > 0.0:
-                empty = np.maximum(bounds.low, _continuation(o, v_min, gamma)) \
-                    - np.minimum(bounds.high, _continuation(o + C.side, v_min,
-                                                           gamma)) > FEAS_TOL
+                empty = (_below(_continuation(o + C.side, v_min, gamma),
+                                bounds.low) > FEAS_TOL) \
+                    | (_below(bounds.high, _continuation(o, v_min, gamma))
+                       > FEAS_TOL)
                 reject = np.where(in_supp & pure, empty, reject)
             ok[start:start + step] &= ~reject.any(axis=0)
     return ok
@@ -1415,21 +1410,17 @@ def _inherit_certificates(certificates: dict, parent: CubeSet, C: CubeSet,
     inherited = {}
     for idx, cert in certificates.items():
         origin = parent.origin_of(idx)
-        child = []
-        ok = True
+        child = ()
         for i in range(len(idx)):
             values = _utility_values(cert, i, game, gamma)
             mid = origin[i] + parent.side / 2.0
             if all(v <= mid for v in values):
-                child.append(2 * idx[i])
+                child += (2 * idx[i],)
             elif all(v >= mid for v in values):
-                child.append(2 * idx[i] + 1)
+                child += (2 * idx[i] + 1,)
             else:
-                ok = False
                 break
-        if not ok:
-            continue
-        child = tuple(child)
-        if child in C:
-            inherited[child] = cert
+        else:
+            if child in C:
+                inherited[child] = cert
     return inherited

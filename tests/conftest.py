@@ -16,8 +16,6 @@ The helpers (expected payoffs, best responses, discounted averages of
 payoff streams) and the support LPs built by name (the pure back-end's,
 and the mixed back-ends' that the solver fills from per-pattern templates)
 are only read by tests, so they live here rather than in the library.
-``box_screen_entry`` states once, for the tests that check the deciders
-and the frozen pass's mask, which box-screen call a search makes.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import pytest
 import spegrid as sg
 from spegrid.feasibility import (FEAS_TOL, PIVOT_TOL, _phase_one, alpha_var,
                                  w_var, wp_var)
-from spegrid.solver import _screen_pattern
 
 
 @pytest.fixture(scope="session")
@@ -402,23 +399,6 @@ def reference_tableau(system: sg.LinearSystem):
         if basis[i] in art_cols:
             z -= T[i]
     return T, z, basis, flip
-
-
-# -- the search's box screen ------------------------------------------------
-
-def box_screen_entry(origin, side, pattern, game: sg.StageGame, gamma: float,
-                     w_floor, window, hull: bool) -> bool:
-    """The box screen's verdict on one (cube, region, pattern), as a search
-    without a mask computes it and ``_pattern_mask`` stores it: the scalar
-    ``_screen_pattern`` in the region's window, at FEAS_TOL for a
-    single-action pattern and at the screens' margin otherwise.  For the
-    hull region (``hull``) with gamma > 0, a single-action pattern's
-    in-support rows are left to its decider's continuation interval."""
-    pure = pattern.is_pure()
-    return _screen_pattern(origin, side, pattern, game, gamma, w_floor,
-                           *window,
-                           FEAS_TOL if pure else game.tables.screen_margin,
-                           not (pure and hull and gamma > 0.0))
 
 
 # -- exact rational feasibility oracle ----------------------------------------

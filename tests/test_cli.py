@@ -297,6 +297,23 @@ class TestMain:
         assert err.startswith("error: ") and flag[2:] in err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("target", ["inf,0", "nan,0", "0,-inf"])
+    def test_non_finite_extract_targets_exit_before_solving(
+            self, tmp_path, capsys, monkeypatch, target):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr("spegrid.cli.solve", no_solve)
+        code = main(["prisoners_dilemma", "--gamma", "0.5", "--epsilon", "2",
+                     "--extract", target, "--out", str(tmp_path / "bad")])
+        assert code == 1
+        assert capsys.readouterr().err \
+            == "error: extract targets must be finite\n"
+        assert not (tmp_path / "bad").exists()
+        with pytest.raises(ValueError, match="extract targets"):
+            RunManifest(game="prisoners_dilemma", gamma=0.5, epsilon=2.0,
+                        extract=((0.0, 0.0), (float("nan"), 0.0))).validate()
+
     def test_manifest_validation_is_the_solver_config_check(self):
         manifest = RunManifest(game="prisoners_dilemma", gamma=0.7,
                                epsilon=float("nan"))
@@ -457,6 +474,27 @@ class TestTamperedFinalSet:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("pd_final_set", ["pure"], indirect=True)
+    @pytest.mark.parametrize("field,value", [("side", "nan"), ("side", "inf"),
+                                             ("base", "nan 0.0")])
+    def test_a_non_finite_lattice_fails(self, pd_final_set, pd, tmp_path,
+                                        capsys, field, value):
+        # an empty set on a NaN lattice holds no certificate to fail, so it
+        # must be refused when the set is built
+        header, _, _ = _sections(pd_final_set)
+        header = [f"{field}: {value}" if line.startswith(f"{field}:")
+                  else "cubes: 0" if line.startswith("cubes:") else line
+                  for line in header]
+        path = tmp_path / "f.txt"
+        _write_sections(path, header, [], [])
+        assert _outcome(path, pd) is ValueError
+        code = main(["prisoners_dilemma", "--gamma", "0.7", "--epsilon",
+                     "3.2", "--verify", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "verified" not in captured.out
+
     @pytest.mark.parametrize("gamma", ["nan", "1.5", "1.0", "-0.1", "inf"])
     def test_verify_refuses_a_discount_factor_outside_its_range(
             self, pd_final_set, pd, capsys, gamma):
@@ -510,10 +548,10 @@ class TestTamperedFinalSet:
     def test_near_point_mass_alpha_is_replayed_with_its_own_table(
             self, pd_final_set, pd, tmp_path):
         # A size-1 pattern whose alpha puts 5e-10 off the action still fits
-        # the game (the mass outside the pattern is below PROB_TOL).  Only an
-        # exact point mass may take the game's shared table; this one is
-        # replayed with a table computed from its alpha, and verifies as
-        # before.
+        # the game (the mass outside the pattern is below PROB_TOL).  Every
+        # certificate read from a file is replayed with a table computed
+        # from its alpha: an exact point mass gets the bits of the game's
+        # shared table, this one its own, and it verifies as before.
         header, cubes, blocks = _sections(pd_final_set)
         k, block = next((k, b) for k, b in enumerate(blocks)
                         if len(b[2].split()) == 4)  # "pattern: a | b"
@@ -535,8 +573,9 @@ class TestTamperedFinalSet:
         C, _, certs = read_final_set(near)
         index = C.index_of(map(float, block[0][len("cube: "):].split()))
         shared = pd.tables.conditional[profile]
-        assert _conditional_payoffs(read_final_set(exact)[2][index],
-                                    pd) is shared
+        assert np.array(_conditional_payoffs(read_final_set(exact)[2][index],
+                                             pd)).tobytes() \
+            == np.array(shared).tobytes()
         cert = certs[index]
         table = _conditional_payoffs(cert, pd)
         assert table == conditional_payoff_table(pd, cert.solution.alpha)

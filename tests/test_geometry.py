@@ -333,6 +333,24 @@ class TestLocate:
         assert sg.locate((1.0 + 1e-8, 0.5), C) is None
         assert sg.locate((1.0 + 1e-8, 0.5), C, tol=1e-6) is not None
 
+    @pytest.mark.parametrize("point", [(np.inf, 0.5), (0.5, -np.inf),
+                                       (np.nan, 0.5)])
+    def test_non_finite_point_lies_in_no_cube(self, pd, point):
+        C = sg.CubeSet((0.0, 0.0), 1.0, [(0, 0)])
+        assert sg.locate(point, C, tol=1e-9) is None
+        with pytest.raises(ValueError, match="lies outside the union"):
+            sg.extract_automaton(C, {}, point, pd)
+
+
+@pytest.mark.parametrize("base,side", [((0.0, 0.0), np.nan),
+                                       ((0.0, 0.0), np.inf),
+                                       ((0.0, 0.0), -1.0),
+                                       ((np.nan, 0.0), 1.0),
+                                       ((0.0, -np.inf), 1.0)])
+def test_cube_set_needs_a_finite_lattice(base, side):
+    with pytest.raises(ValueError, match="base and side must be finite"):
+        sg.CubeSet(base, side, [])
+
 
 class TestLatticeDiscipline:
     def test_split_and_remove_keep_alignment(self):

@@ -7,10 +7,12 @@ hull), run once as they are and once with the mask withheld, which makes
 every search screen each (region, pattern) pair through the scalar entry,
 as the literal loop does.  The pass trace, the ``final_set.txt`` bytes and
 every certificate's bits must be identical.  With the mask, no search or
-singleton decider calls the scalar box screen; only the hull-slice screen
-does, with its cut window.
+singleton decider calls the scalar box screen; only the hull-slice cut
+screens the in-support rows again, with its cut window, and it evaluates no
+out-of-support row.
 """
 
+import contextlib
 import sys
 from collections import Counter
 from unittest import mock
@@ -115,21 +117,47 @@ WORKLOADS = {  # game, gamma, epsilon, mode, frozen passes
 }
 
 
-def screen_callers(name):
-    """The functions that call ``_screen_pattern`` in one solve of a
-    benchmark workload, with their call counts."""
+SPIED = ("_screen_pattern", "_screen_support", "_deviation",
+         "_singleton_correlated_solution", "_clip_box")
+
+
+def spied_calls(name):
+    """Calls per (function, caller) in one solve of a benchmark workload,
+    of the box screen (``_screen_pattern``), its in-support rows
+    (``_screen_support``), the out-of-support row (``_deviation``), the
+    hull's singleton decider and its clip; a ``_deviation`` call made under
+    the hull-slice cut counts as the cut's.  Also, per function, the calls
+    that returned None or an empty result."""
     game, gamma, epsilon, mode, frozen = WORKLOADS[name]
-    callers = Counter()
-    real = solver._screen_pattern
+    calls, empty = Counter(), Counter()
 
-    def spy(*args):
-        callers[sys._getframe(1).f_code.co_name] += 1
-        return real(*args)
+    def spying(fn):
+        real = getattr(solver, fn)
 
-    with mock.patch.object(solver, "_screen_pattern", spy):
+        def spy(*args, **kwargs):
+            frame = sys._getframe(1)
+            caller = frame.f_code.co_name
+            while fn == "_deviation" and frame is not None:
+                if frame.f_code.co_name == "_screen_hull_slices":
+                    caller = "_screen_hull_slices"
+                frame = frame.f_back
+            calls[fn, caller] += 1
+            result = real(*args, **kwargs)
+            empty[fn] += result is None or isinstance(result, list) \
+                and not result
+            return result
+        return mock.patch.object(solver, fn, spy)
+
+    with contextlib.ExitStack() as stack:
+        for fn in SPIED:
+            stack.enter_context(spying(fn))
         sg.solve(sg.load_bundled(game), sg.SolverConfig(
             gamma=gamma, epsilon=epsilon, mode=mode, frozen_passes=frozen))
-    return callers
+    return calls, empty
+
+
+def callers(calls, fn):
+    return {caller for f, caller in calls if f == fn}
 
 
 @pytest.mark.parametrize("name", ["frozen_pd", "clusters_bos"])
@@ -137,16 +165,29 @@ def test_frozen_searches_screen_only_through_the_mask(name):
     # the mask holds the box screen's verdicts, so only the cut screens
     # again, in its narrower window (1,709 and 1,838 calls per solve came
     # from the searches and deciders when they screened for themselves)
-    callers = screen_callers(name)
-    assert set(callers) <= {"_screen_hull_slices"}
+    calls, empty = spied_calls(name)
+    assert not callers(calls, "_screen_pattern")
+    assert callers(calls, "_screen_support") <= {"_screen_hull_slices"}
     # the hull's patterns reach the cut, so the spy sees calls
-    assert (callers["_screen_hull_slices"] > 0) == (name == "frozen_pd")
+    assert (calls["_screen_support", "_screen_hull_slices"] > 0) \
+        == (name == "frozen_pd")
+    # the cut's window moves no out-of-support row, so it evaluates none
+    assert "_screen_hull_slices" not in callers(calls, "_deviation")
+    # the decider rejects only where its clip leaves nothing
+    assert empty["_singleton_correlated_solution"] == empty["_clip_box"]
 
 
 def test_literal_searches_screen_once_per_pair():
     # one scalar entry per (cube, region, pattern) a search walks, plus the
     # cut's: at most the 5,329 calls per solve made when the deciders
     # screened for themselves
-    callers = screen_callers("literal_pd_verify")
-    assert set(callers) == {"shortcut", "_screen_hull_slices"}
-    assert sum(callers.values()) <= 5329
+    calls, empty = spied_calls("literal_pd_verify")
+    assert callers(calls, "_screen_pattern") == {"shortcut"}
+    assert callers(calls, "_screen_support") == {"_screen_pattern",
+                                                 "_screen_hull_slices"}
+    assert calls["_screen_pattern", "shortcut"] \
+        + calls["_screen_support", "_screen_hull_slices"] <= 5329
+    assert "_screen_hull_slices" not in callers(calls, "_deviation")
+    # the decider rejects only where its clip leaves nothing (436 of 1,724
+    # calls per solve rejected on the interval when the decider tested it)
+    assert empty["_singleton_correlated_solution"] == empty["_clip_box"] > 0

@@ -2,20 +2,17 @@
 for all its searched cubes at once, and the only one its searches run.
 
 Every entry must be the scalar entry a search without a mask computes for
-that (cube, region, pattern), the one call of ``_screen_pattern`` that
-``box_screen_entry`` states: in the region's window, at FEAS_TOL for a pure
-pattern and at the screens' margin otherwise.  For the hull with gamma > 0
-a pure pattern's in-support rows are its singleton decider's continuation
-interval instead, so there the entry also holds that decider's verdict
-before its clip, as in the search.  Random 2x2, 2x3 and 3x3 games on a
+that (cube, region, pattern), one call of ``_screen_pattern``: in the
+region's window, at FEAS_TOL for a pure pattern and at the screens' margin
+otherwise, and for the hull with gamma > 0 a pure pattern's in-support
+rows are its continuation interval's.  No decider is composed in: the
+singleton deciders only build witnesses.  Random 2x2, 2x3 and 3x3 games on a
 0.1 grid, gamma 0 or random, the clusters or the hull region of a random
 union, and lattice cubes of which one has, per player, a row of some
 pattern tight up to a jitter of +-{0.5, 1, 1.5} tolerances (``FEAS_TOL``,
 or the screens' margin).  Examples are derandomised so the suite is
 reproducible.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,13 +21,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import spegrid as sg  # noqa: E402
-import spegrid.solver as solver  # noqa: E402
 from spegrid.feasibility import (FEAS_TOL,  # noqa: E402
                                  enumerate_support_patterns)
-from conftest import box_screen_entry  # noqa: E402
 from spegrid.solver import (_build_context, _cluster_box,  # noqa: E402
-                            _hull_window, _pattern_mask,
-                            _singleton_correlated_solution)
+                            _hull_window, _pattern_mask, _screen_pattern)
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
 JITTERS = [sign * k for k in (0.5, 1.0, 1.5) for sign in (-1, 1)]
@@ -101,24 +95,10 @@ def patterns_of(game):
 
 
 def scalar_verdict(game, gamma, C, ix, ctx, region, pattern):
-    """The search's scalar box-screen entry for the pair, and for the hull's
-    pure patterns with gamma > 0 the singleton decider's continuation
-    interval (its verdict before the clip; the caller patches the clip
-    away)."""
-    origin, side = C.origin_of(ix), C.side
-    hull = ctx.halfplanes is not None
-    if not box_screen_entry(origin, side, pattern, game, gamma, ctx.w_floor,
-                            region_windows(ctx, game)[region], hull):
-        return False
-    if not (hull and pattern.is_pure() and gamma > 0.0):
-        return True
-    return _singleton_correlated_solution(
-        origin, side, ctx.halfplanes, ctx.w_floor, game.tables.bounds, game,
-        gamma, pattern) is not None
-
-
-def unclipped(lo, hi, rows):
-    return [tuple(lo)]
+    """The search's scalar box-screen entry for the pair."""
+    return _screen_pattern(C.origin_of(ix), C.side, pattern, game, gamma,
+                           ctx.w_floor, region_windows(ctx, game)[region],
+                           ctx.halfplanes is not None)
 
 
 @PROPERTY
@@ -130,12 +110,11 @@ def test_mask_entries_are_the_scalar_verdicts(case):
     mask = _pattern_mask(indices, C, ctx, game, gamma)
     assert mask.shape == (len(indices), len(region_windows(ctx, game)),
                           len(patterns))
-    with mock.patch.object(solver, "_clip_box", unclipped):
-        for ix, rows in zip(indices, mask):
-            for region, row in enumerate(rows):
-                for keep, pattern in zip(row.tolist(), patterns):
-                    assert keep == scalar_verdict(game, gamma, C, ix, ctx,
-                                                  region, pattern)
+    for ix, rows in zip(indices, mask):
+        for region, row in enumerate(rows):
+            for keep, pattern in zip(row.tolist(), patterns):
+                assert keep == scalar_verdict(game, gamma, C, ix, ctx, region,
+                                              pattern)
 
 
 def test_tight_cubes_reach_both_verdicts():

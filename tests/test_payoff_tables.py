@@ -18,12 +18,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import spegrid as sg  # noqa: E402
-from conftest import box_screen_entry  # noqa: E402
 from spegrid.cli import write_final_set  # noqa: E402
 from spegrid.feasibility import enumerate_support_patterns  # noqa: E402
 from spegrid.solver import (MODES, _build_context, _clip,  # noqa: E402
                             _screen_hull_slices, _screen_mixtures,
-                            _singleton_cluster_solution,
+                            _screen_pattern, _singleton_cluster_solution,
                             _singleton_correlated_solution)
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
@@ -59,7 +58,7 @@ def screens_reject(cube, pattern, game, gamma, floor, window, hull=None):
     ``hull`` context of a cube set (and gamma > 0) they run again with the
     window cut to the hull slices."""
     args = (cube.origin, cube.side, pattern, game, gamma, floor)
-    if not box_screen_entry(*args, window, hull is not None) \
+    if not _screen_pattern(*args, window, hull is not None) \
             or not _screen_mixtures(*args, *window):
         return True
     return hull is not None and gamma > 0.0 \
@@ -124,8 +123,8 @@ def test_cluster_deciders_agree_with_the_support_lp(scenario):
         lp = sg.solve_feasibility(sg.mixed_cluster_system(
             cube, cluster, floor, game, gamma, pattern))
         if pattern.is_pure():
-            fast = box_screen_entry(cube.origin, cube.side, pattern, game,
-                                    gamma, floor, window, False) \
+            fast = _screen_pattern(cube.origin, cube.side, pattern, game,
+                                   gamma, floor, window, False) \
                 and _singleton_cluster_solution(cube.origin, cube.side,
                                                 cluster, floor, game, gamma,
                                                 pattern) is not None
@@ -164,8 +163,8 @@ def test_correlated_deciders_agree_with_the_support_lp(scenario):
                                               game, gamma, pattern)
         lp = sg.solve_feasibility(system)
         if pattern.is_pure():
-            fast = box_screen_entry(cube.origin, cube.side, pattern, game,
-                                    gamma, floor, window, True) \
+            fast = _screen_pattern(cube.origin, cube.side, pattern, game,
+                                   gamma, floor, window, True) \
                 and _singleton_correlated_solution(
                     cube.origin, cube.side, planes, floor, bounds, game,
                     gamma, pattern) is not None

@@ -7,11 +7,12 @@ import spegrid as sg
 from spegrid.feasibility import enumerate_support_patterns
 from spegrid.cli import verify_final_set
 from spegrid.solver import (_build_context, _cluster_box, _hull_row,
-                            _hull_window, _singleton_cluster_solution,
+                            _hull_window, _screen_pattern,
+                            _singleton_cluster_solution,
                             _singleton_correlated_solution, _pure_witness,
                             certificate_residual)
-from conftest import (box_screen_entry, pure_support_system, random_game,
-                      stage_equilibria, write_report)
+from conftest import (pure_support_system, random_game, stage_equilibria,
+                      write_report)
 
 
 class TestCubeSupportedPure:
@@ -131,8 +132,8 @@ class TestCubeSupportedMixed:
             gamma = float(rng.uniform(0, 0.9))
             for pattern in patterns:
                 # a search's verdict: the box screen, then the decider
-                fast = box_screen_entry(origin, side, pattern, game, gamma,
-                                        floor, _cluster_box(cluster), False) \
+                fast = _screen_pattern(origin, side, pattern, game, gamma,
+                                       floor, _cluster_box(cluster), False) \
                     and _singleton_cluster_solution(
                         origin, side, cluster, floor, game, gamma,
                         pattern) is not None
@@ -199,8 +200,8 @@ class TestCubeSupportedCorrelated:
             window = _hull_window(_build_context(C, hull=True), bounds)
             for pattern in patterns:
                 # a search's verdict: the box screen, then the decider
-                fast = box_screen_entry(cube.origin, cube.side, pattern, game,
-                                        gamma, floor, window, True) \
+                fast = _screen_pattern(cube.origin, cube.side, pattern, game,
+                                       gamma, floor, window, True) \
                     and _singleton_correlated_solution(
                         cube.origin, cube.side, planes, floor, bounds, game,
                         gamma, pattern) is not None

@@ -9,12 +9,15 @@ the box screen passes must replay, since both test a row by the same value
 against FEAS_TOL.  Random 2x2, 2x3 and 3x3 games on a 0.1 grid, the
 clusters or the hull of a random union, and cubes with, per player, one row
 tight up to a jitter of +-{0.5, 1, 1.5} tolerances.  Examples are
-derandomised so the suite is reproducible.  A last test reads the source
-of the solver and of extraction: each row's expression is written once.
+derandomised so the suite is reproducible.  The last tests read the
+source of the solver and of extraction: each row's expression is written
+once, and the screens take no tolerance and fold no two rows into one.
 """
 
+import ast
 import inspect
 import re
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -26,14 +29,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import spegrid as sg  # noqa: E402
 import spegrid.automaton as automaton  # noqa: E402
 import spegrid.solver as solver  # noqa: E402
-from conftest import box_screen_entry  # noqa: E402
 from spegrid.feasibility import (FEAS_TOL,  # noqa: E402
                                  enumerate_support_patterns)
 from spegrid.solver import (SupportCertificate, _above,  # noqa: E402
                             _below, _build_context, _cluster_box,
                             _continuation, _deviation, _hull_row,
                             _hull_window, _pure_witness, _screen_pattern,
-                            _singleton_cluster_solution,
+                            _screen_support, _singleton_cluster_solution,
                             _singleton_correlated_solution, _utility,
                             certificate_residual)
 
@@ -141,8 +143,8 @@ def witnesses(game, gamma, ctx, origin, side):
     if ctx.halfplanes is not None:
         window = _hull_window(ctx, game.tables.bounds)
         for pattern in singleton_patterns(game):
-            if not box_screen_entry(origin, side, pattern, game, gamma, floor,
-                                    window, hull=True):
+            if not _screen_pattern(origin, side, pattern, game, gamma, floor,
+                                   window, hull=True):
                 continue
             sol = _singleton_correlated_solution(
                 origin, side, ctx.halfplanes, floor, game.tables.bounds, game,
@@ -158,8 +160,8 @@ def witnesses(game, gamma, ctx, origin, side):
             if cert is not None:
                 yield cert, [cluster]
         for pattern in singleton_patterns(game):
-            if not box_screen_entry(origin, side, pattern, game, gamma, floor,
-                                    _cluster_box(cluster), hull=False):
+            if not _screen_pattern(origin, side, pattern, game, gamma, floor,
+                                   _cluster_box(cluster), hull=False):
                 continue
             sol = _singleton_cluster_solution(origin, side, cluster, floor,
                                               game, gamma, pattern)
@@ -200,16 +202,12 @@ def interval_cases(draw):
     return game, gamma, pattern, tuple(origin), side, floor
 
 
-def unclipped(lo, hi, rows):
-    return [tuple(lo)]
-
-
 def test_the_hull_interval_rejects_where_a_payoff_box_row_does():
-    # The hull's singleton leaves its in-support rows to its continuation
-    # interval in the payoff box (gamma > 0).  Where such a row rejects,
-    # o - (g1 r + g high) > FEAS_TOL or (g1 r + g low) - (o + side) >
-    # FEAS_TOL, the interval is emptier by FEAS_TOL / gamma, so it rejects
-    # too: dropping the rows moves no verdict.
+    # For the hull (gamma > 0) a singleton's in-support rows are its
+    # continuation interval in the payoff box.  Where a window row of that
+    # box rejects, o - (g1 r + g high) > FEAS_TOL or (g1 r + g low) -
+    # (o + side) > FEAS_TOL, the interval is emptier by FEAS_TOL / gamma, so
+    # it rejects too: the interval rows move no verdict the window rows make.
     rejects = []
 
     @PROPERTY
@@ -218,19 +216,44 @@ def test_the_hull_interval_rejects_where_a_payoff_box_row_does():
         game, gamma, pattern, origin, side, floor = case
         bounds = game.tables.bounds
         box = ((bounds.low,) * 2, (bounds.high,) * 2)
-        args = (origin, side, pattern, game, gamma, floor, *box, FEAS_TOL)
-        with mock.patch.object(solver, "_clip_box", unclipped):
-            interval = _singleton_correlated_solution(
-                origin, side, (), floor, bounds, game, gamma,
-                pattern) is not None
-        if _screen_pattern(*args, in_support=False) \
-                and not _screen_pattern(*args):
+        args = (origin, side, pattern, game, gamma, box)
+        if not _screen_support(*args, hull=False):
             rejects.append(gamma)
-            assert not interval
+            assert not _screen_support(*args, hull=True)
 
     check()
     # rows reject at every gamma, or the implication holds vacuously
     assert set(rejects) == {0.3, 0.5, 0.7, 0.9, 0.99}, rejects
+
+
+def whole_box(lo, hi, rows):
+    return [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
+
+
+def test_the_hull_singleton_decider_only_builds_witnesses():
+    # The box screen holds the continuation interval, so with the clip
+    # keeping the whole box the decider builds a witness for every point
+    # mass, on cubes that put its interval at an edge of the payoff box,
+    # whatever the screen's verdict.
+    verdicts = set()
+
+    @PROPERTY
+    @given(interval_cases())
+    def check(case):
+        game, gamma, _, origin, side, floor = case
+        bounds = game.tables.bounds
+        window = ((bounds.low,) * 2, (bounds.high,) * 2)
+        with mock.patch.object(solver, "_clip_box", whole_box):
+            for pattern in singleton_patterns(game):
+                assert _singleton_correlated_solution(
+                    origin, side, (), floor, bounds, game, gamma,
+                    pattern) is not None
+                verdicts.add(_screen_support(origin, side, pattern, game,
+                                             gamma, window, hull=True))
+
+    check()
+    # the interval rejects some of these cubes, or the test shows nothing
+    assert verdicts == {True, False}
 
 
 SOURCE = inspect.getsource(solver)
@@ -259,3 +282,39 @@ def test_each_row_expression_is_written_once():
     # comparison with a bound shifted by one
     assert re.search(r"(>|<|<=|>=) [^#=]*[+-] (FEAS_TOL|margin|tol)\b",
                      READERS) is None
+
+
+SCREENS = [getattr(solver, name) for name in dir(solver)
+           if name.startswith("_screen_")]
+
+
+def test_the_screens_take_no_tolerance_or_row_group():
+    # a screen's verdict follows from the cube, the region and the pattern:
+    # its tolerance from whether the pattern is a point mass, its rows from
+    # the region
+    assert {f.__name__ for f in SCREENS} >= {
+        "_screen_pattern", "_screen_support", "_screen_mixtures",
+        "_screen_hull_slices"}
+    for screen in SCREENS:
+        params = inspect.signature(screen).parameters
+        assert not {"tol", "in_support"} & set(params), screen.__name__
+
+
+def code_of(function):
+    """A function's source without its docstring."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function))).body[0]
+    if ast.get_docstring(tree) is not None:
+        tree.body = tree.body[1:]
+    return ast.unparse(tree)
+
+
+def test_the_screens_reject_on_row_values_alone():
+    # each reject is a row's value against a tolerance: no max or min
+    # folds two rows into one, as the old continuation interval did
+    mask = code_of(solver._pattern_mask)
+    rejects = [code_of(solver._screen_pattern),
+               code_of(solver._screen_support),
+               mask[mask.index("reject = "):mask.index("~reject")]]
+    for source in rejects:
+        assert re.search(r"\b(max|min|np\.maximum|np\.minimum)\(",
+                         source) is None, source
