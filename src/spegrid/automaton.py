@@ -24,7 +24,8 @@ import numpy as np
 
 from .feasibility import FEAS_TOL
 from .game import PROB_TOL, MixedProfile, StageGame, check_gamma
-from .geometry import CubeSet, Hypercube, get_halfplanes, hull_vertices, locate
+from .geometry import (CubeSet, Hypercube, get_halfplanes, hull_vertices,
+                       locate_index)
 
 _LOCATE_TOL = 1e-6   # continuations carry LP tolerance; widen point location
 # deviation values: the largest automaton solved by policy iteration (one
@@ -66,10 +67,14 @@ class Automaton:
         """The outcome table both evaluations read, built on first use."""
         return _outcome_table(self)
 
+    @cached_property
+    def _peel(self) -> "_Peel":
+        """The transient layers of the outcome table's transition graph,
+        shared by the value and both deviators, built on first use."""
+        return _peel_layers(self._outcomes, len(self.states))
+
     def supports(self, state: int) -> tuple[tuple[int, ...], ...]:
-        st = self.states[state]
-        return tuple(st.mixed.support(i)
-                     for i in range(self.game.player_count))
+        return self.states[state].mixed.supports
 
     def to_text(self) -> str:
         """Structured text serialization of the automaton."""
@@ -133,9 +138,10 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
                   punish_cubes: Sequence[tuple[int, ...]]) -> tuple[list, dict]:
     """Worklist construction of states and transitions.
 
-    Returns the state list (cube index, certificate, transitions) in
+    Returns the state list (cube index, mixed profile, transitions) in
     discovery order plus the index map.  With ``everything`` set, all cubes
-    become states regardless of reachability.
+    become states regardless of reachability.  Continuations and hull
+    vertices are located as lattice indices.
     """
     state_of: dict = {}
     order: list[tuple[int, ...]] = []
@@ -153,6 +159,7 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
         for ix in C.indices():
             intern(ix)
 
+    profiles = list(game.profiles())
     built: list = []
     cursor = 0
     while cursor < len(order):
@@ -161,32 +168,32 @@ def _build_states(C: CubeSet, certificates: dict, game: StageGame,
         cert = certificates.get(ix)
         if cert is None:
             raise ValueError(f"cube {ix} has no support certificate")
-        supports = cert.supports(game)
+        mixed = cert.mixed_profile(game)
+        supports = mixed.supports
         transitions: dict = {}
-        for profile in game.profiles():
-            deviators = [i for i, a in enumerate(profile)
-                         if a not in supports[i]]
-            if not deviators:
-                point = cert.continuation_point(profile)
-                target = locate(point, C, tol=_LOCATE_TOL)
-                if target is not None:
-                    transitions[profile] = intern(C.index_of(target.origin))
-                else:
-                    lottery = decompose_into_vertices(point, C)
-                    entries = []
-                    for weight, vertex in lottery:
-                        vc = locate(vertex, C, tol=1e-9)
-                        if vc is None:
-                            raise RuntimeError(
-                                f"hull vertex {vertex} is outside the union")
-                        entries.append((weight, intern(C.index_of(vc.origin))))
-                    transitions[profile] = tuple(entries)
+        for profile in profiles:
+            for i, a in enumerate(profile):
+                if a not in supports[i]:
+                    # unilateral deviations are punished; simultaneous ones
+                    # are off-equilibrium and never reached, routed to the
+                    # lowest deviator's punishment state for totality
+                    transitions[profile] = punish_states[i]
+                    break
             else:
-                # unilateral deviations are punished; simultaneous ones are
-                # off-equilibrium and never reached, routed to the lowest
-                # deviator's punishment state for totality
-                transitions[profile] = punish_states[deviators[0]]
-        built.append((ix, cert, transitions))
+                point = cert.continuation_point(profile)
+                target = locate_index(point, C, tol=_LOCATE_TOL)
+                if target is not None:
+                    transitions[profile] = intern(target)
+                    continue
+                entries = []
+                for weight, vertex in decompose_into_vertices(point, C):
+                    vc = locate_index(vertex, C, tol=1e-9)
+                    if vc is None:
+                        raise RuntimeError(
+                            f"hull vertex {vertex} is outside the union")
+                    entries.append((weight, intern(vc)))
+                transitions[profile] = tuple(entries)
+        built.append((ix, mixed, transitions))
     return built, state_of
 
 
@@ -196,9 +203,9 @@ def _assemble(C: CubeSet, certificates: dict, game: StageGame,
     built, state_of = _build_states(C, certificates, game, seeds, everything,
                                     punish_cubes)
     states = tuple(
-        AutomatonState(cube=C.cube_at(ix), mixed=cert.mixed_profile(game),
+        AutomatonState(cube=C.cube_at(ix), mixed=mixed,
                        transitions=transitions)
-        for ix, cert, transitions in built)
+        for ix, mixed, transitions in built)
     return Automaton(
         game=game, states=states, initial=state_of[initial_index],
         punishments=PunishmentProfile(
@@ -214,10 +221,9 @@ def extract_automaton(C: CubeSet, certificates: dict, v,
     The stored certificates are reused rather than re-derived so extraction
     is deterministic.
     """
-    start = locate(v, C, tol=1e-9)
-    if start is None:
+    six = locate_index(v, C, tol=1e-9)
+    if six is None:
         raise ValueError(f"target payoff profile {tuple(v)} lies outside the union")
-    six = C.index_of(start.origin)
     return _assemble(C, certificates, game, seeds=[six], everything=False,
                      initial_index=six)
 
@@ -226,6 +232,8 @@ def build_full_automaton(C: CubeSet, certificates: dict,
                          game: StageGame) -> Automaton:
     """One automaton whose states are all cubes of the set; used to check
     every cube's payoff and deviation bounds in a single sweep."""
+    if not len(C):
+        raise ValueError("an empty cube set has no automaton")
     first = C.indices()[0]
     return _assemble(C, certificates, game, seeds=[first], everything=True,
                      initial_index=first)
@@ -274,6 +282,57 @@ def _outcome_table(M: Automaton) -> _OutcomeTable:
     return table
 
 
+class _Peel(NamedTuple):
+    """An automaton's states in solve order.  Layer 0 is the states with no
+    predecessor but themselves, over every outcome row; layer k + 1 those
+    with none but themselves once layers 0..k are gone; the forward-closed
+    rest is the core.  ``groups`` holds the core first, then the layers from
+    last to first, so every transition of a layer's state goes to itself or
+    to an earlier group.  ``slot`` is each state's position in its group;
+    ``entries`` lists the table's transition entries by their source's
+    group, in walk order within one, and group g's entries are
+    ``entries[starts[g]:starts[g + 1]]``."""
+
+    groups: tuple
+    slot: np.ndarray
+    entries: np.ndarray
+    starts: np.ndarray
+
+
+def _peel_layers(table: _OutcomeTable, Q: int) -> _Peel:
+    # Kahn's algorithm in frontier rounds over a CSR of the transitions,
+    # self-loops dropped; a repeated edge counts once per entry both ways.
+    # Entries are in walk order, so their sources are sorted.
+    src = table.state[table.row]
+    away = src != table.next
+    heads = table.next[away]
+    ptr = np.searchsorted(src[away], np.arange(Q + 1))
+    indeg = np.bincount(heads, minlength=Q)
+    layers = []
+    frontier = np.flatnonzero(indeg == 0)
+    while frontier.size:
+        layers.append(frontier)
+        lo, counts = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+        first = np.cumsum(counts) - counts
+        out = heads[np.arange(counts.sum()) + np.repeat(lo - first, counts)]
+        targets, drop = np.unique(out, return_counts=True)
+        indeg[targets] -= drop
+        frontier = targets[indeg[targets] == 0]
+    group = np.zeros(Q, dtype=np.int64)
+    for k, layer in enumerate(layers):
+        group[layer] = len(layers) - k
+    groups = (np.flatnonzero(group == 0),) + tuple(reversed(layers))
+    slot = np.empty(Q, dtype=np.int64)
+    for members in groups:
+        slot[members] = np.arange(members.size)
+    entries = np.argsort(group[src], kind="stable")
+    starts = np.searchsorted(group[src][entries], np.arange(len(groups) + 1))
+    peel = _Peel(groups, slot, entries, starts)
+    for arr in (*groups, slot, entries, starts):
+        arr.setflags(write=False)
+    return peel
+
+
 def _weighted_entries(table: _OutcomeTable, p: np.ndarray, bins: np.ndarray):
     """(bin, next state, probability) of each transition entry of a row with
     p > 0, in walk order; a lottery entry gets its weight's share of p."""
@@ -282,11 +341,53 @@ def _weighted_entries(table: _OutcomeTable, p: np.ndarray, bins: np.ndarray):
     return bins[rows], table.next[keep], p[rows] * table.weight[keep]
 
 
+def _peeled_entries(M: Automaton, p: np.ndarray, bins: np.ndarray, A: int):
+    """``_weighted_entries`` per group of ``M._peel``: the group's states,
+    and each entry's bin (slot * A + bin % A, with A bins per state), next
+    state and probability."""
+    table, peel = M._outcomes, M._peel
+    keep = p[table.row[peel.entries]] > 0.0
+    order = peel.entries[keep]
+    bounds = np.concatenate(([0], np.cumsum(keep)))[peel.starts]
+    rows = table.row[order]
+    local = peel.slot[bins[rows] // A] * A + bins[rows] % A
+    nexts, wts = table.next[order], p[rows] * table.weight[order]
+    return [(members, local[lo:hi], nexts[lo:hi], wts[lo:hi])
+            for members, lo, hi in zip(peel.groups, bounds[:-1], bounds[1:])]
+
+
+def _back_substitute(u: np.ndarray, stage: np.ndarray, layers,
+                     gamma: float) -> np.ndarray:
+    """Fill u on each layer from the groups solved before it, one vectorised
+    step per layer.  ``stage`` is (Q, A, c): A actions, c value columns.
+    With c_a = (1 - gamma) stage + gamma E[u(next)] over the transitions
+    leaving the state and w_a the mass of its self-loop, u = max_a c_a /
+    (1 - gamma w_a), the fixed point of u = max_a c_a + gamma w_a u."""
+    A, cols = stage.shape[1:]
+    for members, bins, nexts, wts in layers:
+        size = members.size * A
+        loop = nexts == members[bins // A]
+        away, out = bins[~loop], nexts[~loop]
+        ahead = np.stack([np.bincount(away, weights=wts[~loop] * u[out, c],
+                                      minlength=size) for c in range(cols)],
+                         axis=1)
+        kept = np.bincount(bins[loop], weights=wts[loop], minlength=size)
+        total = (1.0 - gamma) * stage[members].reshape(size, cols) \
+            + gamma * ahead
+        u[members] = (total / (1.0 - gamma * kept)[:, None]).reshape(
+            members.size, A, cols).max(axis=1)
+    return u
+
+
 def automaton_value(M: Automaton, gamma: float) -> np.ndarray:
-    """Per-state discounted average payoff profiles, residual below 1e-9.
+    """Per-state discounted average payoff profiles.
 
     Solves u(q) = (1-g) E[r] + g E[u(next)] over all states; lotteries are
-    resolved in expectation.  Unique since gamma < 1.
+    resolved in expectation.  Unique since gamma < 1.  An automaton of more
+    than ``_POLICY_STATES`` (128) states is peeled (``Automaton._peel``):
+    its core is solved alone, then each transient layer in closed form
+    (``_back_substitute``).  A system of up to 1500 states is solved
+    densely; a larger one by value iteration to a sup-norm step of 1e-9.
     """
     check_gamma(gamma)
     table = M._outcomes
@@ -298,7 +399,20 @@ def automaton_value(M: Automaton, gamma: float) -> np.ndarray:
                               minlength=Q) for c in range(n)], axis=1)
     if gamma == 0.0:
         return R
-    srcs, dsts, wts = _weighted_entries(table, p, table.state)
+    if Q <= _POLICY_STATES:
+        return _value_solve(R, *_weighted_entries(table, p, table.state),
+                            gamma)
+    core, *layers = _peeled_entries(M, p, table.state, 1)
+    members, srcs, dsts, wts = core
+    u = np.empty_like(R)
+    u[members] = _value_solve(R[members], srcs, M._peel.slot[dsts], wts,
+                              gamma)
+    return _back_substitute(u, R[:, None, :], layers, gamma)
+
+
+def _value_solve(R: np.ndarray, srcs: np.ndarray, dsts: np.ndarray,
+                 wts: np.ndarray, gamma: float) -> np.ndarray:
+    Q, n = R.shape
     if Q <= 1500:
         P = np.zeros((Q, Q))
         np.add.at(P, (srcs, dsts), wts)
@@ -327,9 +441,11 @@ def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
     evaluated by one dense linear solve, and a state switches action only
     when another action's value beats its current one by more than
     ``_SWITCH_TOL`` (1e-12), which rules out cycling on rounding ties; the
-    values of the first policy no state switches from are returned.  Larger
-    automata run value iteration until the sup-norm step is at most
-    1e-9 * (1 - gamma), cheaper there than a dense solve per policy.
+    values of the first policy no state switches from are returned.  A
+    larger automaton is peeled as in ``automaton_value``: its core is
+    solved by the same rule for the core's size (value iteration above the
+    cut-off, until the sup-norm step is at most 1e-9 * (1 - gamma)), then
+    each layer in closed form.
     """
     check_gamma(gamma)
     game = M.game
@@ -342,7 +458,19 @@ def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
     imm = np.bincount(bins[on], weights=stage, minlength=Q * A).reshape(Q, A)
     if gamma == 0.0:
         return imm.max(axis=1)
-    srcs, dsts, wts = _weighted_entries(table, p, bins)
+    if Q <= _POLICY_STATES:
+        return _deviation_solve(imm, *_weighted_entries(table, p, bins), gamma)
+    core, *layers = _peeled_entries(M, p, bins, A)
+    members, srcs, dsts, wts = core
+    V = np.empty((Q, 1))
+    V[members, 0] = _deviation_solve(imm[members], srcs, M._peel.slot[dsts],
+                                     wts, gamma)
+    return _back_substitute(V, imm[:, :, None], layers, gamma)[:, 0]
+
+
+def _deviation_solve(imm: np.ndarray, srcs: np.ndarray, dsts: np.ndarray,
+                     wts: np.ndarray, gamma: float) -> np.ndarray:
+    Q, A = imm.shape
     if Q <= _POLICY_STATES:
         return _policy_iteration(imm, srcs * Q + dsts, wts, gamma)
     V = np.zeros(Q)

@@ -379,17 +379,26 @@ def solve_feasibility(system) -> Optional[dict]:
 
 # -- support enumeration ----------------------------------------------------
 
-class SupportPattern(NamedTuple):
-    """Per-player subsets of actions designated as in-support."""
-
+class _Pattern(NamedTuple):
     supports: tuple[tuple[int, ...], ...]
+    pure: bool
+
+
+class SupportPattern(_Pattern):
+    """Per-player subsets of actions designated as in-support, and whether
+    each holds a single action (``pure``), found once per pattern."""
+
+    __slots__ = ()
+
+    def __new__(cls, supports):
+        return super().__new__(cls, supports, max(map(len, supports)) == 1)
+
+    def __getnewargs__(self):
+        return (self.supports,)
 
     @property
     def cardinality(self) -> int:
         return sum(map(len, self.supports))
-
-    def is_pure(self) -> bool:
-        return max(map(len, self.supports)) == 1
 
 
 def enumerate_support_patterns(action_counts: Sequence[int]) -> list[SupportPattern]:

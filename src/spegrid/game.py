@@ -146,9 +146,16 @@ class MixedProfile:
     def player_count(self) -> int:
         return len(self.probs)
 
+    @cached_property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """Per player, the actions with probability above PROB_TOL; read
+        once per profile."""
+        return tuple(tuple(np.flatnonzero(p > PROB_TOL).tolist())
+                     for p in self.probs)
+
     def support(self, player: int) -> tuple[int, ...]:
         """Actions with probability above PROB_TOL."""
-        return tuple(int(a) for a in np.nonzero(self.probs[player] > PROB_TOL)[0])
+        return self.supports[player]
 
 
 @dataclass(frozen=True)

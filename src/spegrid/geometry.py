@@ -370,14 +370,17 @@ def get_halfplanes(cube_set: CubeSet) -> tuple[HalfPlane, ...]:
     return cube_set._halfplanes
 
 
-def locate(point, cube_set: CubeSet, tol: float = 0.0) -> Optional[Hypercube]:
-    """The cube whose closed box contains the point, or None.
+def locate_index(point, cube_set: CubeSet,
+                 tol: float = 0.0) -> Optional[tuple[int, ...]]:
+    """Lattice index of the cube whose closed box contains the point, or
+    None.
 
     A point on a shared face belongs to several closed cubes; the tie goes
     to the cube with the lexicographically smallest origin.  A non-finite
-    point lies in no cube.
+    point, or one whose length is not the set's dimension, lies in no cube.
     """
-    if not all(map(math.isfinite, point)):
+    if len(point) != cube_set.dimension \
+            or not all(map(math.isfinite, point)):
         return None
     side = cube_set.side
     per_dim = []
@@ -391,5 +394,11 @@ def locate(point, cube_set: CubeSet, tol: float = 0.0) -> Optional[Hypercube]:
         per_dim.append(ks)
     for ix in itertools.product(*per_dim):  # product of sorted lists is sorted
         if ix in cube_set._cells:
-            return cube_set.cube_at(ix)
+            return ix
     return None
+
+
+def locate(point, cube_set: CubeSet, tol: float = 0.0) -> Optional[Hypercube]:
+    """The cube ``locate_index`` finds for the point, or None."""
+    ix = locate_index(point, cube_set, tol)
+    return None if ix is None else cube_set.cube_at(ix)

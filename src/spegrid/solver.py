@@ -142,12 +142,6 @@ class SupportCertificate:
             return self.solution.alpha
         return game.tables.point_masses[self.profile]
 
-    def supports(self, game: StageGame) -> tuple[tuple[int, ...], ...]:
-        if self.solution is not None:
-            return tuple(self.solution.alpha.support(i)
-                         for i in range(game.player_count))
-        return tuple((a,) for a in self.profile)
-
     def continuation_point(self, profile) -> tuple[float, ...]:
         """Continuation payoff profile after an in-support outcome."""
         if self.kind == "pure":
@@ -542,7 +536,7 @@ def _screen_pattern(cube_origin, side, pattern, game, gamma, w_floor, window,
     hull's ``window``: False only when a row misses at every mixture by more
     than FEAS_TOL for a point mass, else the screens' margin.  It bounds each
     deviation at the floor by the cube, then runs ``_screen_support``."""
-    tol = FEAS_TOL if pattern.is_pure() else game.tables.screen_margin
+    tol = FEAS_TOL if pattern.pure else game.tables.screen_margin
     for i, rows in enumerate(game.tables.screens[pattern.supports]):
         o = cube_origin[i]
         for in_supp, v_min, _, _ in rows:
@@ -559,7 +553,7 @@ def _screen_support(cube_origin, side, pattern, game, gamma, window, hull):
     where its decider clips; by monotone rounding they reject exactly where
     ``max(low, c0) - min(high, c1) > FEAS_TOL``."""
     tables = game.tables
-    point = pattern.is_pure()
+    point = pattern.pure
     if point and hull and gamma > 0.0:
         low, high = tables.bounds.low, tables.bounds.high
         for i, rows in enumerate(tables.screens[pattern.supports]):
@@ -774,7 +768,7 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
             # runs, and the cut runs only after both
             if keep is None and not _screen_pattern(*args, window, hull):
                 return None
-            if pattern.is_pure():
+            if pattern.pure:
                 return singleton(pattern)
             if not _screen_mixtures(*args, *window):
                 return None
@@ -785,7 +779,7 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
         sol = solve_support_program(builder, game, patterns=live,
                                     shortcut=shortcut)
         if sol is not None:
-            if sol.pattern.is_pure():
+            if sol.pattern.pure:
                 cond = game.tables.conditional[
                     tuple(s[0] for s in sol.pattern.supports)]
             else:
@@ -865,7 +859,7 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
             [[row[:3] for row in tables.screens[p.supports][i]]
              for p in patterns], dtype=float).T[:, :, None, None]
             for i in range(2)]
-    pure = np.array([p.is_pure() for p in patterns])
+    pure = np.array([p.pure for p in patterns])
     tol = np.where(pure, FEAS_TOL, tables.screen_margin)
     origins = np.array(C.base) + np.array(indices, float).reshape(-1, 2) \
         * C.side

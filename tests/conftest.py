@@ -785,6 +785,52 @@ def exact_deviation_values(M, player: int, gamma: float) -> list[Fraction]:
     return best
 
 
+def value_rows(M, num=float) -> list:
+    """Row q is state q: its expected stage payoff per player and its (next
+    state, probability) entries, over the profiles of its supports, with
+    every number in ``num`` (float or Fraction)."""
+    rows = []
+    for q, st in enumerate(M.states):
+        stage, entries = [num(0)] * M.game.player_count, []
+        for profile in itertools.product(*M.supports(q)):
+            p = num(1)
+            for i, a in enumerate(profile):
+                p *= num(float(st.mixed.probs[i][a]))
+            if p <= 0:
+                continue
+            stage = [x + p * num(float(r))
+                     for x, r in zip(stage, M.game.payoff(profile))]
+            tr = st.transitions[profile]
+            entries.extend(((tr, p),) if isinstance(tr, int) else
+                           [(t, p * num(w)) for w, t in tr])
+        rows.append((stage, entries))
+    return rows
+
+
+def value_residual(M, gamma: float, u) -> np.ndarray:
+    """|u - (1 - gamma) R - gamma P u| per state and player."""
+    return np.array([np.abs(u[q] - (1.0 - gamma) * np.array(stage)
+                            - gamma * sum(w * u[t] for t, w in entries))
+                     for q, (stage, entries) in enumerate(value_rows(M))])
+
+
+def exact_automaton_value(M, gamma: float) -> np.ndarray:
+    """The value per state and player, rounded from exact arithmetic: for
+    each player, (I - gamma P) u = (1 - gamma) R solved in fractions."""
+    Q, g = len(M.states), Fraction(gamma)
+    rows = value_rows(M, Fraction)
+    columns = []
+    for c in range(M.game.player_count):
+        system = []
+        for q, (stage, entries) in enumerate(rows):
+            row = [Fraction(int(q == s)) for s in range(Q)]
+            for t, w in entries:
+                row[t] -= g * w
+            system.append(row + [(1 - g) * stage[c]])
+        columns.append([float(x) for x in _solve_fractions(system)])
+    return np.array(columns).T
+
+
 def _solve_fractions(system: list) -> list[Fraction]:
     """Gauss-Jordan elimination on an augmented square system whose matrix
     is strictly diagonally dominant, so every diagonal pivot is nonzero."""

@@ -78,6 +78,18 @@ class TestExtraction:
         with pytest.raises(ValueError):
             sg.extract_automaton(C, certs, (9.0, 9.0), pd)
 
+    @pytest.mark.parametrize("target", [(2.0, 2.0, 99.0), (2.0,)])
+    def test_rejects_a_target_of_another_dimension(self, pd, grim, target):
+        # the parent dropped the extra coordinate and extracted (2.0, 2.0)
+        C, certs = grim
+        with pytest.raises(ValueError, match="lies outside the union"):
+            sg.extract_automaton(C, certs, target, pd)
+
+    def test_an_empty_set_has_no_full_automaton(self, pd):
+        with pytest.raises(ValueError,
+                           match="an empty cube set has no automaton"):
+            sg.build_full_automaton(sg.CubeSet((0.0, 0.0), 1.0, []), {}, pd)
+
 
 class TestAutomatonValue:
     def test_stationary_defection_is_zero(self, defection):

@@ -68,7 +68,7 @@ def alphas(draw, game, pattern):
     file may hold one) a size-1 pattern's alpha 5e-10 off its action."""
     kind = draw(st.sampled_from(["exact", "mixed", "near"]))
     profile = tuple(s[0] for s in pattern.supports)
-    if pattern.is_pure() and kind == "exact":
+    if pattern.pure and kind == "exact":
         return game.tables.point_masses[profile]
     probs = []
     for i, supp in enumerate(pattern.supports):
@@ -107,7 +107,7 @@ def certificates(draw, game, gamma, C, ix, ctx, kind):
                                                 gamma, clusters=ctx.clusters)
     if found is not None:
         pattern, alpha = found.solution.pattern, found.solution.alpha
-        if pattern.is_pure() and draw(st.booleans()):
+        if pattern.pure and draw(st.booleans()):
             alpha = draw(alphas(game, pattern))
     else:
         pattern = draw(st.sampled_from(enumerate_support_patterns(
@@ -258,7 +258,7 @@ def singleton_cases(draw):
     C = draw(cube_sets(game, span=6))
     gamma = draw(st.sampled_from([0.3, 0.5, 0.7, 0.9]))
     pattern = draw(st.sampled_from([p for p in enumerate_support_patterns(
-        [game.action_count(i) for i in range(2)]) if p.is_pure()]))
+        [game.action_count(i) for i in range(2)]) if p.pure]))
     profile = tuple(s[0] for s in pattern.supports)
     cond = game.tables.conditional[profile]
     vertex = draw(st.sampled_from(sg.hull_vertices(C)))

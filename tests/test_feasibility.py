@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -212,11 +215,18 @@ class TestSupportPatterns:
         assert cards == sorted(cards)
         assert len(pats) == 9
         assert pats[0].supports == ((0,), (0,))
-        assert all(p.is_pure() for p in pats[:4])
+        assert all(p.pure for p in pats[:4])
         assert pats[-1].supports == ((0, 1), (0, 1))
 
     def test_count_for_2x3(self):
         assert len(enumerate_support_patterns([2, 3])) == 3 * 7
+
+    def test_purity_is_stored_once_and_survives_a_copy(self):
+        for p in enumerate_support_patterns([2, 3]):
+            assert p.pure == (max(map(len, p.supports)) == 1)
+            for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+                assert q == p and q.pure == p.pure
+                assert type(q) is type(p)
 
 
 class TestSolveSupportProgram:

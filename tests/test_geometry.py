@@ -3,7 +3,7 @@ import pytest
 
 import spegrid as sg
 from conftest import hull_oracle
-from spegrid.geometry import _corner_candidates, hull_box
+from spegrid.geometry import _corner_candidates, hull_box, locate_index
 from spegrid.solver import _hull_row
 
 
@@ -340,6 +340,22 @@ class TestLocate:
         assert sg.locate(point, C, tol=1e-9) is None
         with pytest.raises(ValueError, match="lies outside the union"):
             sg.extract_automaton(C, {}, point, pd)
+
+
+    @pytest.mark.parametrize("point", [(0.5, 0.5, 99.0), (0.5,), ()])
+    def test_point_of_another_dimension_lies_in_no_cube(self, point):
+        # the parent zipped the point with the base: (0.5, 0.5, 99.0) was
+        # located at (0.5, 0.5)
+        C = sg.CubeSet((0.0, 0.0), 1.0, [(0, 0)])
+        assert sg.locate(point, C, tol=1e-9) is None
+        assert locate_index(point, C, tol=1e-9) is None
+
+    def test_the_index_is_the_located_cube(self):
+        C = sg.CubeSet((-1.0, 0.5), 0.25, [(0, 0), (1, 0), (3, 2)])
+        for point in [(-0.9, 0.6), (-0.75, 0.55), (-0.2, 1.1), (5.0, 0.0)]:
+            ix = locate_index(point, C)
+            cube = sg.locate(point, C)
+            assert cube == (None if ix is None else C.cube_at(ix))
 
 
 @pytest.mark.parametrize("base,side", [((0.0, 0.0), np.nan),

@@ -8,13 +8,21 @@ results" must keep these digests; a change that moves them on purpose must
 say why and record the new ones.  The cases cover all three back-ends,
 literal and frozen passes, singleton and genuinely mixed supports, and a
 3x3 game.  The digests were recorded with numpy 2.4 on x86-64.
+
+The built automata are recorded the same way: the ``to_text()`` bytes of
+each benchmark workload's full automaton, and of three automata extracted
+at seeded targets, recorded before the build located cubes by lattice
+index and before the solve peeled transient states.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+import spegrid as sg
 from spegrid.cli import RunManifest, run
+from test_benchmark_digests import BENCHMARKED, WORKLOADS
 
 CASES = [
     # (game, gamma, epsilon, mode flag, frozen passes, final_set.txt sha256)
@@ -44,3 +52,41 @@ def test_final_set_bytes_unchanged(tmp_path, game, gamma, epsilon, mode,
     assert code == 0
     data = (tmp_path / "final_set.txt").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+AUTOMATA = {
+    # workload: (full automaton sha256, sha256 of three extracted ones)
+    "lp_rps": (
+        "b46d571e0e16b3b8b88895bb36622cd92e19fb713ea7e07e82d6afeec222d14b",
+        "7c0ff07e8e5170c97405ec105ea10538ee333f782ea2f597f972bd1daff3357a"),
+    "frozen_pd": (
+        "b86929fdcd2dbbcda9d05728fe97d6677becd3f8703e7c128960e83bc0b27e9c",
+        "14fa7e3b2a5824dd42321b96422929f5204fd8ff39204aedf74c73d121ff3fcc"),
+    "literal_pd_verify": (
+        "b86929fdcd2dbbcda9d05728fe97d6677becd3f8703e7c128960e83bc0b27e9c",
+        "14fa7e3b2a5824dd42321b96422929f5204fd8ff39204aedf74c73d121ff3fcc"),
+    "clusters_bos": (
+        "f163d6f8d5d943f0af9ea8acf2ad7dedb74acb807e97ed0c98b09668769b242d",
+        "19346aa60abefbff56eb597f2ab7522989d43def9b081d58fbda942bdb2034db"),
+}
+
+
+@pytest.mark.parametrize("workload", BENCHMARKED)
+def test_automaton_bytes_unchanged(workload):
+    spec = WORKLOADS[workload]
+    game = sg.load_bundled(spec["game"])
+    report = sg.solve(game, sg.SolverConfig(
+        gamma=spec["gamma"], epsilon=spec["epsilon"], mode=spec["mode"],
+        frozen_passes=spec["frozen_passes"]))
+    C, certs = report.final, report.certificates
+    full = sg.build_full_automaton(C, certs, game).to_text()
+    rng = np.random.default_rng(0)
+    cubes = C.cubes()
+    texts = []
+    for _ in range(3):
+        cube = cubes[rng.integers(len(cubes))]
+        v = tuple(o + rng.random() * cube.side for o in cube.origin)
+        texts.append(sg.extract_automaton(C, certs, v, game).to_text())
+    assert (hashlib.sha256(full.encode()).hexdigest(),
+            hashlib.sha256("".join(texts).encode()).hexdigest()) \
+        == AUTOMATA[workload]

@@ -2,19 +2,22 @@
 arithmetic is the loops', an exact oracle where it is not.
 
 ``automaton_value`` and ``deviation_values`` read one cached table of an
-automaton's outcomes instead of walking its transitions per call.  Every
-value ``automaton_value`` returns must have the bytes of the per-state
-Python loops that came before (``reference_automaton_value`` in conftest),
-and so must ``deviation_values`` where it still takes the max (gamma = 0)
-or iterates (more than ``_POLICY_STATES`` states), against
+automaton's outcomes instead of walking its transitions per call.  Up to
+``_POLICY_STATES`` states, and at gamma = 0, every value
+``automaton_value`` returns must have the bytes of the per-state Python
+loops that came before (``reference_automaton_value`` in conftest), and so
+must ``deviation_values`` where it takes the max (gamma = 0), against
 ``reference_deviation_values``.  Below that cut-off ``deviation_values``
 runs policy iteration: there its values must be a fixed point of the
 Bellman step within 1e-12, and on automata of at most five states match
-the exact fractions oracle within 1e-12.  The cases: solved, extracted and
-hand-built automata, the benchmark workloads, gamma = 0, lotteries, mixed
-supports with sub-tolerance mass, three players, and more states than the
-dense solve takes.  The table is built from one walk over the transitions
-and never handed out.
+the exact fractions oracle within 1e-12.  Above the cut-off both peel the
+transient states off a core (``Automaton._peel``): every peeled state
+meets its own equation within 1e-12, and the core keeps the accuracy of
+the rule that solves it.  The cases: solved, extracted and hand-built
+automata, the benchmark workloads, gamma = 0, lotteries, mixed supports
+with sub-tolerance mass, three players, more states than the dense solve
+takes, and small automata peeled by lowering the cut-off.  The table is
+built from one walk over the transitions and never handed out.
 """
 
 import struct
@@ -23,8 +26,9 @@ import numpy as np
 import pytest
 
 import spegrid as sg
-from conftest import (deviation_action_values, exact_deviation_values,
-                      reference_automaton_value, reference_deviation_values)
+from conftest import (deviation_action_values, exact_automaton_value,
+                      exact_deviation_values, reference_automaton_value,
+                      reference_deviation_values, value_residual)
 from spegrid import automaton
 from spegrid.automaton import (_POLICY_STATES, Automaton, AutomatonState,
                                PunishmentProfile)
@@ -36,19 +40,54 @@ def _bits(x) -> bytes:
 
 
 def assert_same_bits(M: Automaton, gamma: float):
-    """The loops' bits for the value everywhere and for the deviation
-    values where the library takes the max or iterates; policy iteration's
-    values are checked by ``assert_optimal_deviation`` instead."""
+    """The loops' bits for the value and for the deviation values where the
+    library takes the max; policy iteration's values are checked by
+    ``assert_optimal_deviation`` instead, and a peeled automaton (more than
+    ``_POLICY_STATES`` states, gamma > 0) by ``assert_peeled``."""
+    for i in range(M.game.player_count):
+        assert struct.pack("d", sg.best_deviation(M, i, gamma)) \
+            == struct.pack("d", float(sg.deviation_values(M, i, gamma)[
+                M.initial]))
+    if gamma > 0.0 and len(M.states) > automaton._POLICY_STATES:
+        assert_peeled(M, gamma)
+        return
     assert _bits(sg.automaton_value(M, gamma)) \
         == _bits(reference_automaton_value(M, gamma))
     for i in range(M.game.player_count):
         V = sg.deviation_values(M, i, gamma)
-        assert struct.pack("d", sg.best_deviation(M, i, gamma)) \
-            == struct.pack("d", float(V[M.initial]))
-        if gamma == 0.0 or len(M.states) > _POLICY_STATES:
+        if gamma == 0.0:
             assert _bits(V) == _bits(reference_deviation_values(M, i, gamma))
         else:
             assert_optimal_deviation(M, i, gamma, V)
+
+
+def assert_peeled(M: Automaton, gamma: float):
+    """Every peeled state meets its own equation within 1e-12, given the
+    values it leads to.  The core keeps its rule's accuracy: solved densely
+    (at most 1500 states) the value is within 1e-12 of the dense reference,
+    and a core of at most ``_POLICY_STATES`` states puts each deviator at
+    the optimum (``assert_optimal_deviation``).  A larger core iterates, to
+    within the iteration's own error of the reference loops' iteration,
+    which errs as much: gamma / (1 - gamma) * 1e-9 for the value and
+    gamma * 1e-9 for a deviator."""
+    core = M._peel.groups[0]
+    peeled = np.setdiff1d(np.arange(len(M.states)), core)
+    u = sg.automaton_value(M, gamma)
+    assert value_residual(M, gamma, u)[peeled].max(initial=0.0) <= 1e-12
+    diff = np.max(np.abs(u - reference_automaton_value(M, gamma)))
+    if len(M.states) <= 1500:
+        assert diff <= 1e-12
+    else:
+        assert diff <= 2.0 * gamma / (1.0 - gamma) * 1e-9
+    for i in range(M.game.player_count):
+        V = sg.deviation_values(M, i, gamma)
+        step = deviation_action_values(M, i, gamma, V).max(axis=1)
+        assert np.abs(step - V)[peeled].max(initial=0.0) <= 1e-12
+        if core.size <= automaton._POLICY_STATES:
+            assert_optimal_deviation(M, i, gamma, V)
+        else:
+            assert np.max(np.abs(V - reference_deviation_values(
+                M, i, gamma))) <= 2.0 * gamma * 1e-9
 
 
 def assert_optimal_deviation(M: Automaton, player: int, gamma: float, V):
@@ -86,11 +125,10 @@ def test_benchmark_automata_keep_their_bits(workload, monkeypatch):
     for M in _solved_automata(sg.load_bundled(spec["game"]), config):
         for gamma in (config.gamma, 0.0):
             assert_same_bits(M, gamma)
-        # the full automata of 308 and 624 states run value iteration
-        if len(M.states) <= _POLICY_STATES:
-            assert_no_worse_than_following(M, config.gamma)
-        else:
-            assert_iteration_agrees(M, config.gamma, monkeypatch)
+        assert_no_worse_than_following(M, config.gamma)
+        # the full automata of 308 and 624 states are peeled
+        if len(M.states) > _POLICY_STATES:
+            assert_peel_agrees(M, config.gamma, monkeypatch)
 
 
 def assert_no_worse_than_following(M: Automaton, gamma: float):
@@ -100,8 +138,22 @@ def assert_no_worse_than_following(M: Automaton, gamma: float):
         assert np.all(sg.deviation_values(M, i, gamma) >= u[:, i] - 1e-12)
 
 
+def assert_peel_agrees(M: Automaton, gamma: float, monkeypatch):
+    """The peeled value and deviations are within 1e-12 of the whole
+    automaton's dense solve and policy iteration (the cut-off raised)."""
+    players = range(M.game.player_count)
+    peeled = [sg.automaton_value(M, gamma)] + [
+        sg.deviation_values(M, i, gamma) for i in players]
+    monkeypatch.setattr(automaton, "_POLICY_STATES", len(M.states))
+    whole = [sg.automaton_value(M, gamma)] + [
+        sg.deviation_values(M, i, gamma) for i in players]
+    monkeypatch.undo()
+    for a, b in zip(peeled, whole):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
 def assert_iteration_agrees(M: Automaton, gamma: float, monkeypatch):
-    """Value iteration, which runs above the cut-off, stops within
+    """Value iteration, which solves a core above the cut-off, stops within
     gamma * 1e-9 of policy iteration's values on the same automaton."""
     players = range(M.game.player_count)
     iterated = [sg.deviation_values(M, i, gamma) for i in players]
@@ -224,7 +276,113 @@ def test_random_deviation_values_are_optimal(shape, states):
         for i in range(M.game.player_count):
             assert_optimal_deviation(M, i, gamma,
                                      sg.deviation_values(M, i, gamma))
-        assert_no_worse_than_following(M, gamma)
+
+
+def layered_automaton(rng, game: sg.StageGame, states: int,
+                      core: int) -> Automaton:
+    """``random_automaton`` with its states ranked at random: the top
+    ``core`` ranks move only among themselves, and a state of a lower rank
+    only to itself (about a third of its moves) or to a higher rank, so the
+    peel leaves a core of at most ``core`` states."""
+    M = random_automaton(rng, game, states)
+    rank = rng.permutation(states)
+    of_rank = np.argsort(rank)
+    floor = states - core
+
+    def move(q, t):
+        k = rank[q]
+        if k >= floor:
+            return t if rank[t] >= floor else int(
+                of_rank[rng.integers(floor, states)])
+        if k + 1 == states or rng.random() < 1 / 3:
+            return q
+        return t if rank[t] > k else int(of_rank[rng.integers(k + 1, states)])
+
+    built = []
+    for q, st in enumerate(M.states):
+        transitions = {}
+        for profile, tr in st.transitions.items():
+            transitions[profile] = move(q, tr) if isinstance(tr, int) \
+                else tuple((w, move(q, t)) for w, t in tr)
+        built.append(AutomatonState(st.cube, st.mixed, transitions))
+    return Automaton(game, tuple(built), M.initial, M.punishments)
+
+
+# at most five states meet the exact deviation oracle, the rest the Bellman
+# check; the exact value oracle takes them all
+@pytest.mark.parametrize("shape,states,core", [((2, 3), 5, 2), ((3, 2), 4, 1),
+                                               ((2, 2), 5, 0),
+                                               ((2, 2, 3), 4, 2),
+                                               ((2, 3), 12, 4),
+                                               ((3, 3), 10, 3)])
+def test_forced_peel_meets_the_exact_oracles(shape, states, core,
+                                             monkeypatch):
+    rng = np.random.default_rng(2000 + 16 * states + core)
+    M = layered_automaton(rng, random_game(rng, shape), states, core)
+    groups = M._peel.groups
+    assert len(groups) > 1 and groups[0].size <= core
+    # peel every automaton larger than its core; solve the core as today
+    monkeypatch.setattr(automaton, "_POLICY_STATES", groups[0].size)
+    for gamma in (0.3, 0.6, 0.95):
+        u = sg.automaton_value(M, gamma)
+        assert np.max(np.abs(u - exact_automaton_value(M, gamma))) <= 1e-12
+        for i in range(M.game.player_count):
+            assert_optimal_deviation(M, i, gamma,
+                                     sg.deviation_values(M, i, gamma))
+
+
+def peel_groups(M: Automaton) -> np.ndarray:
+    """The group of each state in ``M._peel`` (0: the core)."""
+    group = np.full(len(M.states), -1)
+    for g, members in enumerate(M._peel.groups):
+        assert np.all(group[members] == -1)
+        group[members] = g
+    assert np.all(group >= 0)
+    return group
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_peeled_states_move_to_later_layers_the_core_or_themselves(seed):
+    rng = np.random.default_rng(3000 + seed)
+    states = int(rng.integers(1, 60))
+    game = random_game(rng, ((2, 3), (2, 2), (2, 2, 3))[seed % 3])
+    M = layered_automaton(rng, game, states, int(rng.integers(0, states))) \
+        if seed % 4 else random_automaton(rng, game, states)
+    group, peel, table = peel_groups(M), M._peel, M._outcomes
+    predecessors = [set() for _ in M.states]
+    for q, st in enumerate(M.states):
+        for tr in st.transitions.values():
+            for _, t in ((1.0, tr),) if isinstance(tr, int) else tr:
+                # a later layer or the core has a smaller group
+                assert t == q or group[t] < group[q] or group[q] == 0
+                assert group[q] or not group[t]
+                if t != q:
+                    predecessors[t].add(q)
+    # the peel is maximal: each core state has another core predecessor
+    for q in peel.groups[0]:
+        assert any(group[r] == 0 for r in predecessors[q])
+    for members in peel.groups:
+        assert np.array_equal(peel.slot[members], np.arange(members.size))
+    # the entries of each group in walk order, every entry once
+    sources = group[table.state[table.row[peel.entries]]]
+    assert np.array_equal(np.sort(peel.entries), np.arange(len(table.row)))
+    for g in range(len(peel.groups)):
+        chunk = peel.entries[peel.starts[g]:peel.starts[g + 1]]
+        assert np.all(sources[peel.starts[g]:peel.starts[g + 1]] == g)
+        assert np.all(np.diff(chunk) > 0)
+
+
+def test_small_automata_are_not_peeled():
+    spec = WORKLOADS["lp_rps"]   # a full automaton of 44 states
+    config = sg.SolverConfig(gamma=spec["gamma"], epsilon=spec["epsilon"],
+                             mode=spec["mode"],
+                             frozen_passes=spec["frozen_passes"])
+    for M in _solved_automata(sg.load_bundled(spec["game"]), config,
+                              targets=2):
+        assert len(M.states) <= _POLICY_STATES
+        sg.automaton_value(M, 0.7)
+        sg.deviation_values(M, 0, 0.7)
+        assert "_peel" not in vars(M)
 
 
 def test_iteration_just_above_the_cut_off_agrees(monkeypatch):

@@ -132,7 +132,7 @@ def test_tight_cubes_reach_both_verdicts():
         mask = _pattern_mask(C.indices(), C, ctx, game, gamma)[k]
         kind = "hull" if ctx.halfplanes is not None else "clusters"
         for keep, pattern in zip(mask.any(axis=0).tolist(), patterns):
-            key = (kind, pattern.is_pure(), keep)
+            key = (kind, pattern.pure, keep)
             seen[key] = seen.get(key, 0) + 1
 
     count()

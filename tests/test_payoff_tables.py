@@ -122,7 +122,7 @@ def test_cluster_deciders_agree_with_the_support_lp(scenario):
     for pattern in patterns_of(game):
         lp = sg.solve_feasibility(sg.mixed_cluster_system(
             cube, cluster, floor, game, gamma, pattern))
-        if pattern.is_pure():
+        if pattern.pure:
             fast = _screen_pattern(cube.origin, cube.side, pattern, game,
                                    gamma, floor, window, False) \
                 and _singleton_cluster_solution(cube.origin, cube.side,
@@ -162,7 +162,7 @@ def test_correlated_deciders_agree_with_the_support_lp(scenario):
         system = sg.correlated_support_system(cube, planes, floor, bounds,
                                               game, gamma, pattern)
         lp = sg.solve_feasibility(system)
-        if pattern.is_pure():
+        if pattern.pure:
             fast = _screen_pattern(cube.origin, cube.side, pattern, game,
                                    gamma, floor, window, True) \
                 and _singleton_correlated_solution(
@@ -201,7 +201,7 @@ def boundary_scenarios(draw):
         return draw(hull_tight_scenarios())
     game = draw(games(scale=20.0))
     pattern = draw(st.sampled_from([p for p in patterns_of(game)
-                                    if not p.is_pure()]))
+                                    if not p.pure]))
     gamma = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9]))
     mixture = []
     for supp in pattern.supports:
@@ -270,7 +270,7 @@ def hull_tight_scenarios(draw):
     game = draw(games(scale=draw(st.sampled_from([0.1, 20.0]))))
     pattern = draw(st.sampled_from([
         pt for pt in patterns_of(game)
-        if not pt.is_pure() and min(map(len, pt.supports)) == 1]))
+        if not pt.pure and min(map(len, pt.supports)) == 1]))
     p = 0 if len(pattern.supports[0]) == 1 else 1
     m, b = 1 - p, pattern.supports[p][0]
     gamma = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))

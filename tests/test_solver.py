@@ -101,7 +101,7 @@ class TestCubeSupportedMixed:
         pure = sg.cube_supported_pure(cube, C, C.min_origin(), pd, 0.4)
         mixed = sg.cube_supported_mixed(cube, C, C.min_origin(), pd, 0.4)
         assert mixed is not None
-        assert mixed.solution.pattern.is_pure()
+        assert mixed.solution.pattern.pure
         assert tuple(s[0] for s in mixed.solution.pattern.supports) == pure.profile
 
     def test_off_equilibrium_cube_dies(self, pennies):
@@ -120,7 +120,7 @@ class TestCubeSupportedMixed:
 
     def test_singleton_shortcut_matches_lp(self):
         rng = np.random.default_rng(93)
-        patterns = [p for p in enumerate_support_patterns([2, 2]) if p.is_pure()]
+        patterns = [p for p in enumerate_support_patterns([2, 2]) if p.pure]
         for _ in range(150):
             game = random_game(rng, (2, 2))
             origin = tuple(rng.uniform(-2, 2, size=2))
@@ -184,7 +184,7 @@ class TestCubeSupportedCorrelated:
 
     def test_singleton_shortcut_matches_lp(self):
         rng = np.random.default_rng(57)
-        patterns = [p for p in enumerate_support_patterns([2, 2]) if p.is_pure()]
+        patterns = [p for p in enumerate_support_patterns([2, 2]) if p.pure]
         for _ in range(120):
             game = random_game(rng, (2, 2))
             bounds = sg.payoff_bounds(game)

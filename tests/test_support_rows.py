@@ -131,7 +131,7 @@ def decider_cases(draw):
 
 def singleton_patterns(game):
     return [p for p in enumerate_support_patterns(
-        [game.action_count(i) for i in range(2)]) if p.is_pure()]
+        [game.action_count(i) for i in range(2)]) if p.pure]
 
 
 def witnesses(game, gamma, ctx, origin, side):
