@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -379,22 +380,17 @@ def solve_feasibility(system) -> Optional[dict]:
 
 # -- support enumeration ----------------------------------------------------
 
-class _Pattern(NamedTuple):
+class _Supports(NamedTuple):
     supports: tuple[tuple[int, ...], ...]
-    pure: bool
 
 
-class SupportPattern(_Pattern):
-    """Per-player subsets of actions designated as in-support, and whether
-    each holds a single action (``pure``), found once per pattern."""
+class SupportPattern(_Supports):
+    """Per-player subsets of actions designated as in-support."""
 
-    __slots__ = ()
-
-    def __new__(cls, supports):
-        return super().__new__(cls, supports, max(map(len, supports)) == 1)
-
-    def __getnewargs__(self):
-        return (self.supports,)
+    @cached_property
+    def pure(self) -> bool:
+        """Whether each player's subset holds a single action."""
+        return max(map(len, self.supports)) == 1
 
     @property
     def cardinality(self) -> int:

@@ -227,6 +227,10 @@ class TestSupportPatterns:
             for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
                 assert q == p and q.pure == p.pure
                 assert type(q) is type(p)
+            # a replaced pattern works its purity out afresh
+            mixed = p._replace(supports=((0, 1), (0,)))
+            assert not mixed.pure and mixed._replace(
+                supports=((1,), (2,))).pure
 
 
 class TestSolveSupportProgram:

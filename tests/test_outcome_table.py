@@ -12,12 +12,13 @@ runs policy iteration: there its values must be a fixed point of the
 Bellman step within 1e-12, and on automata of at most five states match
 the exact fractions oracle within 1e-12.  Above the cut-off both peel the
 transient states off a core (``Automaton._peel``): every peeled state
-meets its own equation within 1e-12, and the core keeps the accuracy of
-the rule that solves it.  The cases: solved, extracted and hand-built
-automata, the benchmark workloads, gamma = 0, lotteries, mixed supports
-with sub-tolerance mass, three players, more states than the dense solve
-takes, and small automata peeled by lowering the cut-off.  The table is
-built from one walk over the transitions and never handed out.
+meets its own equation within 1e-12, and the core keeps the bits of the
+reference loops run on the core alone where its rule is theirs.  The
+cases: solved, extracted and hand-built automata, the benchmark
+workloads, gamma = 0, lotteries, mixed supports with sub-tolerance mass,
+three players, more states than the dense solve takes, and small
+automata peeled by lowering the cut-off.  The table is built from one
+walk over the transitions and never handed out.
 """
 
 import struct
@@ -63,22 +64,21 @@ def assert_same_bits(M: Automaton, gamma: float):
 
 def assert_peeled(M: Automaton, gamma: float):
     """Every peeled state meets its own equation within 1e-12, given the
-    values it leads to.  The core keeps its rule's accuracy: solved densely
-    (at most 1500 states) the value is within 1e-12 of the dense reference,
-    and a core of at most ``_POLICY_STATES`` states puts each deviator at
-    the optimum (``assert_optimal_deviation``).  A larger core iterates, to
-    within the iteration's own error of the reference loops' iteration,
-    which errs as much: gamma / (1 - gamma) * 1e-9 for the value and
-    gamma * 1e-9 for a deviator."""
+    values it leads to.  The core keeps the bits of the reference loops run
+    on the core alone (``core_automaton``): its value always, and each
+    deviator's values when the core iterates (more than ``_POLICY_STATES``
+    states); a smaller core puts each deviator at the optimum
+    (``assert_optimal_deviation``).  Solved densely (at most 1500 states),
+    the whole value is also within 1e-12 of the dense reference."""
     core = M._peel.groups[0]
     peeled = np.setdiff1d(np.arange(len(M.states)), core)
+    core_M = core_automaton(M)
     u = sg.automaton_value(M, gamma)
     assert value_residual(M, gamma, u)[peeled].max(initial=0.0) <= 1e-12
-    diff = np.max(np.abs(u - reference_automaton_value(M, gamma)))
+    assert _bits(u[core]) == _bits(reference_automaton_value(core_M, gamma))
     if len(M.states) <= 1500:
-        assert diff <= 1e-12
-    else:
-        assert diff <= 2.0 * gamma / (1.0 - gamma) * 1e-9
+        assert np.max(np.abs(u - reference_automaton_value(M, gamma))) \
+            <= 1e-12
     for i in range(M.game.player_count):
         V = sg.deviation_values(M, i, gamma)
         step = deviation_action_values(M, i, gamma, V).max(axis=1)
@@ -86,8 +86,25 @@ def assert_peeled(M: Automaton, gamma: float):
         if core.size <= automaton._POLICY_STATES:
             assert_optimal_deviation(M, i, gamma, V)
         else:
-            assert np.max(np.abs(V - reference_deviation_values(
-                M, i, gamma))) <= 2.0 * gamma * 1e-9
+            assert _bits(V[core]) \
+                == _bits(reference_deviation_values(core_M, i, gamma))
+
+
+def core_automaton(M: Automaton) -> Automaton:
+    """The core of ``M._peel`` as an automaton of its own, its states in
+    slot order.  The core is forward-closed, so every transition stays in
+    it, and its outcome rows and entries keep their order."""
+    core, slot = M._peel.groups[0], M._peel.slot
+
+    def move(tr):
+        return int(slot[tr]) if isinstance(tr, int) \
+            else tuple((w, int(slot[t])) for w, t in tr)
+
+    states = tuple(AutomatonState(M.states[q].cube, M.states[q].mixed,
+                                  {profile: move(tr) for profile, tr
+                                   in M.states[q].transitions.items()})
+                   for q in core)
+    return Automaton(M.game, states, 0, M.punishments)
 
 
 def assert_optimal_deviation(M: Automaton, player: int, gamma: float, V):
@@ -276,6 +293,7 @@ def test_random_deviation_values_are_optimal(shape, states):
         for i in range(M.game.player_count):
             assert_optimal_deviation(M, i, gamma,
                                      sg.deviation_values(M, i, gamma))
+        assert_no_worse_than_following(M, gamma)
 
 
 def layered_automaton(rng, game: sg.StageGame, states: int,
