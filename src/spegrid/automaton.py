@@ -28,9 +28,12 @@ from .geometry import (CubeSet, Hypercube, get_halfplanes, hull_vertices,
                        locate_index)
 
 _LOCATE_TOL = 1e-6   # continuations carry LP tolerance; widen point location
-# deviation values: the largest automaton solved by policy iteration (one
-# dense solve per policy); a larger one costs less by value iteration
+# an automaton above _POLICY_STATES states is peeled; policy iteration (one
+# dense solve per policy) takes a problem of up to _POLICY_STATES states with
+# more than one action, or _DENSE_STATES with one (the value); a larger one,
+# whose dense matrix of k states would hold 8k^2 bytes, iterates
 _POLICY_STATES = 128
+_DENSE_STATES = 1500
 _SWITCH_TOL = 1e-12  # a policy switch must gain more than this
 
 
@@ -383,11 +386,9 @@ def automaton_value(M: Automaton, gamma: float) -> np.ndarray:
     """Per-state discounted average payoff profiles.
 
     Solves u(q) = (1-g) E[r] + g E[u(next)] over all states; lotteries are
-    resolved in expectation.  Unique since gamma < 1.  An automaton of more
-    than ``_POLICY_STATES`` (128) states is peeled (``Automaton._peel``):
-    its core is solved alone, then each transient layer in closed form
-    (``_back_substitute``).  A system of up to 1500 states is solved
-    densely; a larger one by value iteration to a sup-norm step of 1e-9.
+    resolved in expectation.  Unique since gamma < 1.  This is the
+    deviator's decision problem (``_evaluate``) with one action and one
+    value column per player.
     """
     check_gamma(gamma)
     table = M._outcomes
@@ -397,37 +398,7 @@ def automaton_value(M: Automaton, gamma: float) -> np.ndarray:
     stage = p[on, None] * M.game.payoffs.reshape(-1, n)[table.profile[on]]
     R = np.stack([np.bincount(table.state[on], weights=stage[:, c],
                               minlength=Q) for c in range(n)], axis=1)
-    if gamma == 0.0:
-        return R
-    if Q <= _POLICY_STATES:
-        return _value_solve(R, *_weighted_entries(table, p, table.state),
-                            gamma)
-    core, *layers = _peeled_entries(M, p, table.state, 1)
-    members, srcs, dsts, wts = core
-    u = np.empty_like(R)
-    u[members] = _value_solve(R[members], srcs, M._peel.slot[dsts], wts,
-                              gamma)
-    return _back_substitute(u, R[:, None, :], layers, gamma)
-
-
-def _value_solve(R: np.ndarray, srcs: np.ndarray, dsts: np.ndarray,
-                 wts: np.ndarray, gamma: float) -> np.ndarray:
-    Q, n = R.shape
-    if Q <= 1500:
-        P = np.zeros((Q, Q))
-        np.add.at(P, (srcs, dsts), wts)
-        return np.linalg.solve(np.eye(Q) - gamma * P, (1.0 - gamma) * R)
-    u = R.copy()
-    for _ in range(1000000):
-        pu = np.empty_like(u)
-        for c in range(n):
-            pu[:, c] = np.bincount(srcs, weights=wts * u[dsts, c], minlength=Q)
-        new = (1.0 - gamma) * R + gamma * pu
-        step = np.max(np.abs(new - u))
-        u = new
-        if step <= 1e-9:
-            return u
-    raise RuntimeError("value evaluation did not converge")
+    return _evaluate(M, R[:, None, :], p, table.state, gamma)
 
 
 def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
@@ -436,19 +407,14 @@ def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
     The opponents' play is fixed by the automaton.  The deviator maximises
     over all own pure actions; out-of-support actions transition to the
     deviator's punishment state, in-support ones follow the equilibrium
-    transitions.  Automata of at most ``_POLICY_STATES`` (128) states are
-    solved by policy iteration: from the myopic policy, each policy is
-    evaluated by one dense linear solve, and a state switches action only
-    when another action's value beats its current one by more than
-    ``_SWITCH_TOL`` (1e-12), which rules out cycling on rounding ties; the
-    values of the first policy no state switches from are returned.  A
-    larger automaton is peeled as in ``automaton_value``: its core is
-    solved by the same rule for the core's size (value iteration above the
-    cut-off, until the sup-norm step is at most 1e-9 * (1 - gamma)), then
-    each layer in closed form.
+    transitions.  Solved by ``_evaluate`` with one value column; a player
+    outside ``[0, player_count)`` is a ValueError.
     """
-    check_gamma(gamma)
     game = M.game
+    if not 0 <= player < game.player_count:
+        raise ValueError(f"player {player} is not one of the game's "
+                         f"{game.player_count} players")
+    check_gamma(gamma)
     table = M._outcomes
     Q, A = len(M.states), game.action_count(player)
     bins = table.state * A + table.actions[player]
@@ -456,56 +422,77 @@ def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
     on = np.flatnonzero(p > 0.0)
     stage = p[on] * game.payoffs[..., player].ravel()[table.profile[on]]
     imm = np.bincount(bins[on], weights=stage, minlength=Q * A).reshape(Q, A)
+    return _evaluate(M, imm[:, :, None], p, bins, gamma)[:, 0]
+
+
+def _evaluate(M: Automaton, stage: np.ndarray, p: np.ndarray,
+              bins: np.ndarray, gamma: float) -> np.ndarray:
+    """Optimal values (Q, c) of a decision problem on M's outcome table with
+    expected stage payoffs ``stage`` (Q, A, c) per state, action and value
+    column, outcome row probabilities ``p`` and bins (state * A + action)
+    ``bins``.  At gamma = 0 the best stage payoff.  Up to ``_POLICY_STATES``
+    states ``_solve`` takes the whole automaton; above, its core
+    (``Automaton._peel``), then ``_back_substitute`` the transient layers."""
+    Q, A, cols = stage.shape
     if gamma == 0.0:
-        return imm.max(axis=1)
+        return stage.max(axis=1)
     if Q <= _POLICY_STATES:
-        return _deviation_solve(imm, *_weighted_entries(table, p, bins), gamma)
-    core, *layers = _peeled_entries(M, p, bins, A)
-    members, srcs, dsts, wts = core
-    V = np.empty((Q, 1))
-    V[members, 0] = _deviation_solve(imm[members], srcs, M._peel.slot[dsts],
-                                     wts, gamma)
-    return _back_substitute(V, imm[:, :, None], layers, gamma)[:, 0]
+        return _solve(stage, *_weighted_entries(M._outcomes, p, bins), gamma)
+    (members, srcs, dsts, wts), *layers = _peeled_entries(M, p, bins, A)
+    u = np.empty((Q, cols))
+    u[members] = _solve(stage[members], srcs, M._peel.slot[dsts], wts, gamma)
+    return _back_substitute(u, stage, layers, gamma)
 
 
-def _deviation_solve(imm: np.ndarray, srcs: np.ndarray, dsts: np.ndarray,
-                     wts: np.ndarray, gamma: float) -> np.ndarray:
-    Q, A = imm.shape
-    if Q <= _POLICY_STATES:
-        return _policy_iteration(imm, srcs * Q + dsts, wts, gamma)
-    V = np.zeros(Q)
-    tol = 1e-9 * (1.0 - gamma)
+def _solve(stage: np.ndarray, srcs: np.ndarray, dsts: np.ndarray,
+           wts: np.ndarray, gamma: float) -> np.ndarray:
+    """Optimal values (Q, c) for stage payoffs ``stage`` (Q, A, c), c = 1 if
+    A > 1, and transition mass ``wts`` from bin ``srcs`` (state * A +
+    action) to state ``dsts``.  Up to ``_DENSE_STATES`` states with one
+    action or ``_POLICY_STATES`` with more, by policy iteration on the
+    dense (Q * A) x Q transition matrix: from the myopic policy, one linear
+    solve per policy, and a state switches action only for a gain above
+    ``_SWITCH_TOL``, which rules out cycling on rounding ties.  One action
+    is one policy: a single solve.  Above the limits, by value iteration."""
+    Q, A, cols = stage.shape
+    r = (1.0 - gamma) * stage.reshape(Q * A, cols)
+    if Q <= (_DENSE_STATES if A == 1 else _POLICY_STATES):
+        T = np.bincount(srcs * Q + dsts, weights=wts,
+                        minlength=Q * A * Q).reshape(Q * A, Q)
+        # a policy is its rows of T and r; one action has one, every row
+        if A == 1:
+            rows = slice(None)
+        else:
+            first = np.arange(0, Q * A, A)   # each state's first row
+            rows = first + r[:, 0].reshape(Q, A).argmax(axis=1)
+        for _ in range(10000):
+            V = np.linalg.solve(np.eye(Q) - gamma * T[rows], r[rows])
+            if A == 1:
+                return V
+            values = r[:, 0] + gamma * (T @ V[:, 0])
+            best = first + values.reshape(Q, A).argmax(axis=1)
+            switch = values[best] > values[rows] + _SWITCH_TOL
+            if not switch.any():
+                return V
+            rows = np.where(switch, best, rows)
+        raise RuntimeError("policy iteration did not converge")
+    # two rules, each kept for its bits: one action (the value) starts at
+    # the stage payoff and stops at a sup-norm step of 1e-9; more (a
+    # deviator) start at zero and stop at 1e-9 * (1 - gamma), which bounds
+    # the error by gamma * 1e-9
+    u, tol = (stage[:, 0].copy(), 1e-9) if A == 1 \
+        else (np.zeros((Q, cols)), 1e-9 * (1.0 - gamma))
+    ahead = np.empty((Q * A, cols))
     for _ in range(1000000):
-        tv = np.bincount(srcs, weights=wts * V[dsts], minlength=Q * A)
-        newV = ((1.0 - gamma) * imm + gamma * tv.reshape(Q, A)).max(axis=1)
-        step = np.max(np.abs(newV - V))
-        V = newV
+        for c in range(cols):
+            ahead[:, c] = np.bincount(srcs, weights=wts * u[dsts, c],
+                                      minlength=Q * A)
+        new = (r + gamma * ahead).reshape(Q, A, cols).max(axis=1)
+        step = np.max(np.abs(new - u))
+        u = new
         if step <= tol:
-            return V
-    raise RuntimeError("deviation value iteration did not converge")
-
-
-def _policy_iteration(imm: np.ndarray, cells: np.ndarray, wts: np.ndarray,
-                      gamma: float) -> np.ndarray:
-    """Optimal values of the deviator's MDP: stage payoffs ``imm`` (Q x A)
-    and transition mass ``wts`` at flat cells (state * A + action) * Q +
-    next state of the (Q * A) x Q transition matrix."""
-    Q, A = imm.shape
-    T = np.bincount(cells, weights=wts, minlength=Q * A * Q).reshape(Q * A, Q)
-    r = (1.0 - gamma) * imm
-    states = np.arange(Q)
-    policy = r.argmax(axis=1)
-    system = np.eye(Q)
-    for _ in range(10000):
-        rows = states * A + policy
-        V = np.linalg.solve(system - gamma * T[rows], r[states, policy])
-        values = r + gamma * (T @ V).reshape(Q, A)
-        best = values.argmax(axis=1)
-        switch = values[states, best] > values[states, policy] + _SWITCH_TOL
-        if not switch.any():
-            return V
-        policy = np.where(switch, best, policy)
-    raise RuntimeError("deviation policy iteration did not converge")
+            return u
+    raise RuntimeError("value iteration did not converge")
 
 
 def best_deviation(M: Automaton, player: int, gamma: float) -> float:

@@ -1001,7 +1001,7 @@ def _stacked_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
             mask = masks[supports] = tuple(float(a in supports[i])
                                            for i in range(2)
                                            for a in range(m[i]))
-        cond = cert.conditional_payoffs or _conditional_payoffs(cert, game)
+        cond = _conditional_payoffs(cert, game)
         flat += sol.continuations[0]
         flat += sol.continuations[1]
         flat += cond[0]

@@ -139,6 +139,14 @@ class TestBestDeviation:
         with pytest.raises(ValueError, match="gamma"):
             sg.best_deviation(defection, 1, gamma)
 
+    @pytest.mark.parametrize("player", [-2, -1, 2, 3])
+    def test_rejects_a_player_outside_the_game(self, defection, player):
+        # a negative index used to return another player's values
+        with pytest.raises(ValueError, match="player"):
+            sg.deviation_values(defection, player, 0.5)
+        with pytest.raises(ValueError, match="player"):
+            sg.best_deviation(defection, player, 0.5)
+
     def test_grim_equilibrium_at_high_gamma(self, pd, grim):
         C, certs = grim
         M = sg.extract_automaton(C, certs, (2.0, 2.0), pd)

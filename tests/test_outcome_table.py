@@ -296,6 +296,22 @@ def test_random_deviation_values_are_optimal(shape, states):
         assert_no_worse_than_following(M, gamma)
 
 
+# following the automaton is the decision problem of a deviator with one
+# action; without sub-tolerance mass (a one-action mixture has none) both
+# read the same rows, and 200 states are peeled
+@pytest.mark.parametrize("shape,states", [((1, 3), 20), ((3, 1), 20),
+                                          ((1, 2), 20), ((1, 3), 200),
+                                          ((3, 1), 200), ((1, 2), 200)])
+def test_a_one_action_deviator_gets_the_value(shape, states):
+    rng = np.random.default_rng(4000 + states)
+    M = random_automaton(rng, random_game(rng, shape), states, tiny=0.0)
+    i = shape.index(1)
+    for gamma in (0.0, 0.3, 0.95):
+        u = sg.automaton_value(M, gamma)
+        assert np.max(np.abs(sg.deviation_values(M, i, gamma) - u[:, i])) \
+            <= 1e-12
+
+
 def layered_automaton(rng, game: sg.StageGame, states: int,
                       core: int) -> Automaton:
     """``random_automaton`` with its states ranked at random: the top
