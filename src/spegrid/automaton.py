@@ -427,12 +427,12 @@ def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
 
 def _evaluate(M: Automaton, stage: np.ndarray, p: np.ndarray,
               bins: np.ndarray, gamma: float) -> np.ndarray:
-    """Optimal values (Q, c) of a decision problem on M's outcome table with
-    expected stage payoffs ``stage`` (Q, A, c) per state, action and value
-    column, outcome row probabilities ``p`` and bins (state * A + action)
-    ``bins``.  At gamma = 0 the best stage payoff.  Up to ``_POLICY_STATES``
-    states ``_solve`` takes the whole automaton; above, its core
-    (``Automaton._peel``), then ``_back_substitute`` the transient layers."""
+    """Optimal values (Q, c) of a decision problem on M's outcome table:
+    ``stage`` (Q, A, c) is the expected stage payoff per state, action and
+    value column, ``p`` each outcome row's probability and ``bins`` its
+    state * A + action.  At gamma = 0 the best stage payoff.  Up to
+    ``_POLICY_STATES`` states ``_solve`` takes the whole automaton; above,
+    its core (``Automaton._peel``), then ``_back_substitute`` the layers."""
     Q, A, cols = stage.shape
     if gamma == 0.0:
         return stage.max(axis=1)

@@ -16,8 +16,9 @@ meets its own equation within 1e-12, and the core keeps the bits of the
 reference loops run on the core alone where its rule is theirs.  The
 cases: solved, extracted and hand-built automata, the benchmark
 workloads, gamma = 0, lotteries, mixed supports with sub-tolerance mass,
-three players, more states than the dense solve takes, and small
-automata peeled by lowering the cut-off.  The table is built from one
+three players, more states than the dense solve takes, small automata
+peeled by lowering the cut-off, and a player with one action, whose
+deviation values are the value's column.  The table is built from one
 walk over the transitions and never handed out.
 """
 
