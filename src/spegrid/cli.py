@@ -26,12 +26,13 @@ import numpy as np
 
 from .automaton import extract_automaton
 from .feasibility import FEAS_TOL, SupportPattern, SupportSolution
-from .game import MixedProfile, StageGame, check_gamma, payoff_bounds
+from .game import (PROB_TOL, MixedProfile, StageGame, check_gamma,
+                   conditional_columns, distribution_error, payoff_bounds)
 from .gamefile import parse_game_file, resolve_game_path
 from .geometry import CubeSet
-from .solver import (_MIXED_KINDS, SolveReport, SolveSnapshot, SolverConfig,
-                     SupportCertificate, _group_residuals, _MixedColumns,
-                     solve)
+from .solver import (SolveReport, SolveSnapshot, SolverConfig,
+                     SupportCertificate, _build_context, _residual_kernel,
+                     certificate_residual, solve)
 # Part of this module's namespace: perfbench/tracer.py hooks cli-level
 # certificate checks under this name.
 from .solver import verify_certificate  # noqa: F401
@@ -138,10 +139,6 @@ def write_final_set(path: Path, snap: SolveSnapshot, status: str,
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_vector(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split())
-
-
 def _lattice_indices(lines, base, side) -> list[tuple[int, ...]]:
     """The lattice index k of each line's origin, which must be exactly
     base + k * side, the writer's formula (``CubeSet.origin_of``'s)."""
@@ -170,7 +167,10 @@ def _read_final_set(path):
     rest = lines[k:]
     stop = rest.index("certificates:") if "certificates:" in rest else len(rest)
     count = int(meta["cubes"]) if "cubes" in meta else None
-    base, side = _parse_vector(meta["base"]), float(meta["side"])
+    missing = [key for key in ("base", "side") if key not in meta]
+    if missing:
+        raise ValueError(f"final set has no '{missing[0]}:' line")
+    base, side = tuple(map(float, meta["base"].split())), float(meta["side"])
     C = CubeSet(base, side, _lattice_indices(rest[:stop], base, side),
                 generation=int(meta.get("generation", 0)))
     if not stop == len(C) == count:
@@ -192,12 +192,15 @@ def _read_final_set(path):
 
 
 def _column(fields: dict, key: str, blocks) -> list[str]:
-    """The value of the field ``key`` in each of ``blocks``."""
+    """The value of the field ``key`` in each of ``blocks``; a block
+    without one is an error that names it by its cube."""
     values = fields.get(key, {})
     try:
         return [values[b] for b in blocks]
-    except KeyError:
-        raise KeyError(key) from None
+    except KeyError as exc:
+        cube = fields["cube"][exc.args[0]]
+        raise ValueError(f"the certificate block of cube {cube} has no "
+                         f"'{key}:' line") from None
 
 
 def _certificate(fields: dict, block: int, w_floor) -> SupportCertificate:
@@ -210,7 +213,7 @@ def _certificate(fields: dict, block: int, w_floor) -> SupportCertificate:
         return SupportCertificate(
             kind=kind, w_floor=w_floor,
             profile=tuple(map(int, value("profile").split())),
-            continuation=_parse_vector(value("continuation")))
+            continuation=tuple(map(float, value("continuation").split())))
     rows = {key: _parse_rows(value(key)) for key in ("alpha", "w", "wp")}
     sol = SupportSolution(MixedProfile(tuple(map(np.array, rows["alpha"]))),
                           rows["w"], rows["wp"],
@@ -233,44 +236,99 @@ def _field_array(values: list[str], counts) -> np.ndarray | None:
     array with a column per action, or None unless each value has
     ``counts[i]`` entries for player i (two players)."""
     m0, m1 = counts
-    rows = [text.replace("|", " | ").split() for text in values]
-    # each row has m0 + m1 + 1 tokens with a bar after m0 of them, and
-    # there are as many bars as rows, so no row has a second one
-    if any(len(row) != m0 + m1 + 1 or row[m0] != "|" for row in rows) \
-            or "".join(values).count("|") != len(values):
+    if any(len(a.split()) != m0 or len(b.split()) != m1 or "|" in b
+           for a, _, b in (text.partition("|") for text in values)):
         return None
     return np.array(" ".join(values).replace("|", " ").split(),
                     float).reshape(len(values), m0 + m1)
 
 
-def _certificate_groups(path, game: StageGame):
-    """The cube set of a final-set file and its certificates grouped by
-    kind for ``_group_residuals``: each mixed kind's read into columns
-    (``_MixedColumns``), pure ones built one by one.  No groups when the
-    certificates do not name each cube of the set exactly once."""
+def _mixed_columns(fields: dict, blocks, counts) -> list:
+    """A mixed kind's blocks as columns, a row per block and a column per
+    action of each player (player 0's first): the in-support mask, alpha,
+    w and wp; each None unless every row fits the game's shape (per player
+    one non-empty pattern row of actions in range, one entry per action)."""
+    patterns = _column(fields, "pattern", blocks)
+    supports = {p: _parse_rows(p, int) for p in set(patterns)}
+    masks = {p: [a in s[i] for i in range(2) for a in range(counts[i])]
+             for p, s in supports.items()
+             if len(s) == 2 and all(supp and 0 <= min(supp) and max(supp) < m
+                                    for supp, m in zip(s, counts))}
+    in_supp = (np.array([masks[p] for p in patterns], bool)
+               if len(masks) == len(supports) else None)
+    return [in_supp] + [_field_array(_column(fields, key, blocks), counts)
+                        for key in ("alpha", "w", "wp")]
+
+
+def _fit_columns(columns, game: StageGame):
+    """``_residual_kernel``'s w, conditional payoffs and in-support mask
+    from mixed columns that fit the game, or None: every column read, w and
+    wp finite (a NaN slips past every residual comparison), and alpha, once
+    clipped at 0, no mass above PROB_TOL outside the pattern.  An alpha row
+    that is no distribution raises MixedProfile's ValueError."""
+    if columns is None or any(col is None for col in columns):
+        return None
+    in_supp, alpha, w, wp = columns
+    # the messages start with the player, so ties go to player 0
+    errors = [e for e in map(distribution_error, np.split(
+        alpha, [game.action_count(0)], axis=1), (0, 1)) if e]
+    if errors:
+        raise ValueError(min(errors)[1])
+    alpha = np.clip(alpha, 0.0, None)
+    if not (np.isfinite(w).all() and np.isfinite(wp).all()) \
+            or np.any(np.where(in_supp, 0.0, alpha) > PROB_TOL):
+        return None
+    return w, conditional_columns(alpha, game), in_supp
+
+
+def _fits_game(cert: SupportCertificate, counts) -> bool:
+    """Whether a pure certificate (read from a file, so unchecked) has, per
+    player, one action in range of ``counts`` and one finite continuation."""
+    return (len(cert.profile) == len(cert.continuation) == len(counts)
+            and all(0 <= a < m for a, m in zip(cert.profile, counts))
+            and np.isfinite(cert.continuation).all())
+
+
+def _final_set_residuals(path, game: StageGame, gamma: float):
+    """Per certificate kind of a final-set file, in order of first
+    appearance, its blocks' cubes (lattice indices) and their residuals
+    against the file's cube set, with ``certificate_residual``'s bits.
+    Every kind is read, then fitted to the game, before any is replayed
+    against its own context: pure blocks as certificates, mixed kinds as
+    ``_residual_kernel``'s columns.  None unless each cube has one
+    certificate that fits."""
     C, _, cubes, fields = _read_final_set(path)
     if sorted(cubes) != C.indices():
-        return C, None
+        return None
     by_kind: dict = {}
     for b, kind in enumerate(_column(fields, "kind", range(len(cubes)))):
         by_kind.setdefault(kind, []).append(b)
     counts = [game.action_count(i) for i in range(game.player_count)]
-    groups = {}
-    for kind, blocks in by_kind.items():
+    # an unknown kind is read as None, which fits no game
+    groups = {kind: [_certificate(fields, b, C.min_origin()) for b in blocks]
+              if kind == "pure" else _mixed_columns(fields, blocks, counts)
+              if kind in ("mixed", "correlated") else None
+              for kind, blocks in by_kind.items()}
+    for kind, group in groups.items():
         if kind == "pure":
-            groups[kind] = {cubes[b]: _certificate(fields, b, C.min_origin())
-                            for b in blocks}
-        elif kind in _MIXED_KINDS:
-            patterns = _column(fields, "pattern", blocks)
-            supports = {p: _parse_rows(p, int) for p in set(patterns)}
-            groups[kind] = _MixedColumns(
-                np.array([cubes[b] for b in blocks], float),
-                [supports[p] for p in patterns],
-                *(_field_array(_column(fields, key, blocks), counts)
-                  for key in ("alpha", "w", "wp")))
+            fitted = all(_fits_game(cert, counts) for cert in group)
         else:
-            groups[kind] = None
-    return C, groups
+            fitted = groups[kind] = _fit_columns(group, game)
+        if not fitted:
+            return None
+    residuals = {}
+    for kind, blocks in by_kind.items():
+        ctx = _build_context(C, hull=kind == "correlated")
+        index = [cubes[b] for b in blocks]
+        if kind == "pure":
+            res = [certificate_residual(cert, game, gamma, C.origin_of(ix),
+                                        C.side, ctx.w_floor, ctx.clusters)
+                   for ix, cert in zip(index, groups[kind])]
+        else:
+            res = _residual_kernel(np.array(index, float), *groups[kind], C,
+                                   ctx, gamma, kind, counts)
+        residuals[kind] = index, np.asarray(res)
+    return residuals
 
 
 def verify_final_set(path, game: StageGame, gamma: float) -> bool:
@@ -278,12 +336,9 @@ def verify_final_set(path, game: StageGame, gamma: float) -> bool:
     set stored alongside it, at the 1e-7 feasibility tolerance; every cube
     needs exactly one certificate that fits the game."""
     check_gamma(gamma)
-    C, groups = _certificate_groups(path, game)
-    if groups is None:
-        return False
-    residuals = _group_residuals(C, groups, game, gamma)
+    residuals = _final_set_residuals(path, game, gamma)
     return residuals is not None and all(np.all(res <= FEAS_TOL)
-                                         for res in residuals.values())
+                                         for _, res in residuals.values())
 
 
 def run(manifest: RunManifest) -> tuple[int, SolveReport]:
@@ -396,7 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 for --help
+        return 1 if exc.code else 0
     try:
         if args.verify:
             game = parse_game_file(resolve_game_path(args.game))

@@ -212,6 +212,24 @@ def conditional_payoff_table(game: StageGame, alpha: MixedProfile):
     return tuple(table)
 
 
+def conditional_columns(alpha: np.ndarray, game: StageGame) -> np.ndarray:
+    """``conditional_payoff_table`` of every row of ``alpha`` (a column per
+    action, player 0's first) in its order: opponent actions ascending,
+    only the terms of positive probability, from 0.0.  For an exact point
+    mass that gives the bits of the game's shared table."""
+    m = [game.action_count(i) for i in range(2)]
+    opponent = (alpha[:, m[0]:], alpha[:, :m[0]])
+    q = []
+    for i in range(2):
+        for a in range(m[i]):
+            val = np.zeros(len(alpha))
+            for b, pb in enumerate(opponent[i].T):
+                r = game.payoff_to((a, b) if i == 0 else (b, a), i)
+                val = np.where(pb > 0.0, val + pb * r, val)
+            q.append(val)
+    return np.stack(q, axis=1)
+
+
 def _screen_rows(game: StageGame, supports):
     """Per player and own action: (in support, min and max payoff over the
     opponent's support, the payoffs against each action of that support),

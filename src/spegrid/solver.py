@@ -55,9 +55,9 @@ floor its out-of-support continuations sit at: replay takes the cube's
 position, the floor and the region from the cube set, so a certificate
 passes unchanged through a replay and down a split, and its out-of-support
 entries, which nothing in the loop reads, are re-anchored at the final
-floor once, for the report.  ``--verify`` builds one context per kind,
-reads each mixed kind's certificates as columns (``_MixedColumns``) and
-replays them through the frozen pass's kernel (``_residual_kernel``).
+floor once, for the report.  ``--verify`` (in the cli module, which alone
+knows the file format) reads mixed certificates straight into the arrays
+of the frozen pass's kernel, ``_residual_kernel``, and replays them there.
 """
 
 from __future__ import annotations
@@ -68,15 +68,15 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .feasibility import (_LE, FEAS_TOL, UNDECIDED, ArraySystem,
                           LinearSystem, SupportPattern, SupportSolution,
                           alpha_var, solve_support_program, w_var, wp_var)
-from .game import (PROB_TOL, MixedProfile, StageGame, check_gamma,
-                   conditional_payoff_table, distribution_error)
+from .game import (MixedProfile, StageGame, check_gamma,
+                   conditional_payoff_table)
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
                        get_halfplanes, hull_box, hull_vertices, initial_cube,
                        split_all)
@@ -1064,71 +1064,6 @@ def _residual_kernel(index, w, q, in_supp, C: CubeSet, ctx: _Context,
     return worst + 0.0
 
 
-# -- certificates as columns ---------------------------------------------------
-
-class _MixedColumns(NamedTuple):
-    """Certificates of one mixed kind, one row each: its cube's lattice
-    index, its pattern's supports, and per action of each player (player
-    0's first) its probability, continuation and utility; each of the last
-    three is None when a row lacks one entry per player and action."""
-
-    index: np.ndarray
-    supports: list
-    alpha: Optional[np.ndarray]
-    w: Optional[np.ndarray]
-    wp: Optional[np.ndarray]
-
-
-def _fitted_columns(cols: _MixedColumns, game: StageGame):
-    """The in-support mask and conditional payoffs of columns that fit the
-    game, or None: each pattern needs one non-empty row of actions in range
-    per player, each field one entry per action, w and wp only finite
-    numbers (a NaN slips past every residual comparison), and alpha, once
-    clipped at 0, no mass above PROB_TOL outside the pattern.  An alpha row
-    that is no distribution raises MixedProfile's ValueError."""
-    counts = [game.action_count(i) for i in range(2)]
-    masks = {}
-    for supports in set(cols.supports):
-        if len(supports) != 2 or not all(
-                supp and 0 <= min(supp) and max(supp) < m
-                for supp, m in zip(supports, counts)):
-            return None
-        masks[supports] = [a in supports[i] for i in range(2)
-                           for a in range(counts[i])]
-    if cols.alpha is None or cols.w is None or cols.wp is None:
-        return None
-    in_supp = np.array([masks[s] for s in cols.supports],
-                       bool).reshape(len(cols.supports), sum(counts))
-    split = (cols.alpha[:, :counts[0]], cols.alpha[:, counts[0]:])
-    # the messages start with the player, so ties go to player 0
-    errors = [e for e in map(distribution_error, split, (0, 1)) if e]
-    if errors:
-        raise ValueError(min(errors)[1])
-    alpha = np.clip(cols.alpha, 0.0, None)
-    if not (np.isfinite(cols.w).all() and np.isfinite(cols.wp).all()) \
-            or np.any(np.where(in_supp, 0.0, alpha) > PROB_TOL):
-        return None
-    return in_supp, _conditional_columns(alpha, game)
-
-
-def _conditional_columns(alpha: np.ndarray, game: StageGame) -> np.ndarray:
-    """``conditional_payoff_table`` of every row of ``alpha`` (a column per
-    action, player 0's first) in its order: opponent actions ascending,
-    only the terms of positive probability, from 0.0.  For an exact point
-    mass that gives the bits of the game's shared table."""
-    m = [game.action_count(i) for i in range(2)]
-    opponent = (alpha[:, m[0]:], alpha[:, :m[0]])
-    q = []
-    for i in range(2):
-        for a in range(m[i]):
-            val = np.zeros(len(alpha))
-            for b, pb in enumerate(opponent[i].T):
-                r = game.payoff_to((a, b) if i == 0 else (b, a), i)
-                val = np.where(pb > 0.0, val + pb * r, val)
-            q.append(val)
-    return np.stack(q, axis=1)
-
-
 def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
                        C: CubeSet, index) -> bool:
     """Replay a certificate for the cube ``index`` of C against the union C
@@ -1139,50 +1074,6 @@ def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
         return False
     ctx = _build_context(C, hull=cert.kind == "correlated")
     return _replay_ok(cert, ctx, C, index, game, gamma)
-
-
-_MIXED_KINDS = ("mixed", "correlated")
-
-
-def _group_residuals(C: CubeSet, groups: dict, game: StageGame,
-                     gamma: float) -> Optional[dict]:
-    """Per kind, the residuals against C of certificates grouped by kind
-    (pure ones in a dict by cube, each mixed kind as ``_MixedColumns``), in
-    group order, with ``certificate_residual``'s bits; each region's
-    context is built once.  None when a certificate does not fit the game,
-    or its kind is unknown."""
-    counts = [game.action_count(i) for i in range(game.player_count)]
-    fitted = {}
-    for kind, group in groups.items():
-        if kind == "pure":
-            fitted[kind] = all(_fits_game(c, counts) for c in group.values())
-        elif kind in _MIXED_KINDS:
-            fitted[kind] = _fitted_columns(group, game)
-        if not fitted.get(kind):
-            return None
-    contexts: dict = {}
-    residuals = {}
-    for kind, group in groups.items():
-        hull = kind == "correlated"
-        ctx = contexts[hull] = contexts.get(hull) or _build_context(C, hull)
-        if kind == "pure":
-            residuals[kind] = _batch_residuals(group, list(group), C, ctx,
-                                               game, gamma)
-            continue
-        in_supp, q = fitted[kind]
-        residuals[kind] = _residual_kernel(group.index, group.w, q, in_supp,
-                                           C, ctx, gamma, kind, counts)
-    return residuals
-
-
-def _fits_game(cert: SupportCertificate, counts) -> bool:
-    """Whether a pure certificate (read from a file, so unchecked) fits a
-    game with ``counts[i]`` actions for player i: one action in range and
-    one finite continuation per player (a NaN slips past every residual
-    comparison)."""
-    return (len(cert.profile) == len(cert.continuation) == len(counts)
-            and all(0 <= a < m for a, m in zip(cert.profile, counts))
-            and all(map(math.isfinite, cert.continuation)))
 
 
 def _refresh_certificate(cert: SupportCertificate, w_floor, gamma: float,

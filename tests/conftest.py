@@ -75,25 +75,25 @@ def write_report(report, path, certificates=None) -> None:
 
 def check_written_final_set(report, game: sg.StageGame, gamma: float) -> None:
     """Write a report's final set and require two things: ``--verify``
-    accepts it, and the residuals of its certificates read as columns are,
-    bit for bit (``float.hex``), those of the frozen pass's gather over
-    ``read_final_set``'s certificates."""
+    accepts it, and the residuals its reader replays per kind are, bit for
+    bit (``float.hex``), those of the frozen pass's gather over
+    ``read_final_set``'s certificates, which cover every cube and kind."""
     from spegrid import cli, solver
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "final_set.txt"
         write_report(report, path)
         assert cli.verify_final_set(path, game, gamma)
-        C, groups = cli._certificate_groups(path, game)
-        certs = cli.read_final_set(path)[2]
-    residuals = solver._group_residuals(C, groups, game, gamma)
-    assert sorted(residuals) == sorted(groups) and groups
-    for kind, group in groups.items():
-        indices = (list(group) if kind == "pure" else
-                   list(map(tuple, group.index.astype(int).tolist())))
+        residuals = cli._final_set_residuals(path, game, gamma)
+        C, _, certs = cli.read_final_set(path)
+    assert residuals and sorted(residuals) == sorted(
+        {c.kind for c in certs.values()})
+    assert sorted(ix for indices, _ in residuals.values()
+                  for ix in indices) == C.indices() == sorted(certs)
+    for kind, (indices, res) in residuals.items():
         ctx = solver._build_context(C, hull=kind == "correlated")
         batch = solver._batch_residuals(certs, indices, C, ctx, game, gamma)
-        assert list(map(float.hex, residuals[kind].tolist())) == \
+        assert list(map(float.hex, res.tolist())) == \
             list(map(float.hex, batch.tolist()))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,20 @@ class TestMain:
         code = main(["no_such_game", "--gamma", "0.3", "--epsilon", "0.4"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--epsilon", "0.4"],
+        ["--gamma", "0.3", "--epsilon", "0.4", "--mode", "foo"],
+        ["--gamma", "x", "--epsilon", "0.4"]],
+        ids=["missing_gamma", "unknown_mode", "non_numeric_gamma"])
+    def test_a_usage_error_exits_1(self, capsys, args):
+        # 2 is the status of an emptied set, so argparse's own 2 is not kept
+        assert main(["prisoners_dilemma", *args]) == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "--verify" in capsys.readouterr().out
 
     @pytest.mark.parametrize("path", ["verify_a_directory",
                                       "out_an_existing_file"])
@@ -529,6 +545,65 @@ class TestTamperedFinalSet:
             assert sorted(certs) == C.indices()
             ix = C.indices()[self.DROP]
             assert _certificate_text(C.origin_of(ix), certs[ix]) == misfit
+
+    @pytest.mark.parametrize("pd_final_set,field", [
+        ("pure", "base"), ("pure", "side"), ("pure", "kind"),
+        ("mixed", "pattern"), ("mixed", "alpha"), ("mixed", "w"),
+        ("mixed", "wp"), ("pure", "profile"), ("pure", "continuation")],
+        indirect=["pd_final_set"])
+    def test_a_missing_line_names_itself(self, pd_final_set, pd, tmp_path,
+                                         capsys, field):
+        header, cubes, blocks = _sections(pd_final_set)
+        if field in ("base", "side"):
+            header = [line for line in header
+                      if not line.startswith(f"{field}:")]
+            message = f"final set has no '{field}:' line"
+        else:
+            block = blocks[self.DROP]
+            blocks[self.DROP] = [line for line in block
+                                 if not line.startswith(f"{field}:")]
+            assert len(blocks[self.DROP]) == len(block) - 1
+            message = (f"the certificate block of cube "
+                       f"{cubes[self.DROP]} has no '{field}:' line")
+        path = tmp_path / "f.txt"
+        _write_sections(path, header, cubes, blocks)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_final_set(path, pd, 0.7)
+        code = main(["prisoners_dilemma", "--gamma", "0.7", "--epsilon",
+                     "3.2", "--verify", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("pd_final_set", ["mixed", "correlated"],
+                             indirect=True)
+    @pytest.mark.parametrize("row,why", [
+        ("0.7 0.7", "probabilities sum to 1.4"),
+        ("1.5 -0.5", "negative probability"),
+        ("nan 1.0", "probabilities must be finite")])
+    def test_an_alpha_row_that_is_no_distribution_is_an_error(
+            self, pd_final_set, pd, tmp_path, capsys, row, why):
+        header, cubes, blocks = _sections(pd_final_set)
+        blocks[self.DROP] = [
+            f"alpha: {row} | {line.split(' | ')[1]}"
+            if line.startswith("alpha:") else line
+            for line in blocks[self.DROP]]
+        path = tmp_path / "f.txt"
+        _write_sections(path, header, cubes, blocks)
+        with pytest.raises(ValueError) as err:
+            verify_final_set(path, pd, 0.7)
+        assert str(err.value) == f"player 0: {why}"
+        code = main(["prisoners_dilemma", "--gamma", "0.7", "--epsilon",
+                     "3.2", "--verify", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: player 0: {why}\n"
+
+    def test_an_unknown_kind_fails(self, pd_final_set, pd, tmp_path):
+        header, cubes, blocks = _sections(pd_final_set)
+        blocks[self.DROP] = ["kind: bogus" if line.startswith("kind:")
+                             else line for line in blocks[self.DROP]]
+        path = tmp_path / "f.txt"
+        _write_sections(path, header, cubes, blocks)
+        assert _outcome(path, pd) is False
 
     @pytest.mark.parametrize("edit", range(7))
     def test_certificate_that_does_not_fit_the_game_fails(
