@@ -165,11 +165,13 @@ def _read_final_set(path):
         meta[key.strip()] = value.strip()
         k += 1
     rest = lines[k:]
-    stop = rest.index("certificates:") if "certificates:" in rest else len(rest)
-    count = int(meta["cubes"]) if "cubes" in meta else None
-    missing = [key for key in ("base", "side") if key not in meta]
+    # a missing 'cubes:' line leaves every line in the header
+    missing = [key for key in ("base", "side", "cubes") if key not in meta]
+    if "certificates:" not in rest:
+        missing.append("certificates")
     if missing:
         raise ValueError(f"final set has no '{missing[0]}:' line")
+    stop, count = rest.index("certificates:"), int(meta["cubes"])
     base, side = tuple(map(float, meta["base"].split())), float(meta["side"])
     C = CubeSet(base, side, _lattice_indices(rest[:stop], base, side),
                 generation=int(meta.get("generation", 0)))
@@ -325,8 +327,8 @@ def _final_set_residuals(path, game: StageGame, gamma: float):
                                         C.side, ctx.w_floor, ctx.clusters)
                    for ix, cert in zip(index, groups[kind])]
         else:
-            res = _residual_kernel(np.array(index, float), *groups[kind], C,
-                                   ctx, gamma, kind, counts)
+            res = _residual_kernel(index, *groups[kind], C, ctx, gamma,
+                                   counts)
         residuals[kind] = index, np.asarray(res)
     return residuals
 

@@ -286,36 +286,42 @@ def _line_corners(cols, X) -> Optional[tuple[int, int]]:
     return min(lo for lo, _ in ext), max(hi for _, hi in ext) + 1
 
 
-def _corner_candidates(cube_set: CubeSet) -> list[tuple[int, int]]:
-    # Hull candidates, sorted: the lowest and highest corner on each line.
-    cols = cube_set._columns
-    pts = []
-    for X in sorted({*cols, *(x + 1 for x in cols)}):
-        lo, hi = _line_corners(cols, X)
-        pts.append((X, lo))
-        pts.append((X, hi))
-    return pts
+def _corner_candidates(cube_set: CubeSet):
+    # Per lattice line x = X, in order, the lowest and the highest cube
+    # corner (as two lists), in one walk over the columns: column x gives
+    # its extremes to lines x and x + 1, and line x takes column x - 1's too.
+    lows, highs = [], []
+    for x in sorted(cube_set._columns):
+        lo, hi = cube_set._columns[x]
+        if lows and lows[-1][0] == x:
+            lows[-1] = (x, min(lows[-1][1], lo))
+            highs[-1] = (x, max(highs[-1][1], hi + 1))
+        else:
+            lows.append((x, lo))
+            highs.append((x, hi + 1))
+        lows.append((x + 1, lo))
+        highs.append((x + 1, hi + 1))
+    return lows, highs
 
 
-def _monotone_chain(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    # Andrew's monotone chain on exact integer points; collinear points are
-    # dropped, output is counter-clockwise starting at the lexicographic min.
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    if len(points) <= 2:
-        return list(points)
-    lower = []
-    for p in points:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(points):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+def _monotone_chain(lows, highs) -> list[tuple[int, int]]:
+    # Andrew's monotone chain on exact integer points: the lower chain reads
+    # only each line's lowest point (and the last line's highest), the upper
+    # chain only the highest (and the first line's lowest).  Collinear points
+    # are dropped; the output is counter-clockwise from the lexicographic min.
+    hull = []
+    for points in (lows + highs[-1:], highs[::-1] + lows[:1]):
+        chain = []
+        for p in points:
+            x, y = p
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    return hull
 
 
 def hull_vertices(cube_set: CubeSet) -> tuple[tuple[float, float], ...]:
@@ -328,7 +334,7 @@ def hull_vertices(cube_set: CubeSet) -> tuple[tuple[float, float], ...]:
     if len(cube_set) == 0:
         raise ValueError("empty cube set has no hull")
     if cube_set._hull is None:
-        ipts = _monotone_chain(_corner_candidates(cube_set))
+        ipts = _monotone_chain(*_corner_candidates(cube_set))
         base, side = cube_set.base, cube_set.side
         cube_set._hull = tuple((base[0] + x * side, base[1] + y * side)
                                for x, y in ipts)

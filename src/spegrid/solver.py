@@ -44,20 +44,21 @@ at the pass end; it can only delay removals by one pass and makes large
 runs much cheaper.  Before any fresh search, a cube's previous certificate
 is replayed against the current context; a valid stored witness proves
 feasibility.  Each support row is one function that the deciders, screens
-and replays share, so a decider rejects exactly where replay would.  A
-frozen pass replays all its stored certificates in one numpy batch
-(``_batch_residuals``, with the scalar ``certificate_residual``'s bits),
-then runs the box screen of every (cube, region, pattern) it must search in
-one numpy mask (``_pattern_mask``), its only box screen; the literal loop,
-whose context moves with every withdrawal, replays and screens cube by cube
-through the scalar entries.  A certificate carries only its witness and the
-floor its out-of-support continuations sit at: replay takes the cube's
+and replays share, so a decider rejects exactly where replay would.  Both
+loops replay mixed certificates from one table per pass (``_ReplayTable``,
+with the verdicts of the scalar ``certificate_residual``): its rows are
+gathered once, and each row group runs again only when what it reads, the
+floor or the region, moves.  A frozen pass then runs the box screen of
+every (cube, region, pattern) it must search in one numpy mask
+(``_pattern_mask``), its only box screen; the literal loop screens cube by
+cube through the scalar entry.  A certificate carries only its witness and
+the floor its out-of-support continuations sit at: replay takes the cube's
 position, the floor and the region from the cube set, so a certificate
 passes unchanged through a replay and down a split, and its out-of-support
 entries, which nothing in the loop reads, are re-anchored at the final
 floor once, for the report.  ``--verify`` (in the cli module, which alone
-knows the file format) reads mixed certificates straight into the arrays
-of the frozen pass's kernel, ``_residual_kernel``, and replays them there.
+knows the file format) reads mixed certificates straight into the table's
+arrays and replays them through ``_residual_kernel``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -210,19 +211,21 @@ class SolveReport:
 class _Context:
     w_floor: tuple[float, ...]
     clusters: Optional[list[Cluster]] = None
+    boxes: Optional[list] = None  # each cluster's (low, high) corners
     vertices: Optional[tuple[tuple[float, float], ...]] = None
     # per axis i: the range of the other coordinate spanned by the hull's
     # lowest and highest vertex along i
     extreme_span: Optional[tuple[tuple[float, float], ...]] = None
     halfplanes: Optional[tuple[HalfPlane, ...]] = None
     hull_box: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
+    window: Optional[tuple] = None  # the hull's screen window, on first use
 
 
 def _build_context(C: CubeSet, hull: bool) -> _Context:
-    """The floor and the continuation regions of the union C: its clusters,
-    or (``hull``, the correlated back-end) the hull's vertices, the span of
-    its extreme vertices, its half-planes and bounding box.  The only place
-    the solver derives them from a cube set."""
+    """The floor and the continuation regions of the union C: its clusters
+    and their boxes, or (``hull``, the correlated back-end) the hull's
+    vertices, the span of its extreme vertices, its half-planes and bounding
+    box.  The only place the solver derives them from a cube set."""
     ctx = _Context(w_floor=C.min_origin())
     if hull:
         # All three read the set's hull cache, looked up by name here so
@@ -236,6 +239,7 @@ def _build_context(C: CubeSet, hull: bool) -> _Context:
         ctx.hull_box = hull_box(C)
     else:
         ctx.clusters = get_clusters(C)
+        ctx.boxes = [_cluster_box(cl) for cl in ctx.clusters]
     return ctx
 
 
@@ -429,10 +433,11 @@ def _point_mass_solution(game, gamma, pattern, w_floor, w_in, cond):
                            tuple(conts), tuple(utils), pattern)
 
 
-def _singleton_cluster_solution(cube_origin, side, cluster, w_floor, game,
-                                gamma, pattern):
-    """A singleton's witness, once the box screen in the cluster passed."""
-    c_lo, c_hi = _cluster_box(cluster)
+def _singleton_cluster_solution(cube_origin, side, box, w_floor, game, gamma,
+                                pattern):
+    """A singleton's witness, once the box screen in the cluster whose
+    ``_cluster_box`` is ``box`` passed."""
+    c_lo, c_hi = box
     profile = tuple(s[0] for s in pattern.supports)
     cond = game.tables.conditional[profile]
     w_in = list(c_lo)
@@ -792,28 +797,34 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
 def cube_supported_mixed(cube: Hypercube, C: CubeSet, w_floor,
                          game: StageGame, gamma: float,
                          clusters: Optional[Sequence[Cluster]] = None,
-                         mask=None) -> Optional[SupportCertificate]:
+                         mask=None, boxes=None) -> Optional[SupportCertificate]:
     """Mixed-strategy cube test over hyperrectangular clusters (2 players).
 
     Each cluster, in construction order, is one region: the in-support
-    continuations stay inside its box.  ``mask`` is the cube's slice of a
-    frozen pass's ``_pattern_mask``.
+    continuations stay inside its box.  ``boxes`` are the clusters'
+    ``_cluster_box``es, as a context holds them; ``mask`` is the cube's
+    slice of a frozen pass's ``_pattern_mask``.
     """
     if clusters is None:
-        clusters = _build_context(C, hull=False).clusters
+        ctx = _build_context(C, hull=False)
+        clusters, boxes = ctx.clusters, ctx.boxes
+    if boxes is None:
+        boxes = [_cluster_box(cl) for cl in clusters]
     regions = ((partial(_singleton_cluster_solution, cube.origin, cube.side,
-                        cl, w_floor, game, gamma),
+                        box, w_floor, game, gamma),
                 partial(mixed_cluster_system, cube, cl, w_floor, game, gamma),
-                _cluster_box(cl), None)
-               for cl in clusters)
+                box, None)
+               for cl, box in zip(clusters, boxes))
     return _search_regions(cube, w_floor, game, gamma, "mixed", regions, mask)
 
 
 def _hull_window(ctx: _Context, bounds):
     """The screen window of the hull region: its bounding box, cut to the
-    payoff bounds."""
-    return (tuple(max(lo, bounds.low) for lo in ctx.hull_box[0]),
-            tuple(min(hi, bounds.high) for hi in ctx.hull_box[1]))
+    payoff bounds; built once per context."""
+    if ctx.window is None:
+        ctx.window = (tuple(max(lo, bounds.low) for lo in ctx.hull_box[0]),
+                      tuple(min(hi, bounds.high) for hi in ctx.hull_box[1]))
+    return ctx.window
 
 
 def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
@@ -844,14 +855,13 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
     patterns), over ``game.tables.patterns``, False where it rejects the
     pair; the regions are ctx's clusters, or its hull.  Each entry is the
     search's scalar ``_screen_pattern`` call, by the same rows and
-    tolerances on broadcast arrays.  Cubes are taken in chunks, as in
-    ``_residual_kernel``."""
+    tolerances on broadcast arrays.  Cubes are taken in chunks, as replay's
+    region rows are."""
     tables = game.tables
     bounds = tables.bounds
     patterns = tables.patterns
     hull = ctx.halfplanes is not None
-    windows = np.array([_hull_window(ctx, bounds)] if hull else
-                       [_cluster_box(cl) for cl in ctx.clusters])
+    windows = np.array([_hull_window(ctx, bounds)] if hull else ctx.boxes)
     # per player (in support, min, max) per own action and pattern, broadcast
     # over (own action, cube, region, pattern) so that the rows reduce fast
     if "mask" not in tables.templates:
@@ -953,115 +963,156 @@ def _cluster_violation(pool, values) -> float:
     return best
 
 
-# Elements of the widest intermediate array of one batched-replay chunk.
+# Elements of the widest intermediate array of one region-row chunk.
 _BATCH_ELEMENTS = 1 << 16
 
 
-def _batch_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
-                     game: StageGame, gamma: float) -> np.ndarray:
-    """``certificate_residual`` of ``certificates[ix]`` for the cube ix of C
-    against ``ctx``, for every ix of ``indices``, with the scalar's bits.
-
-    Mixed and correlated certificates are stacked per kind, their patterns
-    carried as in-support masks, and replayed through ``_residual_kernel``.
-    Pure certificates take the scalar path."""
-    res = np.empty(len(indices))
-    by_kind: dict = {}
-    for k, ix in enumerate(indices):
-        by_kind.setdefault(certificates[ix].kind, []).append(k)
-    for kind, rows in by_kind.items():
-        if kind == "pure":
-            for k in rows:
-                res[k] = certificate_residual(
-                    certificates[indices[k]], game, gamma,
-                    C.origin_of(indices[k]), C.side, ctx.w_floor, ctx.clusters)
-            continue
-        res[rows] = _stacked_residuals(certificates,
-                                       [indices[k] for k in rows], C, ctx,
-                                       game, gamma, kind)
-    return res
-
-
-def _stacked_residuals(certificates: dict, indices, C: CubeSet, ctx: _Context,
-                       game: StageGame, gamma: float, kind: str) -> np.ndarray:
-    # The certificates of one mixed kind for _batch_residuals.  Each
-    # certificate gives one table row: its continuations, its conditional
-    # payoffs and its in-support mask, one column per action of each player.
-    n = len(indices)
+def _certificate_rows(certificates: dict, indices, game: StageGame):
+    """The mixed certificates ``certificates[ix]``, ix in ``indices``, as
+    ``_ReplayTable``'s arrays, a row per certificate and a column per action
+    of each player (player 0's first): its continuation, its conditional
+    payoff and whether its pattern holds it."""
     m = [game.action_count(i) for i in range(2)]
-    cols = m[0] + m[1]
     masks: dict = {}
     flat: list = []
     for ix in indices:
         cert = certificates[ix]
         sol = cert.solution
         supports = sol.pattern.supports
-        mask = masks.get(supports)
-        if mask is None:
-            mask = masks[supports] = tuple(float(a in supports[i])
-                                           for i in range(2)
-                                           for a in range(m[i]))
+        if supports not in masks:
+            masks[supports] = tuple(float(a in supports[i]) for i in range(2)
+                                    for a in range(m[i]))
         cond = _conditional_payoffs(cert, game)
-        flat += sol.continuations[0]
-        flat += sol.continuations[1]
-        flat += cond[0]
-        flat += cond[1]
-        flat += mask
-    table = np.fromiter(flat, float, len(flat)).reshape(n, 3, cols)
-    index = np.fromiter(chain.from_iterable(indices), float,
-                        2 * n).reshape(n, 2)
-    return _residual_kernel(index, table[:, 0], table[:, 1],
-                            table[:, 2] > 0.0, C, ctx, gamma, kind, m)
+        flat += sol.continuations[0] + sol.continuations[1] + cond[0] \
+            + cond[1] + masks[supports]
+    table = np.fromiter(flat, float, len(flat)).reshape(len(indices), 3,
+                                                        m[0] + m[1])
+    return table[:, 0], table[:, 1], table[:, 2] > 0.0
 
 
-def _residual_kernel(index, w, q, in_supp, C: CubeSet, ctx: _Context,
-                     gamma: float, kind: str, m) -> np.ndarray:
-    """``certificate_residual`` of certificates of one mixed kind, one row
-    each: its cube's lattice index, and per action of each player (player
-    0's first) its continuation, its conditional payoff and whether its
-    pattern holds it.  Every term is the scalar code's expression,
-    evaluated elementwise in its order (no matmul, so no reassociation),
-    with origins base + index * side.  ``np.fmax`` skips NaN as Python's
-    ``max`` does, and a zero residual comes out as +0.0, as the scalar's.
-    The frozen pass and ``--verify`` replay through it, in chunks
-    whose widest intermediate array has about ``_BATCH_ELEMENTS`` elements."""
-    step = max(1, _BATCH_ELEMENTS // (
-        m[0] * m[1] * len(ctx.halfplanes) if kind == "correlated"
-        else len(ctx.clusters) * (m[0] + m[1])))
-    if len(index) > step:
-        return np.concatenate([_residual_kernel(
-            index[k:k + step], w[k:k + step], q[k:k + step],
-            in_supp[k:k + step], C, ctx, gamma, kind, m)
-            for k in range(0, len(index), step)])
-    player = np.repeat([0, 1], m)
-    origins = np.array(C.base) + index * C.side
-    o = origins[:, player]
+# The residual's rows in three groups, by what each reads besides the
+# certificate: the cube (in-cube rows), the floor (out-of-support rows) and
+# the hull's half-planes or the clusters (region rows).  Each gives, per
+# certificate, its largest term, by the scalar code's expressions in its
+# order (no matmul, so no reassociation); ``o`` holds each column's cube
+# origin.  ``np.fmax`` skips NaN as Python's ``max`` does.
+
+def _in_cube_rows(o, w, q, in_supp, side, gamma):
     wp = _utility(q, w, gamma)
-    terms = np.where(in_supp, np.fmax(_below(wp, o), _above(wp, o, C.side)),
-                     _deviation(q, np.array(ctx.w_floor)[player], o, gamma))
-    worst = np.fmax.reduce(terms, axis=1, initial=0.0)
-    if kind == "correlated":
-        # every in-support pair against every hull row, then the largest
-        # per certificate (each has at least one pair, in row order)
-        owner, a1, a2 = np.nonzero(in_supp[:, :m[0], None]
-                                   & in_supp[:, None, m[0]:])
+    return np.fmax.reduce(np.where(in_supp, np.fmax(
+        _below(wp, o), _above(wp, o, side)), 0.0), axis=1, initial=0.0)
+
+
+def _out_of_support_rows(o, q, in_supp, w_floor, gamma):
+    # w_floor: per column, its player's floor
+    return np.fmax.reduce(np.where(in_supp, 0.0, _deviation(
+        q, w_floor, o, gamma)), axis=1, initial=0.0)
+
+
+def _region_operands(w, in_supp, m, hull: bool):
+    # For the hull, each certificate's first in-support continuation pair
+    # (at least one each) and the pairs' two continuations; for clusters,
+    # the in-support continuations (NaN elsewhere, which np.fmax skips).
+    if not hull:
+        return (np.where(in_supp, w, np.nan)[:, None, :],)
+    owner, a1, a2 = np.nonzero(in_supp[:, :m[0], None]
+                               & in_supp[:, None, m[0]:])
+    return (np.searchsorted(owner, np.arange(len(w))), w[owner, a1, None],
+            w[owner, m[0] + a2, None])
+
+
+def _region_rows(operands, ctx: _Context, m, k):
+    # For the certificates from row k on: the largest hull row over their
+    # pairs, or _cluster_violation (per cluster the largest box violation,
+    # at least 0; the least over clusters).  In chunks whose widest
+    # intermediate has about _BATCH_ELEMENTS elements.
+    hull = ctx.halfplanes is not None
+    if hull:
+        first, w1, w2 = operands
         phi, psi, lam = np.array(ctx.halfplanes, dtype=float).T
-        rows = _hull_row(phi, psi, lam, w[owner, a1, None],
-                         w[owner, m[0] + a2, None])
-        first = np.flatnonzero(np.diff(owner, prepend=-1))
-        worst = np.fmax(worst, np.fmax.reduceat(
-            np.fmax.reduce(rows, axis=1), first))
     else:
-        # _cluster_violation: per cluster the largest box violation of the
-        # in-support continuations (NaN elsewhere, skipped), at least 0;
-        # the least over clusters
+        player = np.repeat([0, 1], m)
         low = np.array([cl.origin for cl in ctx.clusters])[:, player]
         lengths = np.array([cl.lengths for cl in ctx.clusters])[:, player]
-        v = np.where(in_supp, w, np.nan)[:, None, :]
-        out = np.fmax(_below(v, low), _above(v, low, lengths))
-        worst = np.fmax(worst, np.fmax.reduce(out, axis=2,
-                                              initial=0.0).min(axis=1))
-    return worst + 0.0
+    n = len(operands[0])
+    step = max(1, _BATCH_ELEMENTS // (m[0] * m[1] * len(phi) if hull
+                                      else low.size))
+    out = [np.empty(0)]
+    for start in range(k, n, step):
+        stop = min(start + step, n)
+        if hull:
+            p0, p1 = first[start], first[stop] if stop < n else len(w1)
+            rows = _hull_row(phi, psi, lam, w1[p0:p1], w2[p0:p1])
+            out.append(np.fmax.reduceat(np.fmax.reduce(rows, axis=1),
+                                        first[start:stop] - p0))
+        else:
+            v = operands[0][start:stop]
+            out.append(np.fmax.reduce(np.fmax(
+                _below(v, low), _above(v, low, lengths)),
+                axis=2, initial=0.0).min(axis=1))
+    return np.concatenate(out)
+
+
+class _ReplayTable:
+    """Mixed certificates of one kind for the cubes ``indices`` of C (a
+    pass's stored ones in pass order, or a file's) as ``_certificate_rows``
+    gives them, with their ``certificate_residual``s against a context (the
+    scalar's bits) and replay verdicts ("no term above FEAS_TOL").  Each row
+    group runs when what it reads moves, for the rows not yet replayed: the
+    in-cube rows once, the out-of-support rows when the floor changes, the
+    region rows when the context's half-planes or clusters object changes.
+    So a frozen pass runs each group once, and the literal loop pays per
+    withdrawal only for what moved.  Verdicts are asked for in row order;
+    ``hull`` says which region the contexts hold."""
+
+    def __init__(self, indices, w, q, in_supp, C: CubeSet, gamma: float, m,
+                 hull: bool):
+        self.row = {ix: k for k, ix in enumerate(indices)}
+        self.m, self.q, self.in_supp, self.gamma = m, q, in_supp, gamma
+        self.player = np.repeat([0, 1], m)
+        index = np.array(indices, dtype=float).reshape(-1, 2)
+        self.o = (np.array(C.base) + index * C.side)[:, self.player]
+        self.in_cube = _in_cube_rows(self.o, w, q, in_supp, C.side, gamma)
+        self.regions = _region_operands(w, in_supp, m, hull)
+        self.out, self.fits = np.empty(len(w)), np.empty(len(w))
+        self.ok = [False] * len(w)
+        self.floor = self.region = None
+
+    def _update(self, ctx: _Context, k: int) -> bool:
+        # run the groups whose inputs moved for rows k on; whether any did
+        moved = False
+        if ctx.w_floor != self.floor:
+            self.floor, moved = ctx.w_floor, True
+            self.out[k:] = _out_of_support_rows(
+                self.o[k:], self.q[k:], self.in_supp[k:],
+                np.array(ctx.w_floor)[self.player], self.gamma)
+        region = ctx.clusters if ctx.halfplanes is None else ctx.halfplanes
+        if region is not self.region:  # held, so its id is not reused
+            self.region, moved = region, True
+            self.fits[k:] = _region_rows(self.regions, ctx, self.m, k)
+        return moved
+
+    def residuals(self, ctx: _Context) -> np.ndarray:
+        """The largest of the three groups, a zero as +0.0, as the
+        scalar's."""
+        self._update(ctx, 0)
+        return np.fmax(np.fmax(self.in_cube, self.out), self.fits) + 0.0
+
+    def verdict(self, index, ctx: _Context) -> bool:
+        k = self.row[index]
+        if self._update(ctx, k):
+            self.ok[k:] = (np.fmax(np.fmax(self.in_cube[k:], self.out[k:]),
+                                   self.fits[k:]) <= FEAS_TOL).tolist()
+        return self.ok[k]
+
+
+def _residual_kernel(indices, w, q, in_supp, C: CubeSet, ctx: _Context,
+                     gamma: float, m) -> np.ndarray:
+    """``certificate_residual`` of mixed certificates given as
+    ``_ReplayTable``'s arrays, against ``ctx``; ``--verify`` replays
+    through it."""
+    return _ReplayTable(indices, w, q, in_supp, C, gamma, m,
+                        ctx.halfplanes is not None).residuals(ctx)
 
 
 def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
@@ -1073,7 +1124,9 @@ def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
     if index not in C:
         return False
     ctx = _build_context(C, hull=cert.kind == "correlated")
-    return _replay_ok(cert, ctx, C, index, game, gamma)
+    return certificate_residual(cert, game, gamma, C.origin_of(index), C.side,
+                                ctx.w_floor, ctx.halfplanes or ctx.clusters
+                                ) <= FEAS_TOL
 
 
 def _refresh_certificate(cert: SupportCertificate, w_floor, gamma: float,
@@ -1101,16 +1154,15 @@ def _refresh_certificate(cert: SupportCertificate, w_floor, gamma: float,
 
 
 def _replay_ok(cert: SupportCertificate, ctx: _Context, C: CubeSet, index,
-               game: StageGame, gamma: float, verdicts=None) -> bool:
+               game: StageGame, gamma: float, table: Optional[_ReplayTable]
+               ) -> bool:
     """Whether ``cert`` replays for the cube ``index`` of C against ``ctx``:
-    the batch's verdict when a frozen pass has replayed its certificates
-    at once (``verdicts``, by index), else the scalar residual's.  The
-    solver's one decision point per replay."""
-    if verdicts is not None:
-        return verdicts[index]
-    region = ctx.halfplanes if cert.kind == "correlated" else ctx.clusters
+    a mixed one by the pass's ``table``, a pure one by the scalar residual.
+    The solver's one decision point per replay."""
+    if cert.kind != "pure":
+        return table.verdict(index, ctx)
     return certificate_residual(cert, game, gamma, C.origin_of(index), C.side,
-                                ctx.w_floor, region) <= FEAS_TOL
+                                ctx.w_floor, ctx.clusters) <= FEAS_TOL
 
 
 # -- stopping criterion ----------------------------------------------------------------
@@ -1196,7 +1248,7 @@ def solve(game: StageGame, config: SolverConfig,
         if config.mode == "mixed-clusters":
             return cube_supported_mixed(cube, C, ctx.w_floor, game,
                                         config.gamma, clusters=ctx.clusters,
-                                        mask=mask)
+                                        mask=mask, boxes=ctx.boxes)
         return cube_supported_correlated(cube, C, game, config.gamma,
                                          ctx=ctx, mask=mask)
 
@@ -1207,25 +1259,28 @@ def solve(game: StageGame, config: SolverConfig,
         cubes_start = len(order)
         removed = 0
         pending_removals = []
-        frozen_ctx = verdicts = None
+        frozen_ctx = table = None
         masks: dict = {}
-        if config.frozen_passes:
-            # every replay of the pass reads this context: replay them at once
-            frozen_ctx = current_context()
+        if config.mode != "pure":
+            # the pass's stored certificates, gathered once for its replays
             stored = [idx for idx in order if idx in certificates]
-            residuals = _batch_residuals(certificates, stored, C, frozen_ctx,
-                                         game, config.gamma)
-            verdicts = dict(zip(stored, (residuals <= FEAS_TOL).tolist()))
-            if config.mode != "pure":
-                # and so does every search: reject their patterns at once
-                searched = [idx for idx in order if not verdicts.get(idx)]
+            table = _ReplayTable(
+                stored, *_certificate_rows(certificates, stored, game), C,
+                config.gamma, [game.action_count(i) for i in range(2)],
+                config.mode == "mixed-correlated")
+        if config.frozen_passes:
+            frozen_ctx = current_context()
+            if table is not None:
+                # every search reads this context: screen their patterns now
+                searched = [idx for idx in order if idx not in table.row
+                            or not table.verdict(idx, frozen_ctx)]
                 masks = dict(zip(searched, _pattern_mask(
                     searched, C, frozen_ctx, game, config.gamma).tolist()))
         for idx in order:
             ctx = frozen_ctx if config.frozen_passes else current_context()
             cert = certificates.get(idx)
             if cert is not None and _replay_ok(cert, ctx, C, idx, game,
-                                               config.gamma, verdicts):
+                                               config.gamma, table):
                 continue
             cube = C.cube_at(idx)
             cert = search(cube, ctx, masks.get(idx))

@@ -76,8 +76,10 @@ def write_report(report, path, certificates=None) -> None:
 def check_written_final_set(report, game: sg.StageGame, gamma: float) -> None:
     """Write a report's final set and require two things: ``--verify``
     accepts it, and the residuals its reader replays per kind are, bit for
-    bit (``float.hex``), those of the frozen pass's gather over
-    ``read_final_set``'s certificates, which cover every cube and kind."""
+    bit (``float.hex``), those of the solver's replay over
+    ``read_final_set``'s certificates, which cover every cube and kind: the
+    replay table's gather and kernel, or the scalar residual for pure
+    ones."""
     from spegrid import cli, solver
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -92,7 +94,14 @@ def check_written_final_set(report, game: sg.StageGame, gamma: float) -> None:
                   for ix in indices) == C.indices() == sorted(certs)
     for kind, (indices, res) in residuals.items():
         ctx = solver._build_context(C, hull=kind == "correlated")
-        batch = solver._batch_residuals(certs, indices, C, ctx, game, gamma)
+        if kind == "pure":
+            batch = np.array([solver.certificate_residual(
+                certs[ix], game, gamma, C.origin_of(ix), C.side, ctx.w_floor,
+                ctx.clusters) for ix in indices])
+        else:
+            batch = solver._residual_kernel(
+                indices, *solver._certificate_rows(certs, indices, game), C,
+                ctx, gamma, [game.action_count(i) for i in range(2)])
         assert list(map(float.hex, res.tolist())) == \
             list(map(float.hex, batch.tolist()))
 

@@ -1,9 +1,9 @@
 """The batched forms of the solver's per-cube steps agree with the scalar
 ones bit for bit.
 
-* ``_batch_residuals`` (a frozen pass's replay) must
-  give every certificate the residual bits and the verdict of
-  ``certificate_residual``.  Random 2x2, 2x3 and 3x3 games on a 0.1 grid;
+* ``_residual_kernel`` over the replay table's gather must give every
+  certificate the residual bits of ``certificate_residual``, and a frozen
+  pass's ``_ReplayTable`` its verdict.  Random 2x2, 2x3 and 3x3 games on a 0.1 grid;
   point-mass and genuinely mixed certificates whose in-support
   continuations sit on a cube edge, a cluster edge or a hull vertex, up to
   the boundary jitters; certificates as a solve makes them and as a file
@@ -31,8 +31,9 @@ from spegrid.feasibility import (FEAS_TOL, SupportSolution,  # noqa: E402
                                  enumerate_support_patterns)
 from spegrid.game import MixedProfile, conditional_payoff_table  # noqa: E402
 from spegrid.geometry import HalfPlane  # noqa: E402
-from spegrid.solver import (_batch_residuals, _build_context,  # noqa: E402
-                            _clip, _clip_box, certificate_residual)
+from spegrid.solver import (_ReplayTable, _build_context,  # noqa: E402
+                            _certificate_rows, _clip, _clip_box,
+                            _residual_kernel, certificate_residual)
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
 JITTERS = [0.0] + [sign * k * 1e-7 for k in (0.5, 1.0, 1.5, 3.0)
@@ -53,11 +54,11 @@ def games(draw):
 
 
 @st.composite
-def cube_sets(draw, game, span=4):
+def cube_sets(draw, game, span=4, max_size=8):
     bounds = game.tables.bounds
     cells = draw(st.sets(st.tuples(st.integers(0, span - 1),
                                    st.integers(0, span - 1)),
-                         min_size=1, max_size=8))
+                         min_size=1, max_size=max_size))
     return sg.CubeSet((bounds.low, bounds.low),
                       max(bounds.spread, 0.5) / span, cells)
 
@@ -167,18 +168,31 @@ def bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
+def table(certs, indices, C, game, gamma, hull):
+    """A replay table over the certificates of the cubes ``indices``."""
+    return _ReplayTable(indices, *_certificate_rows(certs, indices, game), C,
+                        gamma, [game.action_count(i) for i in range(2)], hull)
+
+
+def kernel(certs, indices, C, ctx, game, gamma):
+    m = [game.action_count(i) for i in range(2)]
+    return _residual_kernel(indices, *_certificate_rows(certs, indices, game),
+                            C, ctx, gamma, m)
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=400)
 @given(replay_cases())
 def test_batched_residuals_match_the_scalar_replay(case):
     game, gamma, C, ctx, kind, certs = case
     indices = C.indices()
-    batch = _batch_residuals(certs, indices, C, ctx, game, gamma)
+    batch = kernel(certs, indices, C, ctx, game, gamma)
+    frozen = table(certs, indices, C, game, gamma, kind == "correlated")
     region = ctx.halfplanes if kind == "correlated" else ctx.clusters
     for k, ix in enumerate(indices):
         scalar = certificate_residual(certs[ix], game, gamma, C.origin_of(ix),
                                       C.side, ctx.w_floor, region)
         assert bits(batch[k]) == bits(scalar)
-        assert (batch[k] <= FEAS_TOL) == (scalar <= FEAS_TOL)
+        assert frozen.verdict(ix, ctx) == (scalar <= FEAS_TOL)
 
 
 def test_batched_residuals_reach_both_verdicts_near_the_tolerance():
@@ -192,12 +206,83 @@ def test_batched_residuals_reach_both_verdicts_near_the_tolerance():
     def count(case):
         game, gamma, C, ctx, _, certs = case
         indices = C.indices()
-        for r in _batch_residuals(certs, indices, C, ctx, game, gamma):
+        for r in kernel(certs, indices, C, ctx, game, gamma):
             if 0.0 < r <= 4e-7:
                 near[bool(r <= FEAS_TOL)] += 1
 
     count()
     assert min(near.values()) >= 50, near
+
+
+@st.composite
+def withdrawal_cases(draw):
+    """A replay case on up to 12 cubes, and the order in which they are
+    withdrawn."""
+    game = draw(games())
+    gamma = draw(st.sampled_from([0.0, 0.3, 0.7, 0.9]))
+    C = draw(cube_sets(game, span=5, max_size=12))
+    kind = draw(st.sampled_from(["mixed", "correlated"]))
+    ctx = _build_context(C, hull=kind == "correlated")
+    certs = {ix: draw(certificates(game, gamma, C, ix, ctx, kind))
+             for ix in C.indices()}
+    return game, gamma, C, kind, certs, draw(st.permutations(C.indices()))
+
+
+def replay_under_withdrawals(case):
+    """The literal loop's replays, one cube at a time in pass order, with a
+    cube withdrawn and the context rebuilt after each: per replay, the
+    table's verdict and the scalar residual against that context."""
+    game, gamma, C, kind, certs, withdrawals = case
+    hull, C = kind == "correlated", C.copy()
+    order = list(C.indices())
+    replay = table(certs, order, C, game, gamma, hull)
+    out = []
+    for ix in withdrawals:
+        ctx = _build_context(C, hull)
+        nxt = next((k for k in order if k in C), None)
+        if nxt is None:
+            break
+        order = order[order.index(nxt) + 1:]
+        residual = certificate_residual(
+            certs[nxt], game, gamma, C.origin_of(nxt), C.side, ctx.w_floor,
+            ctx.halfplanes if hull else ctx.clusters)
+        out.append((replay.verdict(nxt, ctx), residual))
+        C.remove(ix)
+    return out
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=400)
+@given(withdrawal_cases())
+def test_replay_table_follows_withdrawals(case):
+    for verdict, residual in replay_under_withdrawals(case):
+        assert verdict == (residual <= FEAS_TOL)
+
+
+def test_replay_table_cases_move_every_row_group():
+    # the cases above must move the floor, move the region and keep it,
+    # and reach both verdicts near the tolerance, or the check shows little
+    seen = {"floor": 0, "region": 0, "kept": 0, True: 0, False: 0}
+
+    @settings(deadline=None, derandomize=True, database=None,
+              max_examples=400)
+    @given(withdrawal_cases())
+    def count(case):
+        C, hull = case[2].copy(), case[3] == "correlated"
+        floor = region = None
+        for ix in case[5]:
+            ctx = _build_context(C, hull)
+            now = ctx.halfplanes if hull else ctx.clusters
+            if region is not None:
+                seen["floor"] += ctx.w_floor != floor
+                seen["region" if now is not region else "kept"] += 1
+            floor, region = ctx.w_floor, now
+            C.remove(ix)
+        for verdict, residual in replay_under_withdrawals(case):
+            if 0.0 < residual <= 4e-7:
+                seen[verdict] += 1
+
+    count()
+    assert min(seen.values()) >= 50, seen
 
 
 @st.composite

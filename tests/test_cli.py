@@ -547,14 +547,15 @@ class TestTamperedFinalSet:
             assert _certificate_text(C.origin_of(ix), certs[ix]) == misfit
 
     @pytest.mark.parametrize("pd_final_set,field", [
-        ("pure", "base"), ("pure", "side"), ("pure", "kind"),
+        ("pure", "base"), ("pure", "side"), ("pure", "cubes"),
+        ("pure", "certificates"), ("pure", "kind"),
         ("mixed", "pattern"), ("mixed", "alpha"), ("mixed", "w"),
         ("mixed", "wp"), ("pure", "profile"), ("pure", "continuation")],
         indirect=["pd_final_set"])
     def test_a_missing_line_names_itself(self, pd_final_set, pd, tmp_path,
                                          capsys, field):
         header, cubes, blocks = _sections(pd_final_set)
-        if field in ("base", "side"):
+        if field in ("base", "side", "cubes", "certificates"):
             header = [line for line in header
                       if not line.startswith(f"{field}:")]
             message = f"final set has no '{field}:' line"
@@ -567,6 +568,8 @@ class TestTamperedFinalSet:
                        f"{cubes[self.DROP]} has no '{field}:' line")
         path = tmp_path / "f.txt"
         _write_sections(path, header, cubes, blocks)
+        if field == "certificates":
+            path.write_text(path.read_text().replace("certificates:\n", ""))
         with pytest.raises(ValueError, match=re.escape(message)):
             verify_final_set(path, pd, 0.7)
         code = main(["prisoners_dilemma", "--gamma", "0.7", "--epsilon",

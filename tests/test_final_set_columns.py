@@ -3,8 +3,8 @@ replays them without building a certificate object, with the bits of the
 frozen pass's replay.
 
 * Each benchmark workload's final set passes ``verify_final_set``, and the
-  residuals of its certificates read as columns are those of
-  ``_batch_residuals`` over ``read_final_set``'s certificates, as
+  residuals of its certificates read as columns are those of the replay
+  table's gather and kernel over ``read_final_set``'s certificates, as
   ``float.hex`` (``conftest.check_written_final_set``; the random games of
   ``test_random_replay.py`` go through the same check).
 * With the certificate, solution and mixed-profile classes made to raise

@@ -282,8 +282,12 @@ class TestColumnExtremes:
     def _check(self, C):
         fresh = sg.CubeSet(C.base, C.side, C.indices())
         assert C._columns == fresh._columns == _oracle_columns(C)
-        assert _corner_candidates(C) == _oracle_corner_candidates(C) \
-            == _corner_candidates(fresh)
+        # per line in order, its lowest and its highest corner
+        lows, highs = _corner_candidates(C)
+        assert [x for x, _ in lows] == [x for x, _ in highs]
+        assert all(lo < hi for (_, lo), (_, hi) in zip(lows, highs))
+        assert sorted(lows + highs) == _oracle_corner_candidates(C)
+        assert (lows, highs) == _corner_candidates(fresh)
         assert sg.hull_vertices(C) == sg.hull_vertices(fresh)
         assert sg.get_halfplanes(C) == sg.get_halfplanes(fresh)
         assert hull_box(C) == hull_box(fresh)
@@ -307,6 +311,39 @@ class TestColumnExtremes:
                     moved += before != after
                     self._check(D)
         assert kept > 500 and moved > 500
+
+    def test_hull_is_the_full_chain_over_every_corner(self):
+        # Andrew's monotone chain over all corners of all cells, not only
+        # the per-line extremes the set's hull reads
+        def full_chain(cells):
+            pts = sorted({(x + dx, y + dy) for x, y in cells
+                          for dx in (0, 1) for dy in (0, 1)})
+
+            def cross(o, a, b):
+                return (a[0] - o[0]) * (b[1] - o[1]) \
+                    - (a[1] - o[1]) * (b[0] - o[0])
+
+            def half(points):
+                chain = []
+                for p in points:
+                    while len(chain) >= 2 \
+                            and cross(chain[-2], chain[-1], p) <= 0:
+                        chain.pop()
+                    chain.append(p)
+                return chain[:-1]
+            return half(pts) + half(pts[::-1])
+
+        rng = np.random.default_rng(23)
+        checked = 0
+        for C in self._sets(rng):
+            for ix in _removal_orders(C.indices(), rng)[0][:-1]:
+                ipts = full_chain(C.indices())
+                assert sg.hull_vertices(C) == tuple(
+                    (C.base[0] + x * C.side, C.base[1] + y * C.side)
+                    for x, y in ipts)
+                C.remove(ix)
+                checked += 1
+        assert checked > 500
 
     def test_other_dimensions_keep_no_columns(self):
         C = sg.CubeSet((0.0, 0.0, 0.0), 1.0, [(0, 0, 0), (0, 0, 1)])

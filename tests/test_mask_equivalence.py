@@ -9,7 +9,8 @@ as the literal loop does.  The pass trace, the ``final_set.txt`` bytes and
 every certificate's bits must be identical.  With the mask, no search or
 singleton decider calls the scalar box screen; only the hull-slice cut
 screens the in-support rows again, with its cut window, and it evaluates no
-out-of-support row.
+out-of-support row.  Neither loop replays a mixed certificate through the
+scalar ``certificate_residual``: both replay through the pass's table.
 """
 
 import contextlib
@@ -191,3 +192,27 @@ def test_literal_searches_screen_once_per_pair():
     # the decider rejects only where its clip leaves nothing (436 of 1,724
     # calls per solve rejected on the interval when the decider tested it)
     assert empty["_singleton_correlated_solution"] == empty["_clip_box"] > 0
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["literal", "frozen"])
+@pytest.mark.parametrize("name", ["frozen_pd", "clusters_bos"],
+                         ids=["pd_correlated", "bos_clusters"])
+def test_solves_replay_mixed_certificates_only_through_the_table(name,
+                                                                 frozen):
+    # both loops replay a mixed certificate through the pass's table; the
+    # scalar residual is its oracle, not a path beside it
+    game, gamma, epsilon, mode, _ = WORKLOADS[name]
+    game = sg.load_bundled(game)
+    config = sg.SolverConfig(gamma=gamma, epsilon=epsilon, mode=mode,
+                             frozen_passes=frozen)
+    real = solver.certificate_residual
+
+    def scalar(cert, *args):
+        if cert.kind != "pure":
+            raise AssertionError("a mixed certificate reached the scalar "
+                                 "replay")
+        return real(cert, *args)
+
+    expected = sg.solve(game, config).trace_key()
+    with mock.patch.object(solver, "certificate_residual", scalar):
+        assert sg.solve(game, config).trace_key() == expected

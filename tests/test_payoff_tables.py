@@ -126,7 +126,7 @@ def test_cluster_deciders_agree_with_the_support_lp(scenario):
             fast = _screen_pattern(cube.origin, cube.side, pattern, game,
                                    gamma, floor, window, False) \
                 and _singleton_cluster_solution(cube.origin, cube.side,
-                                                cluster, floor, game, gamma,
+                                                window, floor, game, gamma,
                                                 pattern) is not None
             assert fast == (lp is not None)
             continue

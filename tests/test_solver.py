@@ -135,8 +135,8 @@ class TestCubeSupportedMixed:
                 fast = _screen_pattern(origin, side, pattern, game, gamma,
                                        floor, _cluster_box(cluster), False) \
                     and _singleton_cluster_solution(
-                        origin, side, cluster, floor, game, gamma,
-                        pattern) is not None
+                        origin, side, _cluster_box(cluster), floor, game,
+                        gamma, pattern) is not None
                 lp = sg.solve_feasibility(sg.mixed_cluster_system(
                     cube, cluster, floor, game, gamma, pattern))
                 assert fast == (lp is not None)

@@ -163,7 +163,8 @@ def witnesses(game, gamma, ctx, origin, side):
             if not _screen_pattern(origin, side, pattern, game, gamma, floor,
                                    _cluster_box(cluster), hull=False):
                 continue
-            sol = _singleton_cluster_solution(origin, side, cluster, floor,
+            sol = _singleton_cluster_solution(origin, side,
+                                              _cluster_box(cluster), floor,
                                               game, gamma, pattern)
             if sol is not None:
                 yield SupportCertificate("mixed", floor, solution=sol), \
