@@ -50,13 +50,16 @@ with the verdicts of the scalar ``certificate_residual``): its rows are
 gathered once, and each row group runs again only when what it reads, the
 floor or the region, moves.  A frozen pass then runs the box screen of
 every (cube, region, pattern) it must search in one numpy mask
-(``_pattern_mask``), its only box screen; the literal loop screens cube by
-cube through the scalar entry.  A certificate carries only its witness and
-the floor its out-of-support continuations sit at: replay takes the cube's
-position, the floor and the region from the cube set, so a certificate
-passes unchanged through a replay and down a split, and its out-of-support
-entries, which nothing in the loop reads, are re-anchored at the final
-floor once, for the report.  ``--verify`` (in the cli module, which alone
+(``_pattern_mask``), its only box screen, and for the hull decides every
+point mass the mask keeps in one array pass (``_point_mass_witnesses``),
+which a search reads in place of the scalar decider; the literal loop
+screens and decides cube by cube through the scalar entries.  Each mixed
+certificate keeps its replay row, so the table's gather only stacks rows.
+A certificate carries only its witness and the floor its out-of-support
+continuations sit at: replay takes the cube's position, the floor and the
+region from the cube set, so a certificate passes unchanged through a
+replay and down a split, and its out-of-support entries, which nothing in
+the loop reads, are re-anchored at the final floor once, for the report.  ``--verify`` (in the cli module, which alone
 knows the file format) reads mixed certificates straight into the table's
 arrays and replays them through ``_residual_kernel``.
 """
@@ -67,7 +70,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -107,9 +110,13 @@ class SolverConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.completion not in COMPLETIONS:
             raise ValueError(f"completion must be one of {COMPLETIONS}")
+        # bool is an int subclass: True would pass as a guard of 1
         if not isinstance(self.max_generations, int) \
+                or isinstance(self.max_generations, bool) \
                 or self.max_generations < 0:
             raise ValueError("max_generations must be an integer >= 0")
+        if not isinstance(self.frozen_passes, bool):
+            raise ValueError("frozen_passes must be a bool")
 
     @property
     def bound_threshold(self) -> float:
@@ -129,6 +136,8 @@ class SupportCertificate:
     out-of-support continuations are anchored at.  Which cube the witness
     is for, and the continuation region it was checked in, are not
     recorded: the dict key and the cube set supply them at every replay.
+    ``row``, a mixed certificate's row of the replay table, is a cache of
+    the fields above (``_replay_row``); ``replace`` leaves it unset.
     """
 
     kind: str                                    # pure | mixed | correlated
@@ -137,6 +146,8 @@ class SupportCertificate:
     continuation: Optional[tuple[float, ...]] = None
     solution: Optional[SupportSolution] = None
     conditional_payoffs: Optional[tuple[tuple[float, ...], ...]] = None
+    row: Optional[tuple[float, ...]] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def mixed_profile(self, game: StageGame) -> MixedProfile:
         if self.solution is not None:
@@ -745,7 +756,7 @@ def cube_supported_pure(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
 
 
 def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
-                    kind: str, regions, mask=None
+                    kind: str, regions, mask=None, decided=None
                     ) -> Optional[SupportCertificate]:
     """The search driver of both mixed back-ends.  Each region is a
     (singleton decider, support-LP builder, screen window, hull context or
@@ -753,10 +764,17 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
     yields the certificate, pure patterns first.  ``mask``, a frozen pass's
     rows of ``_pattern_mask`` for this cube (one per region, over
     ``game.tables.patterns``), holds the box screen's verdicts: the searches
-    leave out the patterns it rejects, and a region with none left."""
+    leave out the patterns it rejects, and a region with none left.
+    ``decided``, a frozen pass's ``_point_mass_witnesses`` entry for the
+    cube's one region, when it holds a witness: the support program meets
+    the point masses the mask kept before it, rejected, and returns it."""
     if game.player_count != 2:
         raise ValueError("mixed cube tests require exactly two players")
     patterns = game.tables.patterns
+    if decided:
+        return solve_support_program(None, game,
+                                     patterns=list(compress(patterns, mask[0])),
+                                     shortcut=decided.get)
     for (singleton, builder, window, hull), keep in zip(
             regions, repeat(None) if mask is None else mask):
         cut = hull is not None and gamma > 0.0  # the hull-slice cut runs
@@ -829,18 +847,25 @@ def _hull_window(ctx: _Context, bounds):
 
 def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
                               gamma: float, ctx: Optional[_Context] = None,
-                              mask=None) -> Optional[SupportCertificate]:
+                              mask=None, decided=None
+                              ) -> Optional[SupportCertificate]:
     """Cube test with public correlation: continuations anywhere in the
     convex hull of the union.  The single region is the payoff box cut by
     the hull's half-planes; the screen window is the hull's bounding box,
     cut per pattern to the hull slices.  ``ctx`` is C's context, built here
     when not given; ``mask`` is the cube's slice of a frozen pass's
-    ``_pattern_mask``."""
+    ``_pattern_mask``, and ``decided`` its entry of the pass's
+    ``_point_mass_witnesses``, which stands in for the singleton decider."""
     if ctx is None:
         ctx = _build_context(C, hull=True)
+    if decided:
+        return _search_regions(cube, ctx.w_floor, game, gamma, "correlated",
+                               (), mask, decided)
     bounds = game.tables.bounds
-    region = (partial(_singleton_correlated_solution, cube.origin, cube.side,
-                      ctx.halfplanes, ctx.w_floor, bounds, game, gamma),
+    singleton = decided.get if decided is not None else partial(
+        _singleton_correlated_solution, cube.origin, cube.side,
+        ctx.halfplanes, ctx.w_floor, bounds, game, gamma)
+    region = (singleton,
               partial(correlated_support_system, cube, ctx.halfplanes,
                       ctx.w_floor, bounds, game, gamma),
               _hull_window(ctx, bounds), ctx)
@@ -893,6 +918,99 @@ def _pattern_mask(indices, C: CubeSet, ctx: _Context, game: StageGame,
                 reject = np.where(in_supp & pure, empty, reject)
             ok[start:start + step] &= ~reject.any(axis=0)
     return ok
+
+
+def _point_mass_witnesses(indices, keep, C: CubeSet, ctx: _Context,
+                          game: StageGame, gamma: float) -> list:
+    """The hull's singleton decider for the searches of the cubes
+    ``indices`` of C against ``ctx``, a frozen pass's, all at once: per
+    cube, {pattern: certificate} for the first point mass, in
+    ``game.tables.patterns`` order, that ``keep`` (their ``_pattern_mask``)
+    kept and that has a witness, or {} when none has.
+
+    Each entry is ``_singleton_correlated_solution``'s call, by its
+    expressions on arrays: the continuation box, then ``_clip_box``'s test
+    of the two corners each half-plane's signs pick.  The first row whose
+    larger corner value is beyond FEAS_TOL rejects the box or cuts it; a box
+    no row acts on is its own clip, whose least vertex is its low corner,
+    and ``_clip_box`` clips a box a row cuts.  The witnesses'
+    continuations, utilities and replay rows come from arrays."""
+    tables = game.tables
+    if "points" not in tables.templates:
+        # the point masses lead the patterns; per point mass its conditional
+        # payoffs, its replay row's last two thirds and its own payoffs
+        points = tables.patterns[:game.action_count(0) * game.action_count(1)]
+        profiles = [tuple(s[0] for s in p.supports) for p in points]
+        conds = [tables.conditional[prof] for prof in profiles]
+        tails = [cond[0] + cond[1] + _support_columns(game, p.supports)
+                 for p, cond in zip(points, conds)]
+        tables.templates["points"] = (
+            points, [tables.point_masses[prof] for prof in profiles], conds,
+            tails, np.array(tails).reshape(len(points), 2, -1),
+            np.array([[cond[i][prof[i]] for i in range(2)]
+                      for prof, cond in zip(profiles, conds)]))
+    points, alphas, conds, tails, tail, r = tables.templates["points"]
+    found = [{}] * len(indices)
+    cube, point = np.nonzero(keep[:, 0, :len(points)])
+    if not cube.size:
+        return found
+    bounds = tables.bounds
+    o = (np.array(C.base) + np.array(indices, float).reshape(-1, 2)
+         * C.side)[cube]
+    lo, hi = np.full(o.shape, bounds.low), np.full(o.shape, bounds.high)
+    if gamma > 0.0:
+        # max(a, b) and min(a, b) keep a unless b is strictly beyond it
+        c = _continuation(o, r[point], gamma)
+        lo = np.where(c > lo, c, lo)
+        c = _continuation(o + C.side, r[point], gamma)
+        hi = np.where(c < hi, c, hi)
+        hi = np.where(lo > hi, lo, hi)
+    phi, psi, lam = np.array(ctx.halfplanes, float).reshape(-1, 3).T
+    alive, cut = np.ones(len(cube), bool), np.zeros(len(cube), bool)
+    step = max(1, _BATCH_ELEMENTS // max(1, len(phi)))
+    for start in range(0, len(cube), step):
+        part = slice(start, start + step)
+        (x0, y0), (x1, y1) = lo[part, :, None].swapaxes(0, 1), \
+            hi[part, :, None].swapaxes(0, 1)
+        acts = ~(_hull_row(phi, psi, lam, np.where(phi > 0.0, x1, x0),
+                           np.where(psi > 0.0, y1, y0)) <= FEAS_TOL)
+        row = acts.argmax(axis=1)[:, None]
+        hit = np.take_along_axis(acts, row, 1)[:, 0]
+        rejects = hit & (np.take_along_axis(_hull_row(
+            phi, psi, lam, np.where(phi > 0.0, x0, x1),
+            np.where(psi > 0.0, y0, y1)), row, 1)[:, 0] > FEAS_TOL)
+        alive[part], cut[part] = ~rejects, hit & ~rejects
+    # per cube its first live entry (the entries run cube by cube); a cut
+    # one is clipped, and when nothing is left the cube's next one is taken
+    w = lo.copy()
+    while True:
+        live = np.flatnonzero(alive)
+        first = live[np.diff(cube[live], prepend=-1) > 0]
+        todo = first[cut[first]]
+        if not todo.size:
+            break
+        for e in todo.tolist():
+            poly = _clip_box(lo[e].tolist(), hi[e].tolist(), ctx.halfplanes)
+            if poly:
+                w[e], cut[e] = min(poly), False
+            else:
+                alive[e] = False
+    m = [game.action_count(i) for i in range(2)]
+    player = np.repeat([0, 1], m)
+    cols = tail[point[first]]
+    conts = np.where(cols[:, 1] > 0.0, w[first][:, player],
+                     np.array(ctx.w_floor)[player])
+    utils = _utility(cols[:, 0], conts, gamma)
+    for c, p, ws, us in zip(cube[first].tolist(), point[first].tolist(),
+                            conts.tolist(), utils.tolist()):
+        w0, w1 = tuple(ws[:m[0]]), tuple(ws[m[0]:])
+        cert = SupportCertificate(
+            kind="correlated", w_floor=ctx.w_floor, solution=SupportSolution(
+                alphas[p], (w0, w1), (tuple(us[:m[0]]), tuple(us[m[0]:])),
+                points[p]), conditional_payoffs=conds[p])
+        object.__setattr__(cert, "row", w0 + w1 + tails[p])
+        found[c] = {points[p]: cert}
+    return found
 
 
 # -- certificate replay --------------------------------------------------------------
@@ -967,26 +1085,37 @@ def _cluster_violation(pool, values) -> float:
 _BATCH_ELEMENTS = 1 << 16
 
 
+def _support_columns(game: StageGame, supports) -> tuple[float, ...]:
+    """Per action of each player (player 0's first), 1.0 where ``supports``
+    holds it, else 0.0: the last third of a replay row."""
+    return tuple(float(a in supports[i]) for i in range(2)
+                 for a in range(game.action_count(i)))
+
+
+def _replay_row(cert: SupportCertificate, game: StageGame):
+    """A mixed certificate's row of ``_ReplayTable``, a column per action of
+    each player: its continuations, its conditional payoffs and whether its
+    pattern holds each action.  Built once, and kept on the certificate, so
+    a certificate replayed in many passes is gathered once."""
+    if cert.row is None:
+        sol = cert.solution
+        cond = _conditional_payoffs(cert, game)
+        # a cache of the frozen fields, which replace() drops
+        object.__setattr__(cert, "row", sol.continuations[0]
+                           + sol.continuations[1] + cond[0] + cond[1]
+                           + _support_columns(game, sol.pattern.supports))
+    return cert.row
+
+
 def _certificate_rows(certificates: dict, indices, game: StageGame):
     """The mixed certificates ``certificates[ix]``, ix in ``indices``, as
-    ``_ReplayTable``'s arrays, a row per certificate and a column per action
-    of each player (player 0's first): its continuation, its conditional
-    payoff and whether its pattern holds it."""
-    m = [game.action_count(i) for i in range(2)]
-    masks: dict = {}
-    flat: list = []
-    for ix in indices:
-        cert = certificates[ix]
-        sol = cert.solution
-        supports = sol.pattern.supports
-        if supports not in masks:
-            masks[supports] = tuple(float(a in supports[i]) for i in range(2)
-                                    for a in range(m[i]))
-        cond = _conditional_payoffs(cert, game)
-        flat += sol.continuations[0] + sol.continuations[1] + cond[0] \
-            + cond[1] + masks[supports]
-    table = np.fromiter(flat, float, len(flat)).reshape(len(indices), 3,
-                                                        m[0] + m[1])
+    ``_ReplayTable``'s arrays, one ``_replay_row`` per certificate: the
+    continuations, the conditional payoffs and the in-support mask."""
+    m = game.action_count(0) + game.action_count(1)
+    flat = chain.from_iterable([_replay_row(certificates[ix], game)
+                                for ix in indices])
+    table = np.fromiter(flat, float, 3 * m * len(indices)).reshape(
+        len(indices), 3, m)
     return table[:, 0], table[:, 1], table[:, 2] > 0.0
 
 
@@ -1240,8 +1369,8 @@ def solve(game: StageGame, config: SolverConfig,
                 C, config.mode == "mixed-correlated"), C.version
         return cached
 
-    def search(cube: Hypercube, ctx: _Context,
-               mask) -> Optional[SupportCertificate]:
+    def search(cube: Hypercube, ctx: _Context, mask,
+               decided) -> Optional[SupportCertificate]:
         if config.mode == "pure":
             return cube_supported_pure(cube, C, ctx.w_floor, game,
                                        config.gamma, clusters=ctx.clusters)
@@ -1250,7 +1379,7 @@ def solve(game: StageGame, config: SolverConfig,
                                         config.gamma, clusters=ctx.clusters,
                                         mask=mask, boxes=ctx.boxes)
         return cube_supported_correlated(cube, C, game, config.gamma,
-                                         ctx=ctx, mask=mask)
+                                         ctx=ctx, mask=mask, decided=decided)
 
     while True:
         iteration += 1
@@ -1261,6 +1390,7 @@ def solve(game: StageGame, config: SolverConfig,
         pending_removals = []
         frozen_ctx = table = None
         masks: dict = {}
+        witnesses: dict = {}
         if config.mode != "pure":
             # the pass's stored certificates, gathered once for its replays
             stored = [idx for idx in order if idx in certificates]
@@ -1271,11 +1401,16 @@ def solve(game: StageGame, config: SolverConfig,
         if config.frozen_passes:
             frozen_ctx = current_context()
             if table is not None:
-                # every search reads this context: screen their patterns now
+                # every search reads this context: screen their patterns,
+                # and decide the hull's point masses, now
                 searched = [idx for idx in order if idx not in table.row
                             or not table.verdict(idx, frozen_ctx)]
-                masks = dict(zip(searched, _pattern_mask(
-                    searched, C, frozen_ctx, game, config.gamma).tolist()))
+                keep = _pattern_mask(searched, C, frozen_ctx, game,
+                                     config.gamma)
+                masks = dict(zip(searched, keep.tolist()))
+                if frozen_ctx.halfplanes is not None:
+                    witnesses = dict(zip(searched, _point_mass_witnesses(
+                        searched, keep, C, frozen_ctx, game, config.gamma)))
         for idx in order:
             ctx = frozen_ctx if config.frozen_passes else current_context()
             cert = certificates.get(idx)
@@ -1283,7 +1418,7 @@ def solve(game: StageGame, config: SolverConfig,
                                                config.gamma, table):
                 continue
             cube = C.cube_at(idx)
-            cert = search(cube, ctx, masks.get(idx))
+            cert = search(cube, ctx, masks.get(idx), witnesses.get(idx))
             if cert is not None:
                 certificates[idx] = cert
                 continue

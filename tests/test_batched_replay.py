@@ -11,6 +11,10 @@ ones bit for bit.
 * ``_clip_box`` (the singleton correlated decider's row-pruned clip) must
   return what ``_clip`` returns for the box, on random boxes against hulls
   of random cube sets, boxes within 1e-7 of the hull included.
+* ``_point_mass_witnesses`` (a frozen pass's hull singleton decider on
+  arrays) must return, per cube, the first witness that
+  ``_singleton_correlated_solution`` finds over the kept point masses, with
+  its bits, and the replay row a fresh gather gives it.
 * With the refresh deferred to the passes that read it, every mixed
   certificate in a returned report is anchored at the final floor.
 
@@ -33,7 +37,9 @@ from spegrid.game import MixedProfile, conditional_payoff_table  # noqa: E402
 from spegrid.geometry import HalfPlane  # noqa: E402
 from spegrid.solver import (_ReplayTable, _build_context,  # noqa: E402
                             _certificate_rows, _clip, _clip_box,
-                            _residual_kernel, certificate_residual)
+                            _point_mass_witnesses, _replay_row,
+                            _residual_kernel, _singleton_correlated_solution,
+                            certificate_residual)
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
 JITTERS = [0.0] + [sign * k * 1e-7 for k in (0.5, 1.0, 1.5, 3.0)
@@ -371,6 +377,117 @@ def test_pruned_singleton_decider_returns_the_unpruned_witness(case):
     assert (pruned is None) == (unpruned is None)
     if pruned is not None:
         assert hexes(pruned.continuations) == hexes(unpruned.continuations)
+
+
+@st.composite
+def witness_cases(draw):
+    """The hull context of a random union and a 3x3 block of cubes of a
+    lattice whose base puts, per player, a point mass's continuation box
+    edge at a hull vertex up to a jitter (or at a zero of either sign), and
+    a random pattern mask over the block."""
+    game = draw(games())
+    if draw(st.booleans()):  # zero payoffs of both signs
+        payoffs = game.payoffs.copy()
+        payoffs[payoffs == 0.0] = draw(st.sampled_from([0.0, -0.0]))
+        game = sg.StageGame(game.actions, payoffs)
+    C = draw(cube_sets(game, span=6))
+    ctx = _build_context(C, hull=True)
+    gamma = draw(st.sampled_from([0.0, 0.3, 0.7, 0.9]))
+    patterns = game.tables.patterns
+    point = draw(st.sampled_from([p for p in patterns if p.pure]))
+    profile = tuple(s[0] for s in point.supports)
+    cond = game.tables.conditional[profile]
+    vertex = draw(st.sampled_from(ctx.vertices))
+    side = draw(tenths(0.1, 2.0))
+    base = []
+    for i in range(2):
+        edge = solver._utility(cond[i][profile[i]], vertex[i], gamma)
+        if draw(st.booleans()):
+            edge -= side
+        base.append(draw(st.sampled_from([
+            edge + draw(st.sampled_from(JITTERS)), 0.0, -0.0])))
+    lattice = sg.CubeSet(base, side, [(0, 0)])
+    indices = [(k0, k1) for k0 in (-1, 0, 1) for k1 in (-1, 0, 1)]
+    keep = np.array(draw(st.lists(st.booleans(), min_size=9 * len(patterns),
+                                  max_size=9 * len(patterns))))
+    return game, gamma, lattice, ctx, indices, \
+        keep.reshape(9, 1, len(patterns))
+
+
+def scalar_witness(game, gamma, lattice, ctx, ix, keep):
+    """The first kept point mass's witness the scalar decider finds for
+    the cube ``ix`` of the lattice, as a search meets them, or None."""
+    for pattern, kept in zip(game.tables.patterns, keep[0]):
+        if kept and pattern.pure:
+            sol = _singleton_correlated_solution(
+                lattice.origin_of(ix), lattice.side, ctx.halfplanes,
+                ctx.w_floor, game.tables.bounds, game, gamma, pattern)
+            if sol is not None:
+                return sol
+    return None
+
+
+def solution_bits(sol):
+    return (sol.pattern, sol.alpha, hexes(sol.continuations),
+            hexes(sol.utilities))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=500)
+@given(witness_cases())
+def test_batched_point_mass_witnesses_match_the_scalar_decider(case):
+    game, gamma, lattice, ctx, indices, keep = case
+    batch = _point_mass_witnesses(indices, keep, lattice, ctx, game, gamma)
+    assert len(batch) == len(indices)
+    for ix, found, kept in zip(indices, batch, keep):
+        sol = scalar_witness(game, gamma, lattice, ctx, ix, kept)
+        if sol is None:
+            assert found == {}
+            continue
+        [(pattern, cert)] = found.items()
+        assert pattern == sol.pattern == cert.solution.pattern
+        assert solution_bits(cert.solution) == solution_bits(sol)
+        assert cert.kind == "correlated" and cert.w_floor == ctx.w_floor
+        assert cert.conditional_payoffs is game.tables.conditional[
+            tuple(s[0] for s in pattern.supports)]
+        fresh = solver.SupportCertificate("correlated", ctx.w_floor,
+                                          solution=sol)
+        assert hexes([cert.row]) == hexes([_replay_row(fresh, game)])
+
+
+def test_point_mass_witness_cases_reach_every_clip():
+    # the cases above must hold boxes that every row passes over, that a
+    # row rejects, that one row and that two rows cut, and degenerate ones,
+    # or the comparison shows little
+    seen = {"over": 0, "rejected": 0, "cut by 1": 0, "cut by 2+": 0,
+            "lo == hi": 0}
+    clips = []
+
+    def counting_clip(poly, rows, tol=FEAS_TOL):
+        clips.append(1)
+        return _clip(poly, rows, tol)
+
+    def spying_clip_box(lo, hi, rows):
+        del clips[:]
+        with mock.patch.object(solver, "_clip", counting_clip):
+            poly = _clip_box(lo, hi, rows)
+        seen["lo == hi"] += lo[0] == hi[0] or lo[1] == hi[1]
+        if clips:
+            seen["cut by 1" if len(clips) == 1 else "cut by 2+"] += 1
+        else:
+            seen["over" if poly else "rejected"] += 1
+        return poly
+
+    @settings(deadline=None, derandomize=True, database=None,
+              max_examples=500)
+    @given(witness_cases())
+    def count(case):
+        game, gamma, lattice, ctx, indices, keep = case
+        with mock.patch.object(solver, "_clip_box", spying_clip_box):
+            for ix, kept in zip(indices, keep):
+                scalar_witness(game, gamma, lattice, ctx, ix, kept)
+
+    count()
+    assert min(seen.values()) >= 50, seen
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["literal", "frozen"])

@@ -38,11 +38,16 @@ CASES = [
      "686e5e0dea22f1605450ed489d812f99ed6e926f6edd3a42e6476e2220db8d26"),
     ("rock_paper_scissors", 0.5, 3.0, "correlated", False,
      "d888bdcf6e6be5c3d63fb29afb51b4593fd963fd26d13b4a767610fd6e99d185"),
+    # 6,510 cubes, about 1,800 continuation boxes cut by a hull row per
+    # solve; recorded before the frozen pass decided point masses in batch
+    ("prisoners_dilemma", 0.7, 0.4, "correlated", True,
+     "49b1cc1521492500974d45cd966455502c34bda0dd8b5ced34ac177575d1cd55"),
 ]
 
 
 @pytest.mark.parametrize("game,gamma,epsilon,mode,frozen,digest", CASES,
                          ids=[f"{c[0]}-{c[3]}-{'frozen' if c[4] else 'literal'}"
+                              + ("-cut" if c[2] == 0.4 else "")
                               for c in CASES])
 def test_final_set_bytes_unchanged(tmp_path, game, gamma, epsilon, mode,
                                    frozen, digest):

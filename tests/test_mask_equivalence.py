@@ -1,16 +1,19 @@
 """A frozen pass's pattern mask is its searches' box screen, and their only
-one.
+one; its point-mass batch is the hull's singleton decider, and its only one.
 
 Frozen solves of both mixed back-ends, on random 2x2, 2x3 and 3x3 games on
 a 0.1 grid and on two benchmark workloads (BoS over clusters, PD over the
-hull), run once as they are and once with the mask withheld, which makes
-every search screen each (region, pattern) pair through the scalar entry,
-as the literal loop does.  The pass trace, the ``final_set.txt`` bytes and
-every certificate's bits must be identical.  With the mask, no search or
-singleton decider calls the scalar box screen; only the hull-slice cut
-screens the in-support rows again, with its cut window, and it evaluates no
-out-of-support row.  Neither loop replays a mixed certificate through the
-scalar ``certificate_residual``: both replay through the pass's table.
+hull), run once as they are and once with the mask and the batch that reads
+it withheld, which makes every search screen each (region, pattern) pair
+through the scalar entry, and decide each point mass through the scalar
+decider, as the literal loop does.  The pass trace, the ``final_set.txt``
+bytes and every certificate's bits must be identical; the run with the
+batch must not call the scalar hull decider at all.  With the mask, no
+search or singleton decider calls the scalar box screen; only the
+hull-slice cut screens the in-support rows again, with its cut window, and
+it evaluates no out-of-support row.  Neither loop replays a mixed
+certificate through the scalar ``certificate_residual``: both replay
+through the pass's table.
 """
 
 import contextlib
@@ -37,6 +40,15 @@ def random_grid_game(seed):
 def withheld(indices, C, ctx, game, gamma):
     # no mask rows: each search gets None and screens every pair itself
     return np.full(len(indices), None, dtype=object)
+
+
+def no_witnesses(indices, keep, C, ctx, game, gamma):
+    # no batch verdicts: each search runs the scalar singleton decider
+    return [None] * len(indices)
+
+
+def scalar_decider_raises(*args):
+    raise AssertionError("a frozen pass called the scalar hull decider")
 
 
 def bits(values) -> bytes:
@@ -77,9 +89,13 @@ def assert_mask_changes_nothing(game, config, tmp_path):
         return mask
 
     real = solver._pattern_mask
-    with mock.patch.object(solver, "_pattern_mask", spy):
+    with mock.patch.object(solver, "_pattern_mask", spy), \
+            mock.patch.object(solver, "_singleton_correlated_solution",
+                              scalar_decider_raises):
         masked = run(game, config, tmp_path, "masked")
-    with mock.patch.object(solver, "_pattern_mask", withheld):
+    with mock.patch.object(solver, "_pattern_mask", withheld), \
+            mock.patch.object(solver, "_point_mass_witnesses",
+                              no_witnesses):
         full = run(game, config, tmp_path, "full")
     assert masked[0] == full[0]
     assert masked[1] == full[1]
@@ -174,8 +190,13 @@ def test_frozen_searches_screen_only_through_the_mask(name):
         == (name == "frozen_pd")
     # the cut's window moves no out-of-support row, so it evaluates none
     assert "_screen_hull_slices" not in callers(calls, "_deviation")
-    # the decider rejects only where its clip leaves nothing
-    assert empty["_singleton_correlated_solution"] == empty["_clip_box"]
+    # the pass's batch decides the hull's point masses: the scalar decider
+    # never runs (1,480 calls per frozen_pd solve when it did), and only
+    # the batch clips, the boxes a row cuts
+    assert not callers(calls, "_singleton_correlated_solution")
+    assert callers(calls, "_clip_box") <= {"_point_mass_witnesses"}
+    assert (calls["_clip_box", "_point_mass_witnesses"] > 0) \
+        == (name == "frozen_pd")
 
 
 def test_literal_searches_screen_once_per_pair():
@@ -192,6 +213,23 @@ def test_literal_searches_screen_once_per_pair():
     # the decider rejects only where its clip leaves nothing (436 of 1,724
     # calls per solve rejected on the interval when the decider tested it)
     assert empty["_singleton_correlated_solution"] == empty["_clip_box"] > 0
+
+
+@pytest.mark.parametrize("epsilon", [1.6, 0.4])
+def test_frozen_correlated_solves_decide_point_masses_only_in_the_batch(
+        tmp_path, epsilon):
+    # a frozen correlated solve with the scalar decider raising keeps the
+    # trace key and final-set bytes of the solve that runs it for every
+    # point mass; at epsilon 0.4 rows cut about 1,800 boxes per solve
+    game = sg.load_bundled("prisoners_dilemma")
+    config = sg.SolverConfig(gamma=0.7, epsilon=epsilon, frozen_passes=True)
+    with mock.patch.object(solver, "_singleton_correlated_solution",
+                           scalar_decider_raises):
+        batch = run(game, config, tmp_path, "batch")
+    with mock.patch.object(solver, "_point_mass_witnesses", no_witnesses):
+        scalar = run(game, config, tmp_path, "scalar")
+    assert batch[0] == scalar[0]
+    assert batch[1] == scalar[1]
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["literal", "frozen"])

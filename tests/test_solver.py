@@ -228,12 +228,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="gamma"):
             sg.SolverConfig(gamma=gamma, epsilon=0.5)
 
-    @pytest.mark.parametrize("generations", [-1, 2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("generations", [-1, 2.5, 3.0, "3", None, True])
     def test_rejects_max_generations_that_is_not_an_int_from_0(self,
                                                                generations):
         with pytest.raises(ValueError, match="max_generations"):
             sg.SolverConfig(gamma=0.5, epsilon=0.5,
                             max_generations=generations)
+
+    @pytest.mark.parametrize("frozen", ["false", 0, None])
+    def test_rejects_frozen_passes_that_is_not_a_bool(self, frozen):
+        # "false" is a true string, and would have run frozen passes
+        with pytest.raises(ValueError, match="frozen_passes"):
+            sg.SolverConfig(gamma=0.7, epsilon=1.6, frozen_passes=frozen)
 
     def test_zero_generations_is_a_valid_guard(self):
         assert sg.SolverConfig(gamma=0.5, epsilon=0.5,
