@@ -965,8 +965,10 @@ def _point_mass_witnesses(indices, keep, C: CubeSet, ctx: _Context,
         c = _continuation(o + C.side, r[point], gamma)
         hi = np.where(c < hi, c, hi)
         hi = np.where(lo > hi, lo, hi)
-    phi, psi, lam = np.array(ctx.halfplanes, float).reshape(-1, 3).T
+    rows = ctx.halfplanes
+    phi, psi, lam = np.array(rows, float).reshape(-1, 3).T
     alive, cut = np.ones(len(cube), bool), np.zeros(len(cube), bool)
+    acting = np.zeros(len(cube), np.intp)  # the first row acting on the box
     step = max(1, _BATCH_ELEMENTS // max(1, len(phi)))
     for start in range(0, len(cube), step):
         part = slice(start, start + step)
@@ -980,8 +982,10 @@ def _point_mass_witnesses(indices, keep, C: CubeSet, ctx: _Context,
             phi, psi, lam, np.where(phi > 0.0, x0, x1),
             np.where(psi > 0.0, y0, y1)), row, 1)[:, 0] > FEAS_TOL)
         alive[part], cut[part] = ~rejects, hit & ~rejects
+        acting[part] = row[:, 0]
     # per cube its first live entry (the entries run cube by cube); a cut
-    # one is clipped, and when nothing is left the cube's next one is taken
+    # one is clipped from its first acting row, the rows before it passing
+    # over, and when nothing is left the cube's next entry is taken
     w = lo.copy()
     while True:
         live = np.flatnonzero(alive)
@@ -989,8 +993,8 @@ def _point_mass_witnesses(indices, keep, C: CubeSet, ctx: _Context,
         todo = first[cut[first]]
         if not todo.size:
             break
-        for e in todo.tolist():
-            poly = _clip_box(lo[e].tolist(), hi[e].tolist(), ctx.halfplanes)
+        for e, k in zip(todo.tolist(), acting[todo].tolist()):
+            poly = _clip_box(lo[e].tolist(), hi[e].tolist(), rows[k:])
             if poly:
                 w[e], cut[e] = min(poly), False
             else:
@@ -1001,13 +1005,14 @@ def _point_mass_witnesses(indices, keep, C: CubeSet, ctx: _Context,
     conts = np.where(cols[:, 1] > 0.0, w[first][:, player],
                      np.array(ctx.w_floor)[player])
     utils = _utility(cols[:, 0], conts, gamma)
-    for c, p, ws, us in zip(cube[first].tolist(), point[first].tolist(),
-                            conts.tolist(), utils.tolist()):
-        w0, w1 = tuple(ws[:m[0]]), tuple(ws[m[0]:])
+    for c, p, w0, w1, u0, u1 in zip(
+            cube[first].tolist(), point[first].tolist(),
+            *(map(tuple, part.tolist()) for a in (conts, utils)
+              for part in (a[:, :m[0]], a[:, m[0]:]))):
         cert = SupportCertificate(
             kind="correlated", w_floor=ctx.w_floor, solution=SupportSolution(
-                alphas[p], (w0, w1), (tuple(us[:m[0]]), tuple(us[m[0]:])),
-                points[p]), conditional_payoffs=conds[p])
+                alphas[p], (w0, w1), (u0, u1), points[p]),
+            conditional_payoffs=conds[p])
         object.__setattr__(cert, "row", w0 + w1 + tails[p])
         found[c] = {points[p]: cert}
     return found
@@ -1087,9 +1092,13 @@ _BATCH_ELEMENTS = 1 << 16
 
 def _support_columns(game: StageGame, supports) -> tuple[float, ...]:
     """Per action of each player (player 0's first), 1.0 where ``supports``
-    holds it, else 0.0: the last third of a replay row."""
-    return tuple(float(a in supports[i]) for i in range(2)
-                 for a in range(game.action_count(i)))
+    holds it, else 0.0: the last third of a replay row; built once per
+    game."""
+    key, templates = ("columns", supports), game.tables.templates
+    if key not in templates:
+        templates[key] = tuple(float(a in supports[i]) for i in range(2)
+                               for a in range(game.action_count(i)))
+    return templates[key]
 
 
 def _replay_row(cert: SupportCertificate, game: StageGame):
