@@ -6,8 +6,9 @@ against a digest recorded before the mixed back-ends were merged into one
 LP builder and one search driver.  A refactor that claims "identical
 results" must keep these digests; a change that moves them on purpose must
 say why and record the new ones.  The cases cover all three back-ends,
-literal and frozen passes, singleton and genuinely mixed supports, and a
-3x3 game.  The digests were recorded with numpy 2.4 on x86-64.
+literal and frozen passes, singleton and genuinely mixed supports, a 3x3
+game, and a frozen correlated run in which hull rows cut many of the
+point masses' continuation boxes.  The digests were recorded with numpy 2.4 on x86-64.
 
 The built automata are recorded the same way: the ``to_text()`` bytes of
 each benchmark workload's full automaton, and of three automata extracted
