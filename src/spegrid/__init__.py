@@ -19,7 +19,8 @@ from .solver import (SolveReport, SolveSnapshot, SolverConfig,
                      SupportCertificate, cube_completed, cube_supported_pure,
                      cube_supported_mixed, cube_supported_correlated,
                      correlated_support_system, mixed_cluster_system,
-                     solve, verify_certificate)
+                     solve)
+from .cli import verify_certificate
 from .svg import render_svg
 
 __all__ = [name for name in dir() if not name.startswith("_")]

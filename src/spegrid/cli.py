@@ -33,9 +33,6 @@ from .geometry import CubeSet
 from .solver import (SolveReport, SolveSnapshot, SolverConfig,
                      SupportCertificate, _build_context, _residual_kernel,
                      certificate_residual, solve)
-# Part of this module's namespace: perfbench/tracer.py hooks cli-level
-# certificate checks under this name.
-from .solver import verify_certificate  # noqa: F401
 from .svg import render_svg
 
 _MODE_FLAGS = {"pure": "pure", "mixed": "mixed-clusters",
@@ -153,9 +150,7 @@ def _lattice_indices(lines, base, side) -> list[tuple[int, ...]]:
 
 def _read_final_set(path):
     """The cube set and status stored in a final-set file, and its
-    certificate section: the lattice index of each block's cube, in block
-    order, and the section's fields, each a dict from block number to the
-    field's value there (the last, where a block repeats a field)."""
+    certificate section as ``_read_certificates`` reads it."""
     lines = [line for line in map(str.strip, Path(path).read_text().splitlines())
              if line and not line.startswith("#")]
     meta = {}
@@ -179,9 +174,18 @@ def _read_final_set(path):
         # a repeated cube line is counted once
         raise ValueError(f"final set lists {len(C)} cubes in {stop} lines "
                          f"but its header declares {count}")
+    return (C, meta.get("status", "unknown"),
+            *_read_certificates(rest[stop + 1:], base, side))
+
+
+def _read_certificates(lines, base, side):
+    """A certificate section's lines read as the lattice index of each
+    block's cube, in block order, and the section's fields, each a dict
+    from block number to the field's value there (the last, where a block
+    repeats a field)."""
     fields: dict = {}
     block = -1
-    for line in rest[stop + 1:]:
+    for line in lines:
         key, _, value = line.partition(":")
         key = key.strip()
         if key == "cube":
@@ -190,7 +194,7 @@ def _read_final_set(path):
             raise ValueError("certificate fields before any 'cube:' line")
         fields.setdefault(key, {})[block] = value.strip()
     cubes = _lattice_indices(list(fields.get("cube", {}).values()), base, side)
-    return C, meta.get("status", "unknown"), cubes, fields
+    return cubes, fields
 
 
 def _column(fields: dict, key: str, blocks) -> list[str]:
@@ -292,16 +296,23 @@ def _fits_game(cert: SupportCertificate, counts) -> bool:
 
 
 def _final_set_residuals(path, game: StageGame, gamma: float):
-    """Per certificate kind of a final-set file, in order of first
-    appearance, its blocks' cubes (lattice indices) and their residuals
-    against the file's cube set, with ``certificate_residual``'s bits.
-    Every kind is read, then fitted to the game, before any is replayed
-    against its own context: pure blocks as certificates, mixed kinds as
-    ``_residual_kernel``'s columns.  None unless each cube has one
-    certificate that fits."""
+    """``_block_residuals`` of a final-set file's certificate blocks
+    against its cube set; None unless each cube has one block."""
     C, _, cubes, fields = _read_final_set(path)
     if sorted(cubes) != C.indices():
         return None
+    return _block_residuals(C, cubes, fields, game, gamma)
+
+
+def _block_residuals(C: CubeSet, cubes, fields: dict, game: StageGame,
+                     gamma: float):
+    """Per certificate kind of the blocks read into ``fields``, in order of
+    first appearance, its blocks' cubes (``cubes``, lattice indices of C)
+    and their residuals against C: a pure block's ``certificate_residual``,
+    a mixed kind's ``_residual_kernel``.  Every kind is read, then fitted
+    to the game, before any is replayed against its own context: pure
+    blocks as certificates, mixed kinds as the kernel's columns.  None
+    unless every block fits."""
     by_kind: dict = {}
     for b, kind in enumerate(_column(fields, "kind", range(len(cubes)))):
         by_kind.setdefault(kind, []).append(b)
@@ -333,14 +344,31 @@ def _final_set_residuals(path, game: StageGame, gamma: float):
     return residuals
 
 
+def _replays(residuals) -> bool:
+    # the verdict on _block_residuals: every block fits and replays
+    return residuals is not None and all(np.all(res <= FEAS_TOL)
+                                         for _, res in residuals.values())
+
+
 def verify_final_set(path, game: StageGame, gamma: float) -> bool:
     """Replay the certificates stored in a final-set file against the cube
     set stored alongside it, at the 1e-7 feasibility tolerance; every cube
     needs exactly one certificate that fits the game."""
     check_gamma(gamma)
-    residuals = _final_set_residuals(path, game, gamma)
-    return residuals is not None and all(np.all(res <= FEAS_TOL)
-                                         for _, res in residuals.values())
+    return _replays(_final_set_residuals(path, game, gamma))
+
+
+def verify_certificate(cert: SupportCertificate, game: StageGame,
+                       gamma: float, C: CubeSet, index) -> bool:
+    """``verify_final_set`` on one block: write ``cert`` as the block of
+    the cube ``index`` of C, read it back, then fit and replay it against C
+    by the file's code.  False when C has no such cube."""
+    check_gamma(gamma)
+    if index not in C:
+        return False
+    cubes, fields = _read_certificates(
+        _certificate_text(C.origin_of(index), cert), C.base, C.side)
+    return _replays(_block_residuals(C, cubes, fields, game, gamma))
 
 
 def run(manifest: RunManifest) -> tuple[int, SolveReport]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,11 +29,19 @@ import numpy as np
 PROB_TOL = 1e-9
 
 
+def check_real(name: str, value) -> None:
+    """Refuse a parameter that is a bool (an int subclass, so False would
+    pass as 0) or no real number (a comparison would raise TypeError)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number")
+
+
 def check_gamma(gamma: float) -> None:
     """The discount factor's rule, for a solve, for every verifier and for
-    every automaton evaluation: finite and in [0, 1).  NaN fails every
-    comparison, so the one chained test refuses it as it refuses the
-    infinities."""
+    every automaton evaluation: a real number (``check_real``), finite and
+    in [0, 1).  NaN fails every comparison, so the one chained test refuses
+    it as it refuses the infinities."""
+    check_real("gamma", gamma)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
 

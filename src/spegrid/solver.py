@@ -46,22 +46,24 @@ is replayed against the current context; a valid stored witness proves
 feasibility.  Each support row is one function that the deciders, screens
 and replays share, so a decider rejects exactly where replay would.  Both
 loops replay mixed certificates from one table per pass (``_ReplayTable``,
-with the verdicts of the scalar ``certificate_residual``): its rows are
-gathered once, and each row group runs again only when what it reads, the
-floor or the region, moves.  A frozen pass then runs the box screen of
-every (cube, region, pattern) it must search in one numpy mask
-(``_pattern_mask``), its only box screen, and for the hull decides every
-point mass the mask keeps in one array pass (``_point_mass_witnesses``),
-which a search reads in place of the scalar decider; the literal loop
-screens and decides cube by cube through the scalar entries.  Each mixed
-certificate keeps its replay row, so the table's gather only stacks rows.
-A certificate carries only its witness and the floor its out-of-support
-continuations sit at: replay takes the cube's position, the floor and the
-region from the cube set, so a certificate passes unchanged through a
-replay and down a split, and its out-of-support entries, which nothing in
-the loop reads, are re-anchored at the final floor once, for the report.  ``--verify`` (in the cli module, which alone
-knows the file format) reads mixed certificates straight into the table's
-arrays and replays them through ``_residual_kernel``.
+the only replay of a mixed certificate; pure ones replay through the scalar
+``certificate_residual``): its rows are gathered once, and each row group
+runs again only when what it reads, the floor or the region, moves.  A
+frozen pass then runs the box screen of every (cube, region, pattern) it
+must search in one numpy mask (``_pattern_mask``), its only box screen, and
+for the hull decides every point mass the mask keeps in one array pass
+(``_point_mass_witnesses``), which a search reads in place of the scalar
+decider; the literal loop screens and decides cube by cube through the
+scalar entries.  Each mixed certificate keeps its replay row, so the table's
+gather only stacks rows.  A certificate carries only its witness and the
+floor its out-of-support continuations sit at: replay takes the cube's
+position, the floor and the region from the cube set, so a certificate
+passes unchanged through a replay and down a split, and its out-of-support
+entries, which nothing in the loop reads, are re-anchored at the final floor
+once, for the report.  ``--verify`` and its one-certificate form
+``verify_certificate`` (in the cli module, which alone knows the file
+format) read mixed certificates straight into the table's arrays and replay
+them through ``_residual_kernel``.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ import numpy as np
 from .feasibility import (_LE, FEAS_TOL, UNDECIDED, ArraySystem,
                           LinearSystem, SupportPattern, SupportSolution,
                           alpha_var, solve_support_program, w_var, wp_var)
-from .game import (MixedProfile, StageGame, check_gamma,
+from .game import (MixedProfile, StageGame, check_gamma, check_real,
                    conditional_payoff_table)
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
                        get_halfplanes, hull_box, hull_vertices, initial_cube,
@@ -103,6 +105,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_gamma(self.gamma)
+        check_real("epsilon", self.epsilon)
         # NaN fails every comparison, so the finiteness check comes first
         if not math.isfinite(self.epsilon) or self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive and finite")
@@ -1023,65 +1026,34 @@ def _point_mass_witnesses(indices, keep, C: CubeSet, ctx: _Context,
 def certificate_residual(cert: SupportCertificate, game: StageGame,
                          gamma: float, cube_origin, side, w_floor,
                          region) -> float:
-    """Largest constraint violation of a certificate in the cube at
+    """Largest constraint violation of a pure certificate in the cube at
     ``cube_origin`` with ``side``, against the floor ``w_floor`` and the
-    continuation ``region``: the union's clusters (pure and mixed), or its
-    hull's half-planes (correlated).
-
-    Out-of-support continuations are re-anchored at the punishment floor
-    (always allowed), so only the floor-dependent inequality is checked for
-    them.
-    """
-    if cert.kind == "pure":
-        w = cert.continuation
-        r_vals, br_vals = game.tables.pure[cert.profile]
-        worst = _cluster_violation(region, [[x] for x in w])
-        for i in range(len(w)):
-            wp = _utility(r_vals[i], w[i], gamma)
-            worst = max(worst, _below(wp, cube_origin[i]),
-                        _above(wp, cube_origin[i], side),
-                        _deviation(br_vals[i], w_floor[i], wp, gamma))
-        return worst
-
-    sol = cert.solution
-    cond = _conditional_payoffs(cert, game)
-    supports = sol.pattern.supports
-    worst = 0.0
-    if cert.kind == "mixed":
-        worst = _cluster_violation(region, [[sol.continuation(i, a)
-                                             for a in supports[i]]
-                                            for i in range(2)])
-    else:
-        for a1 in supports[0]:
-            w1 = sol.continuation(0, a1)
-            for a2 in supports[1]:
-                w2 = sol.continuation(1, a2)
-                for phi, psi, lam in region:
-                    worst = max(worst, _hull_row(phi, psi, lam, w1, w2))
-    for i in range(2):
-        in_supp = set(supports[i])
-        for a in range(game.action_count(i)):
-            if a in in_supp:
-                wp = _utility(cond[i][a], sol.continuation(i, a), gamma)
-                worst = max(worst, _below(wp, cube_origin[i]),
-                            _above(wp, cube_origin[i], side))
-            else:
-                worst = max(worst, _deviation(cond[i][a], w_floor[i],
-                                              cube_origin[i], gamma))
+    union's clusters ``region``.  Mixed certificates replay only through
+    ``_ReplayTable``; for them this raises ValueError."""
+    if cert.kind != "pure":
+        raise ValueError(f"a {cert.kind} certificate replays through the "
+                         "replay table, not the pure residual")
+    w = cert.continuation
+    r_vals, br_vals = game.tables.pure[cert.profile]
+    worst = _cluster_violation(region, w)
+    for i in range(len(w)):
+        wp = _utility(r_vals[i], w[i], gamma)
+        worst = max(worst, _below(wp, cube_origin[i]),
+                    _above(wp, cube_origin[i], side),
+                    _deviation(br_vals[i], w_floor[i], wp, gamma))
     return worst
 
 
-def _cluster_violation(pool, values) -> float:
-    """How far the continuation values (one list per player) are from
-    fitting in one cluster of the pool: the least, over clusters, of the
-    largest box violation, and never below 0."""
+def _cluster_violation(pool, point) -> float:
+    """How far ``point`` is from fitting in one cluster of the pool: the
+    least, over clusters, of its largest box violation, and never below
+    0."""
     best = np.inf
     for s in pool:
         viol = 0.0
-        for i, vals in enumerate(values):
-            for v in vals:
-                viol = max(viol, _below(v, s.origin[i]),
-                           _above(v, s.origin[i], s.lengths[i]))
+        for i, v in enumerate(point):
+            viol = max(viol, _below(v, s.origin[i]),
+                       _above(v, s.origin[i], s.lengths[i]))
         best = min(best, viol)
     return best
 
@@ -1161,9 +1133,10 @@ def _region_operands(w, in_supp, m, hull: bool):
 
 def _region_rows(operands, ctx: _Context, m, k):
     # For the certificates from row k on: the largest hull row over their
-    # pairs, or _cluster_violation (per cluster the largest box violation,
-    # at least 0; the least over clusters).  In chunks whose widest
-    # intermediate has about _BATCH_ELEMENTS elements.
+    # pairs, or how far their in-support continuations are from one cluster
+    # (per cluster the largest box violation, at least 0; the least over
+    # clusters).  In chunks whose widest intermediate has about
+    # _BATCH_ELEMENTS elements.
     hull = ctx.halfplanes is not None
     if hull:
         first, w1, w2 = operands
@@ -1194,14 +1167,14 @@ def _region_rows(operands, ctx: _Context, m, k):
 class _ReplayTable:
     """Mixed certificates of one kind for the cubes ``indices`` of C (a
     pass's stored ones in pass order, or a file's) as ``_certificate_rows``
-    gives them, with their ``certificate_residual``s against a context (the
-    scalar's bits) and replay verdicts ("no term above FEAS_TOL").  Each row
-    group runs when what it reads moves, for the rows not yet replayed: the
-    in-cube rows once, the out-of-support rows when the floor changes, the
-    region rows when the context's half-planes or clusters object changes.
-    So a frozen pass runs each group once, and the literal loop pays per
-    withdrawal only for what moved.  Verdicts are asked for in row order;
-    ``hull`` says which region the contexts hold."""
+    gives them, with their residuals against a context (the bits of the
+    tests' scalar oracle) and replay verdicts ("no term above FEAS_TOL").
+    Each row group runs when what it reads moves, for the rows not yet
+    replayed: the in-cube rows once, the out-of-support rows when the floor
+    changes, the region rows when the context's half-planes or clusters
+    object changes.  So a frozen pass runs each group once, and the literal
+    loop pays per withdrawal only for what moved.  Verdicts are asked for
+    in row order; ``hull`` says which region the contexts hold."""
 
     def __init__(self, indices, w, q, in_supp, C: CubeSet, gamma: float, m,
                  hull: bool):
@@ -1246,25 +1219,10 @@ class _ReplayTable:
 
 def _residual_kernel(indices, w, q, in_supp, C: CubeSet, ctx: _Context,
                      gamma: float, m) -> np.ndarray:
-    """``certificate_residual`` of mixed certificates given as
-    ``_ReplayTable``'s arrays, against ``ctx``; ``--verify`` replays
-    through it."""
+    """``_ReplayTable``'s residuals of mixed certificates given as its
+    arrays, against ``ctx``; ``--verify`` replays through it."""
     return _ReplayTable(indices, w, q, in_supp, C, gamma, m,
                         ctx.halfplanes is not None).residuals(ctx)
-
-
-def verify_certificate(cert: SupportCertificate, game: StageGame, gamma: float,
-                       C: CubeSet, index) -> bool:
-    """Replay a certificate for the cube ``index`` of C against the union C
-    (floor, clusters or hull) at the 1e-7 feasibility tolerance.  False
-    when C has no such cube."""
-    check_gamma(gamma)
-    if index not in C:
-        return False
-    ctx = _build_context(C, hull=cert.kind == "correlated")
-    return certificate_residual(cert, game, gamma, C.origin_of(index), C.side,
-                                ctx.w_floor, ctx.halfplanes or ctx.clusters
-                                ) <= FEAS_TOL
 
 
 def _refresh_certificate(cert: SupportCertificate, w_floor, gamma: float,

@@ -10,8 +10,9 @@ is a brute-force quadratic scan, the automaton oracle walks every
 state's transitions in plain Python loops (and, for deviations, evaluates
 every deterministic deviator policy in exact fractions), the reference
 tableau is the simplex's phase-1 tableau built row by row from named
-constraints, and the reference simplex is the simplex's kernel with its
-tableau and cost row kept apart.
+constraints, the reference simplex is the simplex's kernel with its
+tableau and cost row kept apart, and the scalar replay residual evaluates
+a mixed certificate's support rows one by one in plain Python loops.
 The helpers (expected payoffs, best responses, discounted averages of
 payoff streams) and the support LPs built by name (the pure back-end's,
 and the mixed back-ends' that the solver fills from per-pattern templates)
@@ -31,6 +32,8 @@ import pytest
 import spegrid as sg
 from spegrid.feasibility import (FEAS_TOL, PIVOT_TOL, _phase_one, alpha_var,
                                  w_var, wp_var)
+from spegrid.solver import (_above, _below, _conditional_payoffs, _deviation,
+                            _hull_row, _utility, certificate_residual)
 
 
 @pytest.fixture(scope="session")
@@ -104,6 +107,70 @@ def check_written_final_set(report, game: sg.StageGame, gamma: float) -> None:
                 ctx, gamma, [game.action_count(i) for i in range(2)])
         assert list(map(float.hex, res.tolist())) == \
             list(map(float.hex, batch.tolist()))
+
+
+# -- the scalar replay oracle ---------------------------------------------------
+
+def scalar_residual(cert, game: sg.StageGame, gamma: float, cube_origin, side,
+                    w_floor, region) -> float:
+    """Largest constraint violation of any certificate in the cube at
+    ``cube_origin`` with ``side``, against the floor ``w_floor`` and the
+    continuation ``region``: the union's clusters (pure and mixed), or its
+    hull's half-planes (correlated).  A pure certificate's is the solver's
+    ``certificate_residual``.  A mixed one's is the scalar loop the solver
+    replayed it through before the replay table, kept here unchanged as
+    the oracle that ``_ReplayTable`` and ``_residual_kernel`` must match bit
+    for bit.
+
+    Out-of-support continuations are re-anchored at the punishment floor
+    (always allowed), so only the floor-dependent inequality is checked for
+    them.
+    """
+    if cert.kind == "pure":
+        return certificate_residual(cert, game, gamma, cube_origin, side,
+                                    w_floor, region)
+
+    sol = cert.solution
+    cond = _conditional_payoffs(cert, game)
+    supports = sol.pattern.supports
+    worst = 0.0
+    if cert.kind == "mixed":
+        worst = _cluster_violation(region, [[sol.continuation(i, a)
+                                             for a in supports[i]]
+                                            for i in range(2)])
+    else:
+        for a1 in supports[0]:
+            w1 = sol.continuation(0, a1)
+            for a2 in supports[1]:
+                w2 = sol.continuation(1, a2)
+                for phi, psi, lam in region:
+                    worst = max(worst, _hull_row(phi, psi, lam, w1, w2))
+    for i in range(2):
+        in_supp = set(supports[i])
+        for a in range(game.action_count(i)):
+            if a in in_supp:
+                wp = _utility(cond[i][a], sol.continuation(i, a), gamma)
+                worst = max(worst, _below(wp, cube_origin[i]),
+                            _above(wp, cube_origin[i], side))
+            else:
+                worst = max(worst, _deviation(cond[i][a], w_floor[i],
+                                              cube_origin[i], gamma))
+    return worst
+
+
+def _cluster_violation(pool, values) -> float:
+    """How far the continuation values (one list per player) are from
+    fitting in one cluster of the pool: the least, over clusters, of the
+    largest box violation, and never below 0."""
+    best = np.inf
+    for s in pool:
+        viol = 0.0
+        for i, vals in enumerate(values):
+            for v in vals:
+                viol = max(viol, _below(v, s.origin[i]),
+                           _above(v, s.origin[i], s.lengths[i]))
+        best = min(best, viol)
+    return best
 
 
 # -- stage-game helpers ---------------------------------------------------------

@@ -35,7 +35,7 @@ def defection(pd):
 
 # outside [0, 1): each used to spin, return NaN or return a meaningless
 # number in some evaluator
-BAD_GAMMAS = (math.nan, 1.5, 1.0, -0.1, math.inf)
+BAD_GAMMAS = (math.nan, 1.5, 1.0, -0.1, math.inf, True, "0.5", None)
 
 
 class TestExtraction:

@@ -2,8 +2,8 @@
 ones bit for bit.
 
 * ``_residual_kernel`` over the replay table's gather must give every
-  certificate the residual bits of ``certificate_residual``, and a frozen
-  pass's ``_ReplayTable`` its verdict.  Random 2x2, 2x3 and 3x3 games on a 0.1 grid;
+  certificate the residual bits of the scalar oracle ``scalar_residual``
+  (in conftest), and a frozen pass's ``_ReplayTable`` its verdict.  Random 2x2, 2x3 and 3x3 games on a 0.1 grid;
   point-mass and genuinely mixed certificates whose in-support
   continuations sit on a cube edge, a cluster edge or a hull vertex, up to
   the boundary jitters; certificates as a solve makes them and as a file
@@ -38,8 +38,8 @@ from spegrid.geometry import HalfPlane  # noqa: E402
 from spegrid.solver import (_ReplayTable, _build_context,  # noqa: E402
                             _certificate_rows, _clip, _clip_box,
                             _point_mass_witnesses, _replay_row,
-                            _residual_kernel, _singleton_correlated_solution,
-                            certificate_residual)
+                            _residual_kernel, _singleton_correlated_solution)
+from conftest import scalar_residual  # noqa: E402
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
 JITTERS = [0.0] + [sign * k * 1e-7 for k in (0.5, 1.0, 1.5, 3.0)
@@ -195,8 +195,8 @@ def test_batched_residuals_match_the_scalar_replay(case):
     frozen = table(certs, indices, C, game, gamma, kind == "correlated")
     region = ctx.halfplanes if kind == "correlated" else ctx.clusters
     for k, ix in enumerate(indices):
-        scalar = certificate_residual(certs[ix], game, gamma, C.origin_of(ix),
-                                      C.side, ctx.w_floor, region)
+        scalar = scalar_residual(certs[ix], game, gamma, C.origin_of(ix),
+                                 C.side, ctx.w_floor, region)
         assert bits(batch[k]) == bits(scalar)
         assert frozen.verdict(ix, ctx) == (scalar <= FEAS_TOL)
 
@@ -249,7 +249,7 @@ def replay_under_withdrawals(case):
         if nxt is None:
             break
         order = order[order.index(nxt) + 1:]
-        residual = certificate_residual(
+        residual = scalar_residual(
             certs[nxt], game, gamma, C.origin_of(nxt), C.side, ctx.w_floor,
             ctx.halfplanes if hull else ctx.clusters)
         out.append((replay.verdict(nxt, ctx), residual))

@@ -1,14 +1,19 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spegrid as sg
+from spegrid import cli
 from spegrid.cli import (RunManifest, _certificate_text, main,
                          read_final_set, run, verify_final_set)
+from spegrid.feasibility import SupportPattern
 from spegrid.game import conditional_payoff_table
 from spegrid.gamefile import resolve_game_path
-from spegrid.solver import _conditional_payoffs
+from spegrid.solver import (_build_context, _conditional_payoffs,
+                            certificate_residual)
+from conftest import write_report
 
 
 class TestGameFormat:
@@ -658,3 +663,91 @@ class TestTamperedFinalSet:
         table = _conditional_payoffs(cert, pd)
         assert table == conditional_payoff_table(pd, cert.solution.alpha)
         assert table != shared
+
+
+# -- one certificate against its final set ---------------------------------------
+
+@pytest.fixture(scope="module", params=["pure", "mixed-clusters",
+                                        "mixed-correlated"])
+def pd_solve(request, pd, tmp_path_factory):
+    """A PD solve of each back-end (216 cubes) and its final-set file."""
+    report = sg.solve(pd, sg.SolverConfig(gamma=0.7, epsilon=3.2,
+                                          mode=request.param))
+    path = tmp_path_factory.mktemp("one_block") / "final_set.txt"
+    write_report(report, path)
+    return report, path
+
+
+def _tampered(cert, edit):
+    """A solve's certificate with one edit, or None where the edit does not
+    apply: NaN in an in-support continuation ("nan"), inf in an
+    out-of-support wp ("inf"), or action 5 of PD's two ("range")."""
+    nan, inf = float("nan"), float("inf")
+    if edit is None:
+        return cert
+    if cert.kind == "pure":
+        w, profile = cert.continuation, cert.profile
+        return {"nan": replace(cert, continuation=(nan,) + w[1:]),
+                "range": replace(cert, profile=(5,) + profile[1:])}.get(edit)
+    sol = cert.solution
+    supports = sol.pattern.supports
+    if edit == "nan":
+        w0 = list(sol.continuations[0])
+        w0[supports[0][0]] = nan
+        sol = replace(sol, continuations=(tuple(w0), sol.continuations[1]))
+    elif edit == "inf":
+        out = [(i, a) for i in range(2) for a in range(2)
+               if a not in supports[i]]
+        if not out:
+            return None
+        rows = [list(row) for row in sol.utilities]
+        rows[out[0][0]][out[0][1]] = inf
+        sol = replace(sol, utilities=tuple(map(tuple, rows)))
+    else:
+        sol = replace(sol, pattern=SupportPattern((supports[0] + (5,),
+                                                   supports[1])))
+    return replace(cert, solution=sol)
+
+
+def _verdict(check, *args):
+    """A verifier's verdict, or the type and message of its ValueError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def test_verify_certificate_agrees_with_verify(pd_solve, pd, rpc, tmp_path):
+    # verify_certificate is --verify on one block: on a solve's certificate,
+    # as it is or tampered, against the game or one of another shape, it
+    # must say what verify_final_set says of the final set with that block
+    # swapped in
+    assert sg.verify_certificate is cli.verify_certificate
+    report, path = pd_solve
+    header, cubes, blocks = _sections(path)
+    C = report.final
+    assert len(blocks) == len(C)  # one block per cube, in index order
+    swapped = tmp_path / "swapped.txt"
+    seen = set()
+    for edit in (None, "nan", "inf", "range"):
+        for k, ix in list(enumerate(C.indices()))[::43]:
+            cert = _tampered(report.certificates[ix], edit)
+            if cert is None:
+                continue
+            _write_sections(swapped, header, cubes, blocks[:k] + [
+                _certificate_text(C.origin_of(ix), cert)] + blocks[k + 1:])
+            for game in (pd, rpc):
+                one = _verdict(sg.verify_certificate, cert, game, 0.7, C, ix)
+                assert one == _verdict(verify_final_set, swapped, game, 0.7)
+                seen.add((edit, game is pd, one))
+    # an unchanged certificate verifies against PD; a tampered one, or any
+    # against RPS, fails
+    assert all(one is (edit is None and on_pd) for edit, on_pd, one in seen)
+    kind = next(iter(report.certificates.values())).kind
+    if kind != "pure":
+        ctx = _build_context(C, hull=kind == "correlated")
+        ix = C.indices()[0]
+        with pytest.raises(ValueError, match="replay table"):
+            certificate_residual(report.certificates[ix], pd, 0.7,
+                                 C.origin_of(ix), C.side, ctx.w_floor,
+                                 ctx.halfplanes or ctx.clusters)

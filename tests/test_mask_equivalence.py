@@ -11,9 +11,9 @@ bytes and every certificate's bits must be identical; the run with the
 batch must not call the scalar hull decider at all.  With the mask, no
 search or singleton decider calls the scalar box screen; only the
 hull-slice cut screens the in-support rows again, with its cut window, and
-it evaluates no out-of-support row.  Neither loop replays a mixed
-certificate through the scalar ``certificate_residual``: both replay
-through the pass's table.
+it evaluates no out-of-support row.  Neither loop hands a mixed
+certificate to the scalar ``certificate_residual`` (the pure residual):
+both replay it through the pass's table.
 """
 
 import contextlib
@@ -238,7 +238,8 @@ def test_frozen_correlated_solves_decide_point_masses_only_in_the_batch(
 def test_solves_replay_mixed_certificates_only_through_the_table(name,
                                                                  frozen):
     # both loops replay a mixed certificate through the pass's table; the
-    # scalar residual is its oracle, not a path beside it
+    # scalar mixed residual is its oracle (conftest's scalar_residual), not
+    # a path beside it
     game, gamma, epsilon, mode, _ = WORKLOADS[name]
     game = sg.load_bundled(game)
     config = sg.SolverConfig(gamma=gamma, epsilon=epsilon, mode=mode,

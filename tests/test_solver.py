@@ -9,10 +9,9 @@ from spegrid.cli import verify_final_set
 from spegrid.solver import (_build_context, _cluster_box, _hull_row,
                             _hull_window, _screen_pattern,
                             _singleton_cluster_solution,
-                            _singleton_correlated_solution, _pure_witness,
-                            certificate_residual)
-from conftest import (pure_support_system, random_game, stage_equilibria,
-                      write_report)
+                            _singleton_correlated_solution, _pure_witness)
+from conftest import (pure_support_system, random_game, scalar_residual,
+                      stage_equilibria, write_report)
 
 
 class TestCubeSupportedPure:
@@ -217,13 +216,15 @@ class TestCubeSupportedCorrelated:
 
 class TestSolverConfig:
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
-                                         float("-inf"), 0.0, -0.1])
+                                         float("-inf"), 0.0, -0.1, True,
+                                         "1"])
     def test_rejects_epsilon_that_is_not_positive_and_finite(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             sg.SolverConfig(gamma=0.7, epsilon=epsilon)
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"),
-                                       float("-inf"), 1.0, -0.1])
+                                       float("-inf"), 1.0, -0.1, False,
+                                       "0.5", None])
     def test_rejects_gamma_outside_the_unit_interval(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
             sg.SolverConfig(gamma=gamma, epsilon=0.5)
@@ -417,9 +418,9 @@ class TestSolve:
             cert = pd_correlated.certificates[idx]
             rest = C.copy()
             rest.remove(idx)
-            fits += certificate_residual(cert, pd, 0.4, C.origin_of(idx),
-                                         C.side, rest.min_origin(),
-                                         sg.get_halfplanes(rest)) <= 1e-7
+            fits += scalar_residual(cert, pd, 0.4, C.origin_of(idx),
+                                    C.side, rest.min_origin(),
+                                    sg.get_halfplanes(rest)) <= 1e-7
             assert not sg.verify_certificate(cert, pd, 0.4, rest, idx)
         assert fits >= 10
 

@@ -36,8 +36,8 @@ from spegrid.solver import (SupportCertificate, _above,  # noqa: E402
                             _continuation, _deviation, _hull_row,
                             _hull_window, _pure_witness, _screen_pattern,
                             _screen_support, _singleton_cluster_solution,
-                            _singleton_correlated_solution, _utility,
-                            certificate_residual)
+                            _singleton_correlated_solution, _utility)
+from conftest import scalar_residual  # noqa: E402
 
 SHAPES = [(2, 2), (2, 3), (3, 3)]
 JITTERS = [sign * k for k in (0.5, 1.0, 1.5) for sign in (-1, 1)]
@@ -176,8 +176,8 @@ def witnesses(game, gamma, ctx, origin, side):
 def test_every_accepted_witness_replays(case):
     game, gamma, ctx, origin, side = case
     for cert, region in witnesses(game, gamma, ctx, origin, side):
-        residual = certificate_residual(cert, game, gamma, origin, side,
-                                        ctx.w_floor, region)
+        residual = scalar_residual(cert, game, gamma, origin, side,
+                                   ctx.w_floor, region)
         assert residual <= FEAS_TOL, (cert.kind, residual)
 
 
