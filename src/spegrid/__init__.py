@@ -20,7 +20,7 @@ from .solver import (SolveReport, SolveSnapshot, SolverConfig,
                      cube_supported_mixed, cube_supported_correlated,
                      correlated_support_system, mixed_cluster_system,
                      solve)
-from .cli import verify_certificate
+from .finalset import verify_certificate
 from .svg import render_svg
 
 __all__ = [name for name in dir() if not name.startswith("_")]

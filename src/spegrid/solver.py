@@ -61,7 +61,7 @@ position, the floor and the region from the cube set, so a certificate
 passes unchanged through a replay and down a split, and its out-of-support
 entries, which nothing in the loop reads, are re-anchored at the final floor
 once, for the report.  ``--verify`` and its one-certificate form
-``verify_certificate`` (in the cli module, which alone knows the file
+``verify_certificate`` (in the finalset module, which alone knows the file
 format) read mixed certificates straight into the table's arrays and replay
 them through ``_residual_kernel``.
 """

@@ -65,15 +65,15 @@ def random_game(rng, shape=(2, 2), lo=-3.0, hi=3.0) -> sg.StageGame:
 def write_report(report, path, certificates=None) -> None:
     """Write a report's final set to ``path`` as a run does, with
     ``certificates`` in place of the report's own when given."""
-    from spegrid import cli
+    from spegrid import finalset
 
     C = report.final
     snap = sg.SolveSnapshot(iteration=report.iterations[-1].iteration,
                             generation=C.generation, side=C.side, base=C.base,
                             indices=tuple(C.indices()))
-    cli.write_final_set(path, snap, report.status,
-                        report.certificates if certificates is None
-                        else certificates)
+    finalset.write_final_set(path, snap, report.status,
+                             report.certificates if certificates is None
+                             else certificates)
 
 
 def check_written_final_set(report, game: sg.StageGame, gamma: float) -> None:
@@ -83,14 +83,14 @@ def check_written_final_set(report, game: sg.StageGame, gamma: float) -> None:
     ``read_final_set``'s certificates, which cover every cube and kind: the
     replay table's gather and kernel, or the scalar residual for pure
     ones."""
-    from spegrid import cli, solver
+    from spegrid import finalset, solver
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "final_set.txt"
         write_report(report, path)
-        assert cli.verify_final_set(path, game, gamma)
-        residuals = cli._final_set_residuals(path, game, gamma)
-        C, _, certs = cli.read_final_set(path)
+        assert finalset.verify_final_set(path, game, gamma)
+        residuals = finalset._final_set_residuals(path, game, gamma)
+        C, _, certs = finalset.read_final_set(path)
     assert residuals and sorted(residuals) == sorted(
         {c.kind for c in certs.values()})
     assert sorted(ix for indices, _ in residuals.values()

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import spegrid as sg
-from spegrid.cli import write_final_set
+from spegrid.finalset import write_final_set
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BENCHMARKED = ("lp_rps", "frozen_pd", "literal_pd_verify", "clusters_bos")

@@ -1,16 +1,21 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spegrid as sg
-from spegrid import cli
-from spegrid.cli import (RunManifest, _certificate_text, main,
-                         read_final_set, run, verify_final_set)
+from spegrid import finalset
+from spegrid.cli import RunManifest, main, run
 from spegrid.feasibility import SupportPattern
+from spegrid.finalset import (_certificate_text, read_final_set,
+                              verify_final_set)
 from spegrid.game import conditional_payoff_table
-from spegrid.gamefile import resolve_game_path
+from spegrid.gamefile import resolve_game_path, serialize_game
 from spegrid.solver import (_build_context, _conditional_payoffs,
                             certificate_residual)
 from conftest import write_report
@@ -722,7 +727,7 @@ def test_verify_certificate_agrees_with_verify(pd_solve, pd, rpc, tmp_path):
     # as it is or tampered, against the game or one of another shape, it
     # must say what verify_final_set says of the final set with that block
     # swapped in
-    assert sg.verify_certificate is cli.verify_certificate
+    assert sg.verify_certificate is finalset.verify_certificate
     report, path = pd_solve
     header, cubes, blocks = _sections(path)
     C = report.final
@@ -751,3 +756,77 @@ def test_verify_certificate_agrees_with_verify(pd_solve, pd, rpc, tmp_path):
             certificate_residual(report.certificates[ix], pd, 0.7,
                                  C.origin_of(ix), C.side, ctx.w_floor,
                                  ctx.halfplanes or ctx.clusters)
+
+
+def test_write_final_set_takes_a_str_path(pd_solve, tmp_path):
+    # pd_solve wrote its file through a Path
+    report, path = pd_solve
+    write_report(report, str(tmp_path / "final_set.txt"))
+    assert (tmp_path / "final_set.txt").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("game, gamma, epsilon, mode", [
+    ("prisoners_dilemma", 0.7, 3.2, "correlated"),
+    ("battle_of_sexes", 0.5, 1.0, "mixed")])
+def test_a_mixed_kind_fits_only_two_players(game, gamma, epsilon, mode,
+                                            tmp_path, capsys):
+    # against a 2x2x2 game a mixed final set, its --verify and one of its
+    # mixed certificates fail; none raises
+    out = tmp_path / "out"
+    code, report = run(RunManifest(game=game, gamma=gamma, epsilon=epsilon,
+                                   mode=mode, snapshot_every=0,
+                                   out_dir=str(out)))
+    assert code == 0
+    path = out / "final_set.txt"
+    three = sg.StageGame((("a", "b"),) * 3,
+                         np.arange(24.0).reshape(2, 2, 2, 3))
+    game_file = tmp_path / "three.game"
+    game_file.write_text(serialize_game(three))
+    assert verify_final_set(path, three, gamma) is False
+    C = report.final
+    ix = next(ix for ix, cert in report.certificates.items()
+              if cert.kind == mode)
+    assert sg.verify_certificate(report.certificates[ix], three, gamma, C,
+                                 ix) is False
+    capsys.readouterr()
+    code = main([str(game_file), "--gamma", str(gamma), "--epsilon",
+                 str(epsilon), "--verify", str(path)])
+    assert code == 1
+    assert capsys.readouterr().out == "verification FAILED\n"
+
+
+# -- the package without its command line --------------------------------------
+
+def _fresh_python(*args):
+    """``python *args`` in a new process that imports the suite's spegrid."""
+    src = str(Path(sg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_spegrid_loads_no_command_line():
+    done = _fresh_python("-c", "import sys, spegrid; print(sorted("
+                         "{'argparse', 'spegrid.cli'} & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_the_command_line_module_runs_once():
+    # run as a module, spegrid.cli must not already be imported by the
+    # package: runpy would warn and run it a second time
+    done = _fresh_python("-W", "error::RuntimeWarning", "-m", "spegrid.cli",
+                         "--help")
+    assert done.returncode == 0, done.stderr
+    assert "--verify" in done.stdout
+
+
+def test_the_benchmark_hooks_are_the_final_set_functions():
+    # perfbench looks up and times these three as spegrid.cli's
+    done = _fresh_python("-c", "import spegrid.cli as c, spegrid.finalset as f;"
+                         " print([getattr(c, n) is getattr(f, n) for n in ("
+                         "'write_final_set', 'verify_final_set', "
+                         "'verify_certificate')])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[True, True, True]\n"

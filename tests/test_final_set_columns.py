@@ -8,8 +8,8 @@ frozen pass's replay.
   ``float.hex`` (``conftest.check_written_final_set``; the random games of
   ``test_random_replay.py`` go through the same check).
 * With the certificate, solution and mixed-profile classes made to raise
-  inside ``spegrid.cli`` and ``spegrid.solver``, a mixed and a correlated
-  final set still verify, so the file path stays columnar.
+  inside ``spegrid.finalset`` and ``spegrid.solver``, a mixed and a
+  correlated final set still verify, so the file path stays columnar.
 """
 
 import importlib.util
@@ -20,6 +20,7 @@ import pytest
 
 import spegrid as sg
 import spegrid.cli as cli
+import spegrid.finalset as finalset
 import spegrid.solver as solver
 from conftest import check_written_final_set
 
@@ -59,12 +60,13 @@ def test_verify_builds_no_certificate_objects(mode, pd, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a certificate object was built")
 
-    with mock.patch.multiple(cli, MixedProfile=refuse, SupportSolution=refuse,
+    with mock.patch.multiple(finalset, MixedProfile=refuse,
+                             SupportSolution=refuse,
                              SupportCertificate=refuse), \
             mock.patch.multiple(solver, MixedProfile=refuse,
                                 SupportSolution=refuse,
                                 SupportCertificate=refuse):
-        assert cli.verify_final_set(path, pd, 0.7)
+        assert finalset.verify_final_set(path, pd, 0.7)
         # the patches are live: the object reader trips on them
         with pytest.raises(AssertionError, match="object was built"):
-            cli.read_final_set(path)
+            finalset.read_final_set(path)

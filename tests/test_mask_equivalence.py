@@ -26,7 +26,7 @@ import pytest
 
 import spegrid as sg
 import spegrid.solver as solver
-from spegrid.cli import write_final_set
+from spegrid.finalset import write_final_set
 
 
 def random_grid_game(seed):

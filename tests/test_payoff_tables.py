@@ -18,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import spegrid as sg  # noqa: E402
-from spegrid.cli import write_final_set  # noqa: E402
+from spegrid.finalset import write_final_set  # noqa: E402
 from spegrid.feasibility import enumerate_support_patterns  # noqa: E402
 from spegrid.solver import (MODES, _build_context, _clip,  # noqa: E402
                             _screen_hull_slices, _screen_mixtures,

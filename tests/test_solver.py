@@ -5,7 +5,7 @@ import pytest
 
 import spegrid as sg
 from spegrid.feasibility import enumerate_support_patterns
-from spegrid.cli import verify_final_set
+from spegrid.finalset import verify_final_set
 from spegrid.solver import (_build_context, _cluster_box, _hull_row,
                             _hull_window, _screen_pattern,
                             _singleton_cluster_solution,
