@@ -23,9 +23,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .feasibility import FEAS_TOL
-from .game import PROB_TOL, MixedProfile, StageGame, check_gamma
+from .game import PROB_TOL, MixedProfile, StageGame, check_gamma, is_integer
 from .geometry import (CubeSet, Hypercube, get_halfplanes, hull_vertices,
                        locate_index)
+from .solver import _hull_row
 
 _LOCATE_TOL = 1e-6   # continuations carry LP tolerance; widen point location
 # an automaton above _POLICY_STATES states is peeled; policy iteration (one
@@ -408,11 +409,11 @@ def deviation_values(M: Automaton, player: int, gamma: float) -> np.ndarray:
     over all own pure actions; out-of-support actions transition to the
     deviator's punishment state, in-support ones follow the equilibrium
     transitions.  Solved by ``_evaluate`` with one value column; a player
-    outside ``[0, player_count)`` is a ValueError.
+    that is not an integer in ``[0, player_count)`` is a ValueError.
     """
     game = M.game
-    if not 0 <= player < game.player_count:
-        raise ValueError(f"player {player} is not one of the game's "
+    if not is_integer(player) or not 0 <= player < game.player_count:
+        raise ValueError(f"player {player!r} is not one of the game's "
                          f"{game.player_count} players")
     check_gamma(gamma)
     table = M._outcomes
@@ -514,8 +515,6 @@ def decompose_into_vertices(point, C: CubeSet):
     continuation, so a point just outside the hull may pass.  The hull
     comes from the cube set's cache.
     """
-    # imported here: a module-level import of solver raised peak RSS
-    from .solver import _hull_row
     x, y = float(point[0]), float(point[1])
     if any(_hull_row(*pl, x, y) > FEAS_TOL for pl in get_halfplanes(C)):
         raise ValueError(f"point {tuple(point)} lies outside the convex hull")
@@ -576,8 +575,8 @@ def simulate(M: Automaton, gamma: float, seed: int,
     probability one.
     """
     check_gamma(gamma)
-    if episodes < 1:
-        raise ValueError("episodes must be at least 1")
+    if not is_integer(episodes) or episodes < 1:
+        raise ValueError("episodes must be an integer of at least 1")
     rng = np.random.default_rng(seed)
     game = M.game
     n = game.player_count

@@ -36,6 +36,11 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number")
 
 
+def is_integer(value) -> bool:
+    """An integer, but not a bool (an int subclass: True would pass as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_gamma(gamma: float) -> None:
     """The discount factor's rule, for a solve, for every verifier and for
     every automaton evaluation: a real number (``check_real``), finite and

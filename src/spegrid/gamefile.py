@@ -19,6 +19,7 @@ the payoff tensor bit-exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -41,6 +42,7 @@ def parse_game(document: str) -> StageGame:
     """Parse a game document into a StageGame."""
     players = None
     actions: dict[int, list[str]] = {}
+    action_lines: dict[int, int] = {}
     payoff_rows: list[tuple[int, list[str]]] = []
     in_payoffs = False
     for lineno, raw in enumerate(document.splitlines(), start=1):
@@ -59,6 +61,8 @@ def parse_game(document: str) -> StageGame:
         if key == "name" or key == "source":
             continue
         if key == "players":
+            if players is not None:
+                raise GameFormatError("repeated 'players:' directive", lineno)
             try:
                 players = int(value)
             except ValueError:
@@ -72,17 +76,24 @@ def parse_game(document: str) -> StageGame:
                 raise GameFormatError(f"expected 'actions <player>:', got {key!r}",
                                       lineno)
             idx = int(parts[1])
+            if idx in actions:
+                raise GameFormatError(
+                    f"repeated action block for player {idx}", lineno)
             labels = value.split()
             if not labels:
                 raise GameFormatError(f"player {idx} has no actions", lineno)
             if len(set(labels)) != len(labels):
                 raise GameFormatError(f"player {idx} has duplicate action labels",
                                       lineno)
-            actions[idx] = labels
+            actions[idx], action_lines[idx] = labels, lineno
         else:
             raise GameFormatError(f"unknown directive {key!r}", lineno)
     if players is None:
         raise GameFormatError("missing 'players:' directive")
+    extra = [i for i in actions if not 1 <= i <= players]
+    if extra:
+        raise GameFormatError(f"action block for player {extra[0]} in a "
+                              f"{players}-player game", action_lines[extra[0]])
     missing = [i for i in range(1, players + 1) if i not in actions]
     if missing:
         raise GameFormatError(f"missing action block for player(s) {missing}")
@@ -114,6 +125,9 @@ def parse_game(document: str) -> StageGame:
             except ValueError:
                 raise GameFormatError(
                     f"profile index {k}: non-numeric payoff {tok!r}", lineno)
+            if not math.isfinite(values[-1]):
+                raise GameFormatError(
+                    f"profile index {k}: payoff {tok!r} is not finite", lineno)
         index = tuple(labels[i].index(profile[i]) for i in range(players))
         tensor[index] = values
     return StageGame(tuple(tuple(l) for l in labels), tensor)

@@ -16,11 +16,13 @@ Three back-ends implement the cube test:
                      continuations may lie anywhere in the convex hull of
                      the union.
 
-The two mixed back-ends share one support LP and one search driver; they
-differ only in the continuation region (a cluster box, or the payoff box
-cut by the hull's half-planes).  They emulate the associated mixed-integer
-programs exactly by support enumeration (see the feasibility module), each
-pattern's LP filled from a template (``_SupportTemplate``).  A box screen
+All three take the pass's context (``_Context``).  The two mixed back-ends
+share one support LP, one search driver and one certificate constructor
+(``_mixed_certificate``); they differ only in the continuation region (a
+cluster box, or the payoff box cut by the hull's half-planes).  They
+emulate the associated mixed-integer programs exactly by support
+enumeration (see the feasibility module), each pattern's LP filled from a
+template (``_SupportTemplate``).  A box screen
 on per-action payoff ranges, a function of the cube, region and pattern
 alone, tests every pattern first.  A singleton that passes it gets its
 witness in closed form (for the hull by clipping a box); any other pattern
@@ -52,12 +54,13 @@ runs again only when what it reads, the floor or the region, moves.  A
 frozen pass then runs the box screen of every (cube, region, pattern) it
 must search in one numpy mask (``_pattern_mask``), its only box screen, and
 for the hull decides every point mass the mask keeps in one array pass
-(``_point_mass_witnesses``), which a search reads in place of the scalar
-decider; the literal loop screens and decides cube by cube through the
-scalar entries.  Each mixed certificate keeps its replay row, so the table's
-gather only stacks rows.  A certificate carries only its witness and the
-floor its out-of-support continuations sit at: replay takes the cube's
-position, the floor and the region from the cube set, so a certificate
+(``_point_mass_witnesses``), whose solutions a search reads in place of
+the scalar decider; the literal loop screens and decides cube by cube
+through the scalar entries.  The constructor writes each mixed
+certificate's replay row, so the table's gather only stacks rows.  A
+certificate carries only its witness, that row and the floor its
+out-of-support continuations sit at: replay takes the cube's position,
+the floor and the region from the cube set, so a certificate
 passes unchanged through a replay and down a split, and its out-of-support
 entries, which nothing in the loop reads, are re-anchored at the final floor
 once, for the report.  ``--verify`` and its one-certificate form
@@ -70,11 +73,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -82,7 +85,7 @@ from .feasibility import (_LE, FEAS_TOL, UNDECIDED, ArraySystem,
                           LinearSystem, SupportPattern, SupportSolution,
                           alpha_var, solve_support_program, w_var, wp_var)
 from .game import (MixedProfile, StageGame, check_gamma, check_real,
-                   conditional_payoff_table)
+                   conditional_payoff_table, is_integer)
 from .geometry import (Cluster, CubeSet, HalfPlane, Hypercube, get_clusters,
                        get_halfplanes, hull_box, hull_vertices, initial_cube,
                        split_all)
@@ -113,10 +116,7 @@ class SolverConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.completion not in COMPLETIONS:
             raise ValueError(f"completion must be one of {COMPLETIONS}")
-        # bool is an int subclass: True would pass as a guard of 1
-        if not isinstance(self.max_generations, int) \
-                or isinstance(self.max_generations, bool) \
-                or self.max_generations < 0:
+        if not is_integer(self.max_generations) or self.max_generations < 0:
             raise ValueError("max_generations must be an integer >= 0")
         if not isinstance(self.frozen_passes, bool):
             raise ValueError("frozen_passes must be a bool")
@@ -132,15 +132,13 @@ class SupportCertificate:
     """A feasible witness for one cube: nothing but the witness.
 
     Pure certificates hold the action profile and the continuation payoff
-    point; mixed and correlated certificates carry a full SupportSolution
-    and cache its ``conditional_payoffs`` (pure stage payoffs come from
-    ``game.tables``; a certificate read from a file has no cached table, and
-    its replay takes one from the game).  ``w_floor`` is the floor the
-    out-of-support continuations are anchored at.  Which cube the witness
-    is for, and the continuation region it was checked in, are not
-    recorded: the dict key and the cube set supply them at every replay.
-    ``row``, a mixed certificate's row of the replay table, is a cache of
-    the fields above (``_replay_row``); ``replace`` leaves it unset.
+    point; mixed and correlated certificates carry a full SupportSolution.
+    ``w_floor`` is the floor the out-of-support continuations are anchored
+    at.  Which cube the witness is for, and the continuation region it was
+    checked in, are not recorded: the dict key and the cube set supply them
+    at every replay.  ``row``, a mixed certificate's row of the replay
+    table, is written by its one constructor, ``_mixed_certificate``; a
+    certificate read from a file has none (``_replay_row``).
     """
 
     kind: str                                    # pure | mixed | correlated
@@ -148,9 +146,8 @@ class SupportCertificate:
     profile: Optional[tuple[int, ...]] = None
     continuation: Optional[tuple[float, ...]] = None
     solution: Optional[SupportSolution] = None
-    conditional_payoffs: Optional[tuple[tuple[float, ...], ...]] = None
-    row: Optional[tuple[float, ...]] = field(default=None, init=False,
-                                             repr=False, compare=False)
+    row: Optional[tuple[float, ...]] = field(default=None, repr=False,
+                                             compare=False)
 
     def mixed_profile(self, game: StageGame) -> MixedProfile:
         if self.solution is not None:
@@ -255,18 +252,6 @@ def _build_context(C: CubeSet, hull: bool) -> _Context:
         ctx.clusters = get_clusters(C)
         ctx.boxes = [_cluster_box(cl) for cl in ctx.clusters]
     return ctx
-
-
-# -- stage-payoff tables -------------------------------------------------------
-
-def _conditional_payoffs(cert: SupportCertificate, game: StageGame):
-    """The conditional payoffs a mixed certificate's replay reads: its own
-    table, or for a certificate read from a file (which carries none) a
-    table computed from its alpha, which for an exact point mass has the
-    game's shared table's bits."""
-    if cert.conditional_payoffs is not None:
-        return cert.conditional_payoffs
-    return conditional_payoff_table(game, cert.solution.alpha)
 
 
 # -- support rows ---------------------------------------------------------------
@@ -737,29 +722,49 @@ def _screen_hull_slices(cube_origin, side, pattern, game, gamma, w_floor,
 
 # -- cube tests -------------------------------------------------------------------
 
-def cube_supported_pure(cube: Hypercube, C: CubeSet, w_floor, game: StageGame,
-                        gamma: float,
-                        clusters: Optional[Sequence[Cluster]] = None
+def cube_supported_pure(cube: Hypercube, C: CubeSet, game: StageGame,
+                        gamma: float, ctx: Optional[_Context] = None
                         ) -> Optional[SupportCertificate]:
     """First (cluster, pure profile) witness supporting the cube, or None.
 
-    Clusters are scanned in construction order and profiles in lexicographic
-    order, so the result is deterministic.
+    ``ctx`` is C's context, built here when not given.  Clusters are scanned
+    in construction order and profiles in lexicographic order, so the
+    result is deterministic.
     """
-    if clusters is None:
-        clusters = _build_context(C, hull=False).clusters
+    if ctx is None:
+        ctx = _build_context(C, hull=False)
     tables = game.tables.pure.items()
-    for cluster in clusters:
+    for cluster in ctx.clusters:
         for profile, (r_vals, br_vals) in tables:
-            cert = _pure_witness(cube.origin, cube.side, cluster, w_floor,
+            cert = _pure_witness(cube.origin, cube.side, cluster, ctx.w_floor,
                                  game, gamma, profile, r_vals, br_vals)
             if cert is not None:
                 return cert
     return None
 
 
+def _mixed_certificate(kind: str, w_floor, sol: SupportSolution,
+                       game: StageGame) -> SupportCertificate:
+    """The one constructor of a mixed or correlated certificate: it writes
+    the replay row, a column per action of each player: the continuations,
+    the conditional payoffs and whether the pattern holds the action.  The
+    conditional payoffs are the game's shared table when the alpha is its
+    shared point mass, else computed from the alpha (for an exact point
+    mass, the same bits)."""
+    tables, supports = game.tables, sol.pattern.supports
+    profile = (supports[0][0], supports[1][0])
+    if sol.alpha is tables.point_masses.get(profile):
+        cond = tables.conditional[profile]
+    else:
+        cond = conditional_payoff_table(game, sol.alpha)
+    w = sol.continuations
+    return SupportCertificate(kind, tuple(w_floor), solution=sol,
+                              row=w[0] + w[1] + cond[0] + cond[1]
+                              + _support_columns(game, supports))
+
+
 def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
-                    kind: str, regions, mask=None, decided=None
+                    kind: str, regions, mask=None
                     ) -> Optional[SupportCertificate]:
     """The search driver of both mixed back-ends.  Each region is a
     (singleton decider, support-LP builder, screen window, hull context or
@@ -767,17 +772,10 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
     yields the certificate, pure patterns first.  ``mask``, a frozen pass's
     rows of ``_pattern_mask`` for this cube (one per region, over
     ``game.tables.patterns``), holds the box screen's verdicts: the searches
-    leave out the patterns it rejects, and a region with none left.
-    ``decided``, a frozen pass's ``_point_mass_witnesses`` entry for the
-    cube's one region, when it holds a witness: the support program meets
-    the point masses the mask kept before it, rejected, and returns it."""
+    leave out the patterns it rejects, and a region with none left."""
     if game.player_count != 2:
         raise ValueError("mixed cube tests require exactly two players")
     patterns = game.tables.patterns
-    if decided:
-        return solve_support_program(None, game,
-                                     patterns=list(compress(patterns, mask[0])),
-                                     shortcut=decided.get)
     for (singleton, builder, window, hull), keep in zip(
             regions, repeat(None) if mask is None else mask):
         cut = hull is not None and gamma > 0.0  # the hull-slice cut runs
@@ -805,37 +803,28 @@ def _search_regions(cube: Hypercube, w_floor, game: StageGame, gamma: float,
         sol = solve_support_program(builder, game, patterns=live,
                                     shortcut=shortcut)
         if sol is not None:
-            if sol.pattern.pure:
-                cond = game.tables.conditional[
-                    tuple(s[0] for s in sol.pattern.supports)]
-            else:
-                cond = conditional_payoff_table(game, sol.alpha)
-            return SupportCertificate(kind=kind, w_floor=tuple(w_floor),
-                                      solution=sol, conditional_payoffs=cond)
+            return _mixed_certificate(kind, w_floor, sol, game)
     return None
 
 
-def cube_supported_mixed(cube: Hypercube, C: CubeSet, w_floor,
-                         game: StageGame, gamma: float,
-                         clusters: Optional[Sequence[Cluster]] = None,
-                         mask=None, boxes=None) -> Optional[SupportCertificate]:
+def cube_supported_mixed(cube: Hypercube, C: CubeSet, game: StageGame,
+                         gamma: float, ctx: Optional[_Context] = None,
+                         mask=None) -> Optional[SupportCertificate]:
     """Mixed-strategy cube test over hyperrectangular clusters (2 players).
 
-    Each cluster, in construction order, is one region: the in-support
-    continuations stay inside its box.  ``boxes`` are the clusters'
-    ``_cluster_box``es, as a context holds them; ``mask`` is the cube's
-    slice of a frozen pass's ``_pattern_mask``.
+    Each of the context's clusters, in construction order, is one region:
+    the in-support continuations stay inside its box.  ``ctx`` is C's
+    context, built here when not given; ``mask`` is the cube's slice of a
+    frozen pass's ``_pattern_mask``.
     """
-    if clusters is None:
+    if ctx is None:
         ctx = _build_context(C, hull=False)
-        clusters, boxes = ctx.clusters, ctx.boxes
-    if boxes is None:
-        boxes = [_cluster_box(cl) for cl in clusters]
+    w_floor = ctx.w_floor
     regions = ((partial(_singleton_cluster_solution, cube.origin, cube.side,
                         box, w_floor, game, gamma),
                 partial(mixed_cluster_system, cube, cl, w_floor, game, gamma),
                 box, None)
-               for cl, box in zip(clusters, boxes))
+               for cl, box in zip(ctx.clusters, ctx.boxes))
     return _search_regions(cube, w_floor, game, gamma, "mixed", regions, mask)
 
 
@@ -858,12 +847,16 @@ def cube_supported_correlated(cube: Hypercube, C: CubeSet, game: StageGame,
     cut per pattern to the hull slices.  ``ctx`` is C's context, built here
     when not given; ``mask`` is the cube's slice of a frozen pass's
     ``_pattern_mask``, and ``decided`` its entry of the pass's
-    ``_point_mass_witnesses``, which stands in for the singleton decider."""
+    ``_point_mass_witnesses``, which stands in for the singleton decider.
+    When that entry holds a witness, the support program meets the point
+    masses the mask kept before it, rejected, and returns it."""
     if ctx is None:
         ctx = _build_context(C, hull=True)
     if decided:
-        return _search_regions(cube, ctx.w_floor, game, gamma, "correlated",
-                               (), mask, decided)
+        sol = solve_support_program(
+            None, game, patterns=list(compress(game.tables.patterns, mask[0])),
+            shortcut=decided.get)
+        return _mixed_certificate("correlated", ctx.w_floor, sol, game)
     bounds = game.tables.bounds
     singleton = decided.get if decided is not None else partial(
         _singleton_correlated_solution, cube.origin, cube.side,
@@ -927,7 +920,7 @@ def _point_mass_witnesses(indices, keep, C: CubeSet, ctx: _Context,
                           game: StageGame, gamma: float) -> list:
     """The hull's singleton decider for the searches of the cubes
     ``indices`` of C against ``ctx``, a frozen pass's, all at once: per
-    cube, {pattern: certificate} for the first point mass, in
+    cube, {pattern: SupportSolution} for the first point mass, in
     ``game.tables.patterns`` order, that ``keep`` (their ``_pattern_mask``)
     kept and that has a witness, or {} when none has.
 
@@ -937,22 +930,23 @@ def _point_mass_witnesses(indices, keep, C: CubeSet, ctx: _Context,
     larger corner value is beyond FEAS_TOL rejects the box or cuts it; a box
     no row acts on is its own clip, whose least vertex is its low corner,
     and ``_clip_box`` clips a box a row cuts.  The witnesses'
-    continuations, utilities and replay rows come from arrays."""
+    continuations and utilities come from arrays."""
     tables = game.tables
     if "points" not in tables.templates:
         # the point masses lead the patterns; per point mass its conditional
-        # payoffs, its replay row's last two thirds and its own payoffs
+        # payoffs and in-support columns (a replay row's last two thirds)
+        # and its own payoffs
         points = tables.patterns[:game.action_count(0) * game.action_count(1)]
         profiles = [tuple(s[0] for s in p.supports) for p in points]
         conds = [tables.conditional[prof] for prof in profiles]
-        tails = [cond[0] + cond[1] + _support_columns(game, p.supports)
-                 for p, cond in zip(points, conds)]
         tables.templates["points"] = (
-            points, [tables.point_masses[prof] for prof in profiles], conds,
-            tails, np.array(tails).reshape(len(points), 2, -1),
+            points, [tables.point_masses[prof] for prof in profiles],
+            np.array([cond[0] + cond[1] + _support_columns(game, p.supports)
+                      for p, cond in zip(points, conds)]).reshape(
+                          len(points), 2, -1),
             np.array([[cond[i][prof[i]] for i in range(2)]
                       for prof, cond in zip(profiles, conds)]))
-    points, alphas, conds, tails, tail, r = tables.templates["points"]
+    points, alphas, tail, r = tables.templates["points"]
     found = [{}] * len(indices)
     cube, point = np.nonzero(keep[:, 0, :len(points)])
     if not cube.size:
@@ -1012,12 +1006,8 @@ def _point_mass_witnesses(indices, keep, C: CubeSet, ctx: _Context,
             cube[first].tolist(), point[first].tolist(),
             *(map(tuple, part.tolist()) for a in (conts, utils)
               for part in (a[:, :m[0]], a[:, m[0]:]))):
-        cert = SupportCertificate(
-            kind="correlated", w_floor=ctx.w_floor, solution=SupportSolution(
-                alphas[p], (w0, w1), (u0, u1), points[p]),
-            conditional_payoffs=conds[p])
-        object.__setattr__(cert, "row", w0 + w1 + tails[p])
-        found[c] = {points[p]: cert}
+        found[c] = {points[p]: SupportSolution(alphas[p], (w0, w1), (u0, u1),
+                                               points[p])}
     return found
 
 
@@ -1074,18 +1064,13 @@ def _support_columns(game: StageGame, supports) -> tuple[float, ...]:
 
 
 def _replay_row(cert: SupportCertificate, game: StageGame):
-    """A mixed certificate's row of ``_ReplayTable``, a column per action of
-    each player: its continuations, its conditional payoffs and whether its
-    pattern holds each action.  Built once, and kept on the certificate, so
-    a certificate replayed in many passes is gathered once."""
-    if cert.row is None:
-        sol = cert.solution
-        cond = _conditional_payoffs(cert, game)
-        # a cache of the frozen fields, which replace() drops
-        object.__setattr__(cert, "row", sol.continuations[0]
-                           + sol.continuations[1] + cond[0] + cond[1]
-                           + _support_columns(game, sol.pattern.supports))
-    return cert.row
+    """A mixed certificate's row of ``_ReplayTable``: the one its
+    constructor wrote, or, for a certificate read from a file, which has
+    none, the one ``_mixed_certificate`` would write."""
+    if cert.row is not None:
+        return cert.row
+    return _mixed_certificate(cert.kind, cert.w_floor, cert.solution,
+                              game).row
 
 
 def _certificate_rows(certificates: dict, indices, game: StageGame):
@@ -1232,21 +1217,18 @@ def _refresh_certificate(cert: SupportCertificate, w_floor, gamma: float,
     has no out-of-support continuations to move."""
     if cert.kind == "pure" or cert.w_floor == w_floor:
         return cert
-    sol = cert.solution
-    cond = cert.conditional_payoffs
+    sol, m = cert.solution, game.action_count(0)
+    row = _replay_row(cert, game)
+    q = row[len(row) // 3:]  # the conditional payoffs, player 0's first
     conts, utils = [], []
-    for i in range(2):
-        supp = set(sol.pattern.supports[i])
-        crow = list(sol.continuations[i])
-        urow = list(sol.utilities[i])
-        for a in range(game.action_count(i)):
-            if a not in supp:
-                crow[a] = w_floor[i]
-                urow[a] = _utility(cond[i][a], w_floor[i], gamma)
-        conts.append(tuple(crow))
-        utils.append(tuple(urow))
-    new_sol = SupportSolution(sol.alpha, tuple(conts), tuple(utils), sol.pattern)
-    return replace(cert, w_floor=w_floor, solution=new_sol)
+    for i, supp in enumerate(sol.pattern.supports):
+        conts.append(tuple(w if a in supp else w_floor[i]
+                           for a, w in enumerate(sol.continuations[i])))
+        utils.append(tuple(u if a in supp else _utility(
+            q[m * i + a], w_floor[i], gamma)
+            for a, u in enumerate(sol.utilities[i])))
+    return _mixed_certificate(cert.kind, w_floor, SupportSolution(
+        sol.alpha, tuple(conts), tuple(utils), sol.pattern), game)
 
 
 def _replay_ok(cert: SupportCertificate, ctx: _Context, C: CubeSet, index,
@@ -1339,14 +1321,11 @@ def solve(game: StageGame, config: SolverConfig,
     def search(cube: Hypercube, ctx: _Context, mask,
                decided) -> Optional[SupportCertificate]:
         if config.mode == "pure":
-            return cube_supported_pure(cube, C, ctx.w_floor, game,
-                                       config.gamma, clusters=ctx.clusters)
+            return cube_supported_pure(cube, C, game, config.gamma, ctx)
         if config.mode == "mixed-clusters":
-            return cube_supported_mixed(cube, C, ctx.w_floor, game,
-                                        config.gamma, clusters=ctx.clusters,
-                                        mask=mask, boxes=ctx.boxes)
-        return cube_supported_correlated(cube, C, game, config.gamma,
-                                         ctx=ctx, mask=mask, decided=decided)
+            return cube_supported_mixed(cube, C, game, config.gamma, ctx, mask)
+        return cube_supported_correlated(cube, C, game, config.gamma, ctx,
+                                         mask, decided)
 
     while True:
         iteration += 1

@@ -32,8 +32,8 @@ import pytest
 import spegrid as sg
 from spegrid.feasibility import (FEAS_TOL, PIVOT_TOL, _phase_one, alpha_var,
                                  w_var, wp_var)
-from spegrid.solver import (_above, _below, _conditional_payoffs, _deviation,
-                            _hull_row, _utility, certificate_residual)
+from spegrid.solver import (_above, _below, _deviation, _hull_row,
+                            _replay_row, _utility, certificate_residual)
 
 
 @pytest.fixture(scope="session")
@@ -111,6 +111,13 @@ def check_written_final_set(report, game: sg.StageGame, gamma: float) -> None:
 
 # -- the scalar replay oracle ---------------------------------------------------
 
+def conditional_row(cert, game: sg.StageGame) -> tuple:
+    """The conditional payoffs a mixed certificate's replay reads, player
+    0's first: the middle third of its replay row."""
+    row = _replay_row(cert, game)
+    return row[len(row) // 3:2 * len(row) // 3]
+
+
 def scalar_residual(cert, game: sg.StageGame, gamma: float, cube_origin, side,
                     w_floor, region) -> float:
     """Largest constraint violation of any certificate in the cube at
@@ -131,7 +138,9 @@ def scalar_residual(cert, game: sg.StageGame, gamma: float, cube_origin, side,
                                     w_floor, region)
 
     sol = cert.solution
-    cond = _conditional_payoffs(cert, game)
+    m = game.action_count(0)
+    q = conditional_row(cert, game)
+    cond = (q[:m], q[m:])
     supports = sol.pattern.supports
     worst = 0.0
     if cert.kind == "mixed":

@@ -41,8 +41,7 @@ BAD_GAMMAS = (math.nan, 1.5, 1.0, -0.1, math.inf, True, "0.5", None)
 class TestExtraction:
     def test_single_state_stationary_equilibrium(self, pd):
         C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
-        cert = sg.cube_supported_mixed(C.cube_at((2, 2)), C, C.min_origin(),
-                                       pd, 0.05)
+        cert = sg.cube_supported_mixed(C.cube_at((2, 2)), C, pd, 0.05)
         M = sg.extract_automaton(C, {(2, 2): cert}, (0.0, 0.0), pd)
         assert len(M) == 1
         assert M.supports(0) == ((1,), (1,))
@@ -139,7 +138,7 @@ class TestBestDeviation:
         with pytest.raises(ValueError, match="gamma"):
             sg.best_deviation(defection, 1, gamma)
 
-    @pytest.mark.parametrize("player", [-2, -1, 2, 3])
+    @pytest.mark.parametrize("player", [-2, -1, 2, 3, True, False, 1.0, "1"])
     def test_rejects_a_player_outside_the_game(self, defection, player):
         # a negative index used to return another player's values
         with pytest.raises(ValueError, match="player"):
@@ -176,13 +175,12 @@ class TestBestDeviation:
             cube = sg.locate(target, C)
             ix = tuple(round((o - b) / C.side)
                        for o, b in zip(cube.origin, C.base))
-            cert = sg.cube_supported_mixed(cube, C, C.min_origin(), game, 0.6)
+            cert = sg.cube_supported_mixed(cube, C, game, 0.6)
             M = sg.extract_automaton(C, {ix: cert}, target, game) \
                 if len({ix}) == 1 else None
             # restrict to the single-cube automaton by reusing the cert only
             C1 = sg.CubeSet(C.base, C.side, [ix])
-            cert1 = sg.cube_supported_mixed(C1.cube_at(ix), C1,
-                                            C1.min_origin(), game, 0.6)
+            cert1 = sg.cube_supported_mixed(C1.cube_at(ix), C1, game, 0.6)
             M = sg.extract_automaton(C1, {ix: cert1}, target, game)
             value = sg.automaton_value(M, 0.6)[M.initial]
             for i in range(2):
@@ -282,7 +280,7 @@ class TestSimulate:
         with pytest.raises(ValueError, match="gamma"):
             sg.simulate(defection, gamma, seed=1, episodes=0)
 
-    @pytest.mark.parametrize("episodes", [0, -1])
+    @pytest.mark.parametrize("episodes", [0, -1, True, 2.5, "3"])
     def test_rejects_fewer_than_one_episode(self, defection, episodes):
         with pytest.raises(ValueError, match="episodes"):
             sg.simulate(defection, 0.5, seed=1, episodes=episodes)

@@ -7,20 +7,22 @@ ones bit for bit.
   point-mass and genuinely mixed certificates whose in-support
   continuations sit on a cube edge, a cluster edge or a hull vertex, up to
   the boundary jitters; certificates as a solve makes them and as a file
-  read gives them (no cached table, or a near-point-mass alpha).
+  read gives them (no replay row, or a near-point-mass alpha).
 * ``_clip_box`` (the singleton correlated decider's row-pruned clip) must
   return what ``_clip`` returns for the box, on random boxes against hulls
   of random cube sets, boxes within 1e-7 of the hull included.
 * ``_point_mass_witnesses`` (a frozen pass's hull singleton decider on
   arrays) must return, per cube, the first witness that
   ``_singleton_correlated_solution`` finds over the kept point masses, with
-  its bits, and the replay row a fresh gather gives it.
+  its bits, and the constructor must give it the replay row that a
+  certificate read from a file gets.
 * With the refresh deferred to the passes that read it, every mixed
   certificate in a returned report is anchored at the final floor.
 
 Examples are derandomised so the suite is reproducible.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -100,8 +102,8 @@ def certificates(draw, game, gamma, C, ix, ctx, kind):
     low or high utility edge, or the region (a hull vertex or edge
     midpoint, a cluster edge).  Every in-support continuation then moves by
     a jitter.  Out-of-support continuations are arbitrary: replay anchors
-    them at the floor.  Half of them drop their cached table, as a file
-    read does, and a size-1 pattern may take an alpha 5e-10 off its
+    them at the floor.  Half of them have no replay row, as a file read
+    gives, and a size-1 pattern may take an alpha 5e-10 off its
     action."""
     found = None
     if draw(st.booleans()):
@@ -110,8 +112,7 @@ def certificates(draw, game, gamma, C, ix, ctx, kind):
             found = solver.cube_supported_correlated(cube, C, game, gamma,
                                                      ctx=ctx)
         else:
-            found = solver.cube_supported_mixed(cube, C, ctx.w_floor, game,
-                                                gamma, clusters=ctx.clusters)
+            found = solver.cube_supported_mixed(cube, C, game, gamma, ctx)
     if found is not None:
         pattern, alpha = found.solution.pattern, found.solution.alpha
         if pattern.pure and draw(st.booleans()):
@@ -153,9 +154,10 @@ def certificates(draw, game, gamma, C, ix, ctx, kind):
     utils = tuple(tuple((1.0 - gamma) * c + gamma * w
                         for c, w in zip(cond[i], conts[i])) for i in range(2))
     sol = SupportSolution(alpha, tuple(conts), utils, pattern)
-    cached = None if draw(st.booleans()) else cond
-    return solver.SupportCertificate(kind=kind, w_floor=ctx.w_floor,
-                                     solution=sol, conditional_payoffs=cached)
+    if draw(st.booleans()):  # no row, as a file read gives
+        return solver.SupportCertificate(kind=kind, w_floor=ctx.w_floor,
+                                         solution=sol)
+    return solver._mixed_certificate(kind, ctx.w_floor, sol, game)
 
 
 @st.composite
@@ -443,14 +445,19 @@ def test_batched_point_mass_witnesses_match_the_scalar_decider(case):
         if sol is None:
             assert found == {}
             continue
-        [(pattern, cert)] = found.items()
-        assert pattern == sol.pattern == cert.solution.pattern
-        assert solution_bits(cert.solution) == solution_bits(sol)
-        assert cert.kind == "correlated" and cert.w_floor == ctx.w_floor
-        assert cert.conditional_payoffs is game.tables.conditional[
+        [(pattern, witness)] = found.items()
+        assert pattern == sol.pattern == witness.pattern
+        assert solution_bits(witness) == solution_bits(sol)
+        # the shared point mass, so the constructor reads the shared table
+        assert witness.alpha is game.tables.point_masses[
             tuple(s[0] for s in pattern.supports)]
+        cert = solver._mixed_certificate("correlated", ctx.w_floor, witness,
+                                         game)
+        # a certificate as a file read gives it: no row, and its own alpha,
+        # whose table is computed
         fresh = solver.SupportCertificate("correlated", ctx.w_floor,
-                                          solution=sol)
+                                          solution=replace(sol, alpha=(
+                                              MixedProfile(sol.alpha.probs))))
         assert hexes([cert.row]) == hexes([_replay_row(fresh, game)])
 
 

@@ -16,9 +16,8 @@ from spegrid.finalset import (_certificate_text, read_final_set,
                               verify_final_set)
 from spegrid.game import conditional_payoff_table
 from spegrid.gamefile import resolve_game_path, serialize_game
-from spegrid.solver import (_build_context, _conditional_payoffs,
-                            certificate_residual)
-from conftest import write_report
+from spegrid.solver import _build_context, certificate_residual
+from conftest import conditional_row, write_report
 
 
 class TestGameFormat:
@@ -72,6 +71,53 @@ b a 3 x
 b b 4 4
 """
         with pytest.raises(sg.GameFormatError, match="non-numeric"):
+            sg.parse_game(doc)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_payoff_names_its_line(self, value):
+        doc = f"""players: 2
+actions 1: a b
+actions 2: a b
+payoffs:
+a a 1 1
+a b 2 {value}
+b a 3 3
+b b 4 4
+"""
+        with pytest.raises(sg.GameFormatError,
+                           match=f"line 6: profile index 1: payoff '{value}'"):
+            sg.parse_game(doc)
+
+    def test_action_block_of_a_player_outside_the_game(self):
+        doc = """players: 2
+actions 1: a b
+actions 2: a b
+actions 3: a b
+payoffs:
+a a 1 1
+a b 2 2
+b a 3 3
+b b 4 4
+"""
+        with pytest.raises(sg.GameFormatError, match="line 4: .*player 3"):
+            sg.parse_game(doc)
+
+    @pytest.mark.parametrize("repeated,line", [
+        ("actions 1: c d", "line 3: repeated action block for player 1"),
+        ("players: 3", "line 3: repeated 'players:'"),
+    ])
+    def test_a_repeated_directive_names_its_line(self, repeated, line):
+        doc = f"""players: 2
+actions 1: a b
+{repeated}
+actions 2: a b
+payoffs:
+a a 1 1
+a b 2 2
+b a 3 3
+b b 4 4
+"""
+        with pytest.raises(sg.GameFormatError, match=line):
             sg.parse_game(doc)
 
     def test_missing_player_block(self):
@@ -660,13 +706,14 @@ class TestTamperedFinalSet:
 
         C, _, certs = read_final_set(near)
         index = C.index_of(map(float, block[0][len("cube: "):].split()))
-        shared = pd.tables.conditional[profile]
-        assert np.array(_conditional_payoffs(read_final_set(exact)[2][index],
-                                             pd)).tobytes() \
+        shared = sum(pd.tables.conditional[profile], ())
+        assert np.array(conditional_row(read_final_set(exact)[2][index],
+                                        pd)).tobytes() \
             == np.array(shared).tobytes()
         cert = certs[index]
-        table = _conditional_payoffs(cert, pd)
-        assert table == conditional_payoff_table(pd, cert.solution.alpha)
+        table = conditional_row(cert, pd)
+        assert table == sum(conditional_payoff_table(pd, cert.solution.alpha),
+                            ())
         assert table != shared
 
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import spegrid as sg
 from spegrid.feasibility import (alpha_var, enumerate_support_patterns,
                                  w_var, wp_var)
+from spegrid.solver import _build_context
 from conftest import pure_support_system, random_game, rational_feasible
 
 
@@ -346,7 +348,8 @@ class TestSolveSupportProgram:
     def test_solution_satisfies_recursion(self, pd):
         C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
         cube = C.cube_at((2, 2))
-        cert = sg.cube_supported_mixed(cube, C, (-1.0, -1.0), pd, 0.6)
+        ctx = replace(_build_context(C, hull=False), w_floor=(-1.0, -1.0))
+        cert = sg.cube_supported_mixed(cube, C, pd, 0.6, ctx)
         sol = cert.solution
         gamma = 0.6
         for i in range(2):

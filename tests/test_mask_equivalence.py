@@ -64,7 +64,7 @@ def certificate_bits(certificates):
                     [bits(p) for p in sol.alpha.probs],
                     [bits(row) for row in sol.continuations],
                     [bits(row) for row in sol.utilities],
-                    [bits(row) for row in cert.conditional_payoffs]))
+                    bits(cert.row)))
     return out
 
 

@@ -19,8 +19,8 @@ class TestCubeSupportedPure:
         # cube [0, 0.5]^2 holds the defect/defect payoff and supports itself
         C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
         for gamma in (0.0, 0.3, 0.9):
-            cert = sg.cube_supported_pure(C.cube_at((2, 2)), C,
-                                          C.min_origin(), pd, gamma)
+            cert = sg.cube_supported_pure(C.cube_at((2, 2)), C, pd,
+                                          gamma)
             assert cert is not None
             assert sg.verify_certificate(cert, pd, gamma, C, (2, 2))
             if gamma <= 0.3:
@@ -43,14 +43,14 @@ class TestCubeSupportedPure:
         # profile reaches the cube either
         C = sg.CubeSet((-1.0, -1.0), 0.2, [(0, 0), (14, 14)])
         cube = C.cube_at((14, 14))  # [1.8, 2.0]^2
-        assert sg.cube_supported_pure(cube, C, C.min_origin(), pd, 0.05) is None
+        assert sg.cube_supported_pure(cube, C, pd, 0.05) is None
 
     def test_cooperation_supported_at_high_gamma(self, pd):
         # cube around (2,2) with the punishment floor at (0,0): condition
         # slack for mutual cooperation is 0.3*2 + 0.7*2 - 0.3*3 = 1.1 >= 0
         C = sg.CubeSet((0.0, 0.0), 0.2, [(0, 0), (10, 10)])
         cube = C.cube_at((10, 10))  # [2.0, 2.2]^2
-        cert = sg.cube_supported_pure(cube, C, C.min_origin(), pd, 0.7)
+        cert = sg.cube_supported_pure(cube, C, pd, 0.7)
         assert cert is not None
         assert cert.profile == (0, 0)
         w = cert.continuation
@@ -86,7 +86,7 @@ class TestCubeSupportedMixed:
         side = 1e-6
         C = sg.CubeSet((-side / 2, -side / 2), side, [(0, 0)])
         cube = C.cube_at((0, 0))
-        cert = sg.cube_supported_mixed(cube, C, C.min_origin(), rpc, 0.5)
+        cert = sg.cube_supported_mixed(cube, C, rpc, 0.5)
         assert cert is not None
         sol = cert.solution
         assert sol.pattern.supports == ((0, 1, 2), (0, 1, 2))
@@ -97,8 +97,8 @@ class TestCubeSupportedMixed:
     def test_pure_supportable_cube_agrees_with_pure_backend(self, pd):
         C = sg.CubeSet((-1.0, -1.0), 0.5, [(2, 2)])
         cube = C.cube_at((2, 2))
-        pure = sg.cube_supported_pure(cube, C, C.min_origin(), pd, 0.4)
-        mixed = sg.cube_supported_mixed(cube, C, C.min_origin(), pd, 0.4)
+        pure = sg.cube_supported_pure(cube, C, pd, 0.4)
+        mixed = sg.cube_supported_mixed(cube, C, pd, 0.4)
         assert mixed is not None
         assert mixed.solution.pattern.pure
         assert tuple(s[0] for s in mixed.solution.pattern.supports) == pure.profile
@@ -108,14 +108,13 @@ class TestCubeSupportedMixed:
         # unsupportable (the unique equilibrium value is the origin)
         C = sg.CubeSet((-1.0, -1.0), 0.25, [(6, 6), (3, 3)])
         cube = C.cube_at((6, 6))  # [0.5, 0.75]^2
-        assert sg.cube_supported_mixed(cube, C, C.min_origin(),
-                                       pennies, 0.05) is None
+        assert sg.cube_supported_mixed(cube, C, pennies, 0.05) is None
 
     def test_requires_two_players(self):
         g = sg.StageGame((("a",), ("a",), ("a",)), np.zeros((1, 1, 1, 3)))
         C = sg.CubeSet((0.0, 0.0, 0.0), 1.0, [(0, 0, 0)])
         with pytest.raises(ValueError):
-            sg.cube_supported_mixed(C.cube_at((0, 0, 0)), C, (0, 0, 0), g, 0.5)
+            sg.cube_supported_mixed(C.cube_at((0, 0, 0)), C, g, 0.5)
 
     def test_singleton_shortcut_matches_lp(self):
         rng = np.random.default_rng(93)
